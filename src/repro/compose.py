@@ -363,10 +363,8 @@ def build_fleet(spec: FleetSpec, graph, profiles=None) -> ShardedProvider:
 def walk_starts(config: StackConfig, network) -> Tuple[Node, ...]:
     """The start nodes :func:`build_stack` will give ``config``'s chains.
 
-    Exposed so the service layer can pre-warm a shared cache before
-    rebuilding a hibernated tenant's stack — the rebuilt chains' bootstrap
-    queries must all be cache hits, or waking a tenant would bill fetches
-    the original session never issued.
+    Either ``config.walk.starts`` verbatim or one
+    ``network.seed_node(seed + i)`` per chain.
     """
     starts = config.walk.starts
     if starts is not None:
@@ -383,8 +381,16 @@ def build_stack(
     fleet: Optional[ShardedProvider] = None,
     recorder: Optional[TraceRecorder] = None,
     tenant: Optional[str] = None,
+    state: Optional[dict] = None,
 ) -> SamplingStack:
     """Assemble provider → interface → walkers → planner from one config.
+
+    Without ``state`` every chain bootstraps with a billed query of its
+    start node.  With ``state`` the stack is a *restore*: the chains are
+    set up without that query and the captured session is loaded on top,
+    so the rebuild issues no reads.  A tenant-scoped state (captured with
+    ``include_shared=False``) then leaves a mounted cache and fleet
+    exactly as they were: entries, LRU order, counters, RNG positions.
 
     Args:
         config: The declarative stack description.
@@ -408,10 +414,17 @@ def build_stack(
             recorder hookup (events gain a ``tenant`` attribute; cache
             counters move to the ``tenant.<label>.*`` namespace).  Only
             meaningful with ``recorder``.
+        state: Optional captured session — ``{"api": ..., "walkers": ...}``
+            as produced by the interface's
+            :meth:`~repro.interface.api.RestrictedSocialAPI.state_dict`
+            and the scheduler's
+            :meth:`~repro.walks.scheduler.EventDrivenWalkers.state_dict`
+            — to restore instead of bootstrapping.
 
     Raises:
         ComposeError: On an unknown walk engine, too few chains, or a
             ``starts`` tuple whose length disagrees with ``chains``.
+        SnapshotError: If ``state`` does not fit the configured stack.
     """
     engine = WALK_ENGINES.get(config.walk.engine)
     if engine is None:
@@ -426,7 +439,8 @@ def build_stack(
             f"WalkSpec.starts holds {len(config.walk.starts)} nodes "
             f"for {config.walk.chains} chains"
         )
-    starts = walk_starts(config, network)
+    # A restored chain stands wherever its captured state left it.
+    starts = walk_starts(config, network) if state is None else (None,) * config.walk.chains
     if fleet is None:
         fleet = build_fleet(config.fleet, network.graph, profiles=network.profiles)
     limiter = config.rate_limit.build() if config.rate_limit is not None else None
@@ -441,7 +455,12 @@ def build_stack(
         fleet.set_recorder(recorder)
         api.set_recorder(recorder, tenant=tenant)
     samplers = [
-        engine(api, start=starts[i], seed=config.walk.seed * 100_003 + i)
+        engine(
+            api,
+            start=starts[i],
+            seed=config.walk.seed * 100_003 + i,
+            bootstrap=state is None,
+        )
         for i in range(config.walk.chains)
     ]
     planner = config.planner.build() if config.planner is not None else None
@@ -452,6 +471,9 @@ def build_stack(
         batch_window=config.walk.batch_window,
         planner=planner,
     )
+    if state is not None:
+        api.load_state(state["api"])
+        walkers.load_state(state["walkers"])
     if recorder is not None:
         walkers.set_recorder(recorder, tenant=tenant)
         if planner is not None:

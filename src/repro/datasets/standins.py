@@ -55,6 +55,10 @@ class SocialNetwork:
     name: str
     graph: Graph
     profiles: DocumentStore
+    # seed_node's memo: (graph it was taken of, node count, sorted nodes).
+    _node_order: Optional[tuple] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def interface(
         self,
@@ -102,9 +106,17 @@ class SocialNetwork:
         )
 
     def seed_node(self, seed: RngLike = 0) -> Node:
-        """A uniformly chosen start node for walks (reproducible)."""
-        rng = ensure_rng(seed)
-        return rng.choice(sorted(self.graph.nodes()))
+        """A uniformly chosen start node for walks (reproducible).
+
+        Draws from the sorted node list, which is memoized on first use
+        and re-sorted only if ``graph`` is replaced or its node count
+        changes — so repeated calls cost one draw, not one sort.
+        """
+        memo = self._node_order
+        if memo is None or memo[0] is not self.graph or memo[1] != len(self.graph):
+            memo = (self.graph, len(self.graph), sorted(self.graph.nodes()))
+            self._node_order = memo
+        return ensure_rng(seed).choice(memo[2])
 
 
 def _community_power_law_graph(

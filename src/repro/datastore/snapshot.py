@@ -152,11 +152,73 @@ def encode_value(value: object) -> object:
     serialize to identical bytes regardless of insertion/hash order), and
     ``dict`` with arbitrary hashable keys (insertion order preserved).
 
+    Values of exactly these types dispatch on ``type(value)`` in one dict
+    lookup; subclasses and registered extension types take the
+    ``isinstance`` chain in :func:`_encode_fallback`.  Both routes produce
+    the same encoding.
+
     Raises:
         SnapshotError: For unsupported types.
     """
-    if value is None:
-        return ["z"]
+    return _ENCODERS.get(type(value), _encode_fallback)(value)
+
+
+#: Sequences shorter than this are coded member by member: checking
+#: whether they are a run of one scalar type costs more than it saves.
+_RUN_MIN = 8
+
+
+def _encode_items(values) -> list:
+    """Encode a sequence's members; a run of plain ints or floats in bulk.
+
+    Walker snapshots are dominated by such runs — every chain carries a
+    625-word Mersenne state and a float trace — and one pass building
+    the tagged pairs inline beats a dispatch per member.
+    """
+    if len(values) >= _RUN_MIN:
+        kinds = set(map(type, values))
+        if kinds == _INT_ONLY:
+            return [["i", v] for v in values]
+        if kinds == _FLOAT_ONLY:
+            return [["f", v.hex()] for v in values]
+    return [encode_value(v) for v in values]
+
+
+def _encode_members(values) -> list:
+    """Encode a set's members in canonical order."""
+    return sorted(_encode_items(values), key=_canonical)
+
+
+_INT_ONLY = {int}
+_FLOAT_ONLY = {float}
+
+#: Exact type -> encoder for the base types (the dispatch fast path).
+_ENCODERS: Dict[type, Callable[[object], object]] = {
+    type(None): lambda v: ["z"],
+    bool: lambda v: ["b", v],
+    int: lambda v: ["i", v],
+    float: lambda v: ["f", v.hex()],
+    str: lambda v: ["s", v],
+    bytes: lambda v: ["y", v.hex()],
+    tuple: lambda v: ["t", _encode_items(v)],
+    list: lambda v: ["l", _encode_items(v)],
+    set: lambda v: ["S", _encode_members(v)],
+    frozenset: lambda v: ["F", _encode_members(v)],
+    dict: lambda v: ["d", [[encode_value(k), encode_value(x)] for k, x in v.items()]],
+}
+
+#: Every type the base codec handles, subclasses included.
+_BASE_TYPES = (int, float, str, bytes, tuple, list, set, frozenset, dict)
+
+
+def _encode_fallback(value: object) -> object:
+    """Encode a registered extension type, or a subclass of a base type."""
+    extension = _EXTENSION_ENCODERS.get(type(value))
+    # A registered type that subclasses a base type (a namedtuple, say)
+    # encodes as that base type: the chain below takes precedence.
+    if extension is not None and not isinstance(value, _BASE_TYPES):
+        tag, to_primitives = extension
+        return [tag, encode_value(to_primitives(value))]
     if isinstance(value, bool):
         return ["b", value]
     if isinstance(value, int):
@@ -168,23 +230,21 @@ def encode_value(value: object) -> object:
     if isinstance(value, bytes):
         return ["y", value.hex()]
     if isinstance(value, tuple):
-        return ["t", [encode_value(v) for v in value]]
+        return ["t", _encode_items(value)]
     if isinstance(value, list):
-        return ["l", [encode_value(v) for v in value]]
+        return ["l", _encode_items(value)]
     if isinstance(value, (set, frozenset)):
-        members = sorted((encode_value(v) for v in value), key=_canonical)
-        return ["S" if isinstance(value, set) else "F", members]
+        return ["S" if isinstance(value, set) else "F", _encode_members(value)]
     if isinstance(value, dict):
         return ["d", [[encode_value(k), encode_value(v)] for k, v in value.items()]]
-    extension = _EXTENSION_ENCODERS.get(type(value))
-    if extension is not None:
-        tag, to_primitives = extension
-        return [tag, encode_value(to_primitives(value))]
     raise SnapshotError(f"cannot snapshot value of type {type(value).__name__}: {value!r}")
 
 
 def decode_value(encoded: object) -> object:
     """Invert :func:`encode_value`.
+
+    Dispatches on the tag in one dict lookup: scalar tags, then ``None``
+    and the containers, then registered extension tags.
 
     Raises:
         SnapshotError: On malformed input.
@@ -192,32 +252,62 @@ def decode_value(encoded: object) -> object:
     if not isinstance(encoded, list) or not encoded:
         raise SnapshotError(f"malformed snapshot value: {encoded!r}")
     tag = encoded[0]
-    if tag == "z":
-        return None
-    if tag == "b":
-        return bool(encoded[1])
-    if tag == "i":
-        return int(encoded[1])
-    if tag == "f":
-        return float.fromhex(encoded[1])
-    if tag == "s":
-        return str(encoded[1])
-    if tag == "y":
-        return bytes.fromhex(encoded[1])
-    if tag == "t":
-        return tuple(decode_value(v) for v in encoded[1])
-    if tag == "l":
-        return [decode_value(v) for v in encoded[1]]
-    if tag == "S":
-        return {decode_value(v) for v in encoded[1]}
-    if tag == "F":
-        return frozenset(decode_value(v) for v in encoded[1])
-    if tag == "d":
-        return {decode_value(k): decode_value(v) for k, v in encoded[1]}
-    decoder = _EXTENSION_DECODERS.get(tag) if isinstance(tag, str) else None
-    if decoder is not None:
-        return decoder(decode_value(encoded[1]))
+    if isinstance(tag, str):
+        convert = _SCALAR_DECODERS.get(tag)
+        if convert is not None:
+            return convert(encoded[1])
+        decoder = _TAGGED_DECODERS.get(tag)
+        if decoder is not None:
+            return decoder(encoded)
+        extension = _EXTENSION_DECODERS.get(tag)
+        if extension is not None:
+            return extension(decode_value(encoded[1]))
     raise SnapshotError(f"unknown snapshot tag {tag!r}")
+
+
+#: Scalar tag -> converter of the tagged payload.
+_SCALAR_DECODERS: Dict[str, Callable[[object], object]] = {
+    "b": bool,
+    "i": int,
+    "f": float.fromhex,
+    "s": str,
+    "y": bytes.fromhex,
+}
+
+_LIST_ONLY = {list}
+
+
+def _decode_items(items) -> list:
+    """Decode a sequence's members; all-scalar members without a call each.
+
+    A sequence whose members are all ``[scalar tag, payload]`` pairs — a
+    Mersenne state, a trace, a log record, a sample's fields — converts
+    each payload in one comprehension, and a plain ``int`` payload is
+    already its value.  Any other member (a container, an extension
+    value, or malformed input) stops it, and the members are decoded one
+    by one instead, which also raises what a malformed member raises
+    there.
+    """
+    if set(map(type, items)) == _LIST_ONLY:
+        try:
+            return [
+                payload if tag == "i" and type(payload) is int else _SCALAR_DECODERS[tag](payload)
+                for tag, payload in items
+            ]
+        except (KeyError, TypeError, ValueError):
+            pass
+    return [decode_value(v) for v in items]
+
+
+#: Tag -> decoder of the whole tagged value (``None`` and the containers).
+_TAGGED_DECODERS: Dict[str, Callable[[list], object]] = {
+    "z": lambda e: None,
+    "t": lambda e: tuple(_decode_items(e[1])),
+    "l": lambda e: _decode_items(e[1]),
+    "S": lambda e: set(_decode_items(e[1])),
+    "F": lambda e: frozenset(_decode_items(e[1])),
+    "d": lambda e: {decode_value(k): decode_value(v) for k, v in e[1]},
+}
 
 
 # ----------------------------------------------------------------------

@@ -91,7 +91,16 @@ class ShardStats:
         book["latency_spent"] += latency
 
     def state_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            "queries": self.queries,
+            "latency_spent": self.latency_spent,
+            "retries": self.retries,
+            "disrupted": self.disrupted,
+            "bursts": self.bursts,
+            "max_in_flight": self.max_in_flight,
+            "prefetched": self.prefetched,
+            "tenants": {label: dict(book) for label, book in self.tenants.items()},
+        }
 
     def load_state(self, state: dict) -> None:
         self.queries = int(state["queries"])

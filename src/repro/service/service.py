@@ -31,7 +31,9 @@ one simulated clock.  :class:`SamplingService` is that runtime:
   spills into a :class:`~repro.datastore.kv.KeyValueStore` through the
   snapshot codec and is rebuilt bit-for-bit on its next request, even
   in a fresh process via :meth:`SamplingService.save` /
-  :meth:`SamplingService.resume`.
+  :meth:`SamplingService.resume`.  A wake costs O(the tenant's own
+  payload): the stack is restored through ``build_stack(state=...)``,
+  which issues no reads, so the shared layers are never touched.
 
 Example::
 
@@ -58,7 +60,6 @@ from repro.compose import (
     StackConfig,
     build_fleet,
     build_stack,
-    walk_starts,
 )
 from repro.datastore.kv import KeyValueStore
 from repro.datastore.snapshot import SnapshotBackend, decode_value, encode_value
@@ -411,25 +412,6 @@ class SamplingService:
                 stack.planner.warm_start(self._warm_stats)
         return stack
 
-    def _attach_recorder(self, stack: SamplingStack, tenant_id: str) -> None:
-        """Wire the service's shared recorder through a *rebuilt* stack.
-
-        Fresh registrations are instrumented by ``build_stack`` itself
-        (so bootstrap queries are traced); this hook re-attaches after a
-        hibernated tenant is materialized — its unbilled rebuild must
-        stay out of the trace, so the recorder is wired only once the
-        tenant's own state is loaded back on top.  Tenant snapshots stay
-        recorder-free: hibernation serializes with
-        ``include_shared=False``, which skips the interface's embedded
-        recorder state.
-        """
-        if self._recorder is None:
-            return
-        stack.api.set_recorder(self._recorder, tenant=tenant_id)
-        stack.walkers.set_recorder(self._recorder, tenant=tenant_id)
-        if stack.planner is not None:
-            stack.planner.set_recorder(self._recorder)
-
     def request(
         self, tenant_id: str, num_samples: int, thinning: int = 1
     ) -> TenantSession:
@@ -671,52 +653,25 @@ class SamplingService:
         session.idle_rounds = 0
 
     def _materialize(
-        self, config: StackConfig, sections: dict, tenant_id: Optional[str] = None
+        self, config: StackConfig, sections: dict, tenant_id: str
     ) -> SamplingStack:
-        """Rebuild a stack from tenant-scoped snapshot sections.
+        """Restore a tenant's stack from its tenant-scoped snapshot sections.
 
-        Rebuilding is not free of side effects: ``build_stack`` bootstraps
-        every chain with a start-node query.  Those queries must be (a)
-        unbilled — the original session already paid for them — and (b)
-        invisible to the shared layers.  So: capture the shared fleet and
-        cache, pre-warm the start nodes into the cache (making every
-        bootstrap a free cache hit that leaves the fresh interface clock
-        at zero, which keeps the clock-monotonicity check in
-        ``api.load_state`` satisfiable), build, then restore the shared
-        layers and drain the dispatch trace before loading the tenant's
-        own state on top.
+        ``build_stack(state=...)`` sets the chains up without their
+        start-node queries and loads the tenant's own state on top, so the
+        rebuild bills nothing, fetches nothing, and leaves the shared
+        fleet and cache exactly as they were.  The shared recorder is
+        wired through the restored stack like a fresh registration's.
         """
-        self._fleet.set_active_tenant(None)
-        # The rebuild's side-effect fetches are unbilled replays — they
-        # must stay out of the trace or the per-shard reconciliation
-        # would count fetches the restored books never saw.
-        self._fleet.set_recorder(None)
-        fleet_state = self._fleet.state_dict()
-        cache_state = self._cache.state_dict()
-        try:
-            for start in walk_starts(config, self._network):
-                if self._cache.neighbors(start) is None:
-                    fetched = self._fleet.fetch(start)
-                    self._cache.put(
-                        start,
-                        frozenset(fetched.neighbor_seq),
-                        fetched.attributes,
-                        seq=fetched.neighbor_seq,
-                    )
-            stack = build_stack(
-                config, self._network, cache=self._cache, fleet=self._fleet
-            )
-            self._fleet.load_state(fleet_state)
-            self._cache.load_state(cache_state)
-            self._fleet.drain_dispatches()
-        finally:
-            if self._recorder is not None:
-                self._fleet.set_recorder(self._recorder)
-        stack.api.load_state(sections["api"])
-        stack.walkers.load_state(sections["walkers"])
-        if tenant_id is not None:
-            self._attach_recorder(stack, tenant_id)
-        return stack
+        return build_stack(
+            config,
+            self._network,
+            cache=self._cache,
+            fleet=self._fleet,
+            recorder=self._recorder,
+            tenant=tenant_id,
+            state=sections,
+        )
 
     # ------------------------------------------------------------------
     # whole-service persistence

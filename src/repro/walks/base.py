@@ -93,6 +93,11 @@ class RandomWalkSampler(abc.ABC):
         trace_attribute: Per-node value watched by convergence monitors;
             defaults to the node's (original-graph) degree, the attribute
             the paper uses because it exists in every network.
+        bootstrap: Query ``start`` now (billed like any first visit) and
+            record it as the trace's first entry.  ``False`` only sets
+            the fields up: the caller must :meth:`load_state` a captured
+            session on top before stepping — rebuilding a session that
+            already paid for its start node must not query it again.
     """
 
     def __init__(
@@ -101,6 +106,8 @@ class RandomWalkSampler(abc.ABC):
         start: Node,
         seed: RngLike = None,
         trace_attribute: Optional[Callable[[QueryResponse], float]] = None,
+        *,
+        bootstrap: bool = True,
     ) -> None:
         self._api = api
         self._rng = ensure_rng(seed)
@@ -113,12 +120,19 @@ class RandomWalkSampler(abc.ABC):
         self._trace: List[float] = []
         self._checkpoint_fn: Optional[Callable[["RandomWalkSampler"], None]] = None
         self._checkpoint_every = 0
-        resp = self._api.query(start)  # materialize the start node
-        self._current_resp: Optional[QueryResponse] = resp
+        self._current_resp: Optional[QueryResponse] = None
         # Seq memo for the fast cached-step lane: the current node's stable
         # neighbor tuple, or None when it must be re-read through the
         # interface (after load_state, or a commit that didn't carry it).
-        self._current_seq: Optional[tuple] = resp.neighbor_seq
+        self._current_seq: Optional[tuple] = None
+        if bootstrap:
+            self._bootstrap()
+
+    def _bootstrap(self) -> None:
+        """Query the start node and record it as the trace's first entry."""
+        resp = self._api.query(self._current)
+        self._current_resp = resp
+        self._current_seq = resp.neighbor_seq
         self._record_trace(resp)
 
     # ------------------------------------------------------------------

@@ -74,6 +74,66 @@ class TestBuildStack:
             build_stack(config, network)
 
 
+def _collect(stack, target):
+    """Drive ``stack`` to ``target`` samples through the incremental API."""
+    stack.walkers.begin_collect(target, 1)
+    while not stack.walkers.collect_tick(target):
+        pass
+
+
+class TestRestore:
+    CONFIG = StackConfig(
+        fleet=FleetSpec(
+            num_shards=2,
+            seed=5,
+            provider=ProviderSpec(latency_distribution="uniform", failure_rate=0.2),
+        ),
+        walk=WalkSpec(engine="nbrw", chains=3, seed=4),
+        planner=PlannerSpec(lookahead=2),
+    )
+
+    def test_restore_issues_no_reads_and_continues_bit_for_bit(self, network):
+        reference = build_stack(self.CONFIG, network)
+        _collect(reference, 30)
+        _collect(reference, 60)
+
+        first = build_stack(self.CONFIG, network)
+        _collect(first, 30)
+        sections = decode_value(
+            encode_value(
+                {
+                    "api": first.api.state_dict(include_shared=False),
+                    "walkers": first.walkers.state_dict(),
+                }
+            )
+        )
+        shared = (first.fleet.state_dict(), first.api.cache.state_dict())
+        restored = build_stack(
+            self.CONFIG, network, cache=first.api.cache, fleet=first.fleet, state=sections
+        )
+        # No start-node query: the shared layers and the log are as captured.
+        assert (first.fleet.state_dict(), first.api.cache.state_dict()) == shared
+        assert restored.api.log.state_dict() == first.api.log.state_dict()
+
+        _collect(restored, 60)
+        assert restored.walkers.result().samples == reference.walkers.result().samples
+        assert restored.api.query_cost == reference.api.query_cost
+
+    def test_unbootstrapped_sampler_queries_nothing(self, network):
+        start = network.seed_node(0)
+        api = network.interface()
+        walk = SimpleRandomWalk(api, start=start, seed=1, bootstrap=False)
+        assert api.query_cost == 0 and api.log.state_dict()["records"] == []
+        assert walk.trace == ()
+
+        source = SimpleRandomWalk(network.interface(), start=start, seed=1)
+        for _ in range(5):
+            source.step()
+        walk.load_state(source.state_dict())
+        assert [walk.step() for _ in range(10)] == [source.step() for _ in range(10)]
+        assert walk.trace == source.trace
+
+
 class TestWalkStarts:
     def test_explicit_starts_win(self, network):
         starts = (network.seed_node(50), network.seed_node(51))

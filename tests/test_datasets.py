@@ -1,5 +1,7 @@
 """Unit tests for dataset stand-ins and the registry."""
 
+import random
+
 import pytest
 
 from repro.datasets import (
@@ -58,6 +60,22 @@ class TestStandinTopology:
 
     def test_seed_node_member(self, net):
         assert net.seed_node(seed=1) in net.graph
+
+    def test_seed_node_memo_matches_sort_per_call(self, net):
+        nodes = sorted(net.graph.nodes())
+        for seed in range(51):
+            assert net.seed_node(seed) == random.Random(seed).choice(nodes)
+
+    def test_seed_node_memo_follows_graph_changes(self):
+        net = load("epinions_like", seed=1, scale=0.2)
+        net.seed_node(0)
+        net.graph.add_node(-1)  # sorts first: shifts every draw's index
+        nodes = sorted(net.graph.nodes())
+        assert [net.seed_node(s) for s in range(10)] == [
+            random.Random(s).choice(nodes) for s in range(10)
+        ]
+        net.graph = net.graph.subgraph(nodes[:50])
+        assert net.seed_node(3) == random.Random(3).choice(nodes[:50])
 
 
 class TestGooglePlusAttributes:

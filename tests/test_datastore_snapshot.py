@@ -1,6 +1,8 @@
 """Unit tests for the snapshot codec and backends."""
 
 import json
+import math
+import random
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.datastore.snapshot import (
     encode_value,
 )
 from repro.errors import SnapshotError
+from repro.walks.base import WalkSample
 
 
 class TestCodecRoundTrip:
@@ -78,6 +81,64 @@ class TestCodecRoundTrip:
         for bad in (["?", 1], [], "raw", {"t": 1}):
             with pytest.raises(SnapshotError):
                 decode_value(bad)
+
+
+class TestGoldenFormat:
+    """The encoded bytes are a storage format: spilled sessions, ``save()``
+    files and anything else that persisted an encoding decode against them,
+    so every tag's exact shape is pinned here."""
+
+    RNG_STATE = random.Random(2024).getstate()
+    PAYLOAD = {
+        "none": None,
+        "ints": (0, 1, True, -2, False, 2**70, 6, 7),
+        "trace": (1.0, 0.1, math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.5),
+        "bytes": b"\x00\xff",
+        "nested": (1, [2.5, ("three", [])]),
+        "sets": ({3, 1, 2}, frozenset({"b", "a"})),
+        (1, "k"): {"inner": 4},
+        "sample": WalkSample(node=("u", 5), weight=0.25, query_cost=3, step=9),
+        "rng": RNG_STATE,
+    }
+    GOLDEN = (
+        '["d", [[["s", "none"], ["z"]], '
+        '[["s", "ints"], ["t", [["i", 0], ["i", 1], ["b", true], ["i", -2], ["b", false], '
+        '["i", 1180591620717411303424], ["i", 6], ["i", 7]]]], '
+        '[["s", "trace"], ["t", [["f", "0x1.0000000000000p+0"], ["f", "0x1.999999999999ap-4"], '
+        '["f", "inf"], ["f", "-inf"], ["f", "nan"], ["f", "-0x0.0p+0"], '
+        '["f", "0x0.0000000000001p-1022"], ["f", "0x1.4000000000000p+1"]]]], '
+        '[["s", "bytes"], ["y", "00ff"]], '
+        '[["s", "nested"], ["t", [["i", 1], ["l", [["f", "0x1.4000000000000p+1"], '
+        '["t", [["s", "three"], ["l", []]]]]]]]], '
+        '[["s", "sets"], ["t", [["S", [["i", 1], ["i", 2], ["i", 3]]], ["F", [["s", "a"], ["s", "b"]]]]]], '
+        '[["t", [["i", 1], ["s", "k"]]], ["d", [[["s", "inner"], ["i", 4]]]]], '
+        '[["s", "sample"], ["x:walk-sample", '
+        '["t", [["t", [["s", "u"], ["i", 5]]], ["f", "0x1.0000000000000p-2"], ["i", 3], ["i", 9]]]]], '
+        '[["s", "rng"], <rng>]]]'
+    )
+
+    def test_bytes_match_the_committed_literal(self):
+        version, words, gauss = self.RNG_STATE
+        assert (version, len(words), gauss) == (3, 625, None)
+        # A Mersenne state: ("t", [version, ("t", [625 words]), None]).
+        rng = '["t", [["i", 3], ["t", [' + ", ".join(f'["i", {w}]' for w in words) + ']], ["z"]]]'
+        encoded = json.dumps(encode_value(self.PAYLOAD), sort_keys=True)
+        assert encoded == self.GOLDEN.replace("<rng>", rng)
+
+    def test_round_trips(self):
+        decoded = decode_value(json.loads(json.dumps(encode_value(self.PAYLOAD))))
+        nan_free = {k: v for k, v in self.PAYLOAD.items() if k != "trace"}
+        assert {k: v for k, v in decoded.items() if k != "trace"} == nan_free
+        assert list(decoded) == list(self.PAYLOAD)
+        assert [type(x) for x in decoded["ints"]] == [int, int, bool, int, bool, int, int, int]
+        trace = decoded["trace"]
+        assert type(trace) is tuple and math.isnan(trace[4])
+        assert [x.hex() for x in trace] == [x.hex() for x in self.PAYLOAD["trace"]]
+        assert type(decoded["sets"][0]) is set and type(decoded["sets"][1]) is frozenset
+        assert type(decoded["sample"]) is WalkSample
+        state = random.Random()
+        state.setstate(decoded["rng"])
+        assert state.random() == random.Random(2024).random()
 
 
 SECTIONS = {

@@ -1,5 +1,7 @@
 """Tests for the sharded provider fleet: routing, accounting, snapshots."""
 
+import dataclasses
+
 import pytest
 
 from repro.compose import FleetSpec, ProviderSpec, build_fleet
@@ -249,6 +251,26 @@ class TestFleetSnapshots:
         lat_a = [fleet.fetch(u).latency for u in continuation]
         lat_b = [restored.fetch(u).latency for u in continuation]
         assert lat_a == lat_b
+
+    def test_stats_state_equals_field_deep_copy(self, network):
+        fleet = build_fleet(FleetSpec(num_shards=2, seed=2), network.graph)
+        api = RestrictedSocialAPI(fleet)
+        users = list(network.graph.nodes())
+        fleet.set_active_tenant("a")
+        for user in users[:20]:
+            api.query(user)
+        fleet.set_active_tenant("b")
+        for user in users[20:30]:
+            api.query(user)
+        fleet.set_active_tenant(None)
+        for stats in fleet.stats:
+            state = stats.state_dict()
+            assert state == dataclasses.asdict(stats)
+            assert list(state) == [f.name for f in dataclasses.fields(stats)]
+            # The books are copies: later bookings do not leak into the state.
+            for label, book in state["tenants"].items():
+                assert book is not stats.tenants[label]
+        assert any(stats.tenants for stats in fleet.stats)
 
     def test_router_mismatch_rejected_on_load(self, network):
         fleet = build_fleet(FleetSpec(num_shards=2, seed=2), network.graph)

@@ -38,8 +38,8 @@ def network():
     return load("epinions_like", seed=0, scale=0.2)
 
 
-def _config(seed, chains=2):
-    return StackConfig(fleet=FLEET, walk=WalkSpec(engine="srw", chains=chains, seed=seed))
+def _config(seed, chains=2, engine="srw"):
+    return StackConfig(fleet=FLEET, walk=WalkSpec(engine=engine, chains=chains, seed=seed))
 
 
 class TestSingleTenantEquivalence:
@@ -197,18 +197,53 @@ class TestHibernation:
         assert spilled.queries == straight.queries
         assert spilled.sim_elapsed == straight.sim_elapsed
 
-    def test_wake_bills_no_bootstrap_queries(self, network):
+    @pytest.mark.parametrize("engine", ["srw", "mhrw", "nbrw"])
+    def test_wake_bills_no_bootstrap_queries(self, network, engine):
         service = SamplingService(network, fleet=FLEET)
-        service.register("t", _config(seed=7))
+        service.register("t", _config(seed=7, engine=engine))
         service.request("t", 40)
         service.run_pending()
+        books = service.tenant("t").stack.api.log.state_dict()
         cost = service.tenant("t").query_cost
         service.hibernate("t")
         assert service.tenant("t").query_cost == cost  # frozen books
         service.request("t", 1)
-        # waking rebuilt the stack; the rebuilt chains' bootstraps must
-        # all be free cache hits, not new spend
+        # waking restored the stack without re-querying any chain's start
+        # node: no new spend and not even a free re-read in the log
         assert service.tenant("t").query_cost == cost
+        assert service.tenant("t").stack.api.log.state_dict() == books
+
+    def test_wake_leaves_shared_layers_untouched(self, network):
+        fleet = FleetSpec(
+            num_shards=3,
+            seed=5,
+            provider=ProviderSpec(
+                latency_distribution="uniform", latency_scale=0.5, failure_rate=0.2
+            ),
+        )
+        service = SamplingService(network, fleet=fleet, cache_ttl=100.0)
+        for i, engine in enumerate(("srw", "mhrw", "nbrw")):
+            service.register(
+                f"t{i}",
+                StackConfig(walk=WalkSpec(engine=engine, chains=3, seed=20 + i)),
+            )
+            service.request(f"t{i}", 30)
+        service.run_pending()
+        for i in range(3):
+            service.hibernate(f"t{i}")
+        shared = (service.fleet.state_dict(), service.cache.state_dict())
+        for i in range(3):
+            service.request(f"t{i}", 10)  # wakes before anything runs
+            assert service.tenant(f"t{i}").state == STATE_ACTIVE
+        fleet_state, cache_state = service.fleet.state_dict(), service.cache.state_dict()
+        # per-shard books and the flaky layers' RNG positions
+        assert fleet_state == shared[0]
+        # store entries in LRU order, then the hit/miss counters
+        assert cache_state["store"]["entries"] == shared[1]["store"]["entries"]
+        assert cache_state["store"]["hits"] == shared[1]["store"]["hits"]
+        assert cache_state["store"]["misses"] == shared[1]["store"]["misses"]
+        service.run_pending()
+        assert all(service.tenant(f"t{i}").samples == 40 for i in range(3))
 
     def test_idle_tenants_auto_hibernate(self, network):
         service = SamplingService(network, fleet=FLEET, idle_hibernate_after=2)
