@@ -427,7 +427,7 @@ def test_fleet_profile(network, figure_report):
     fleet_api = RestrictedSocialAPI(
         build_fleet(FleetSpec(num_shards=1, seed=0), network.graph, profiles=network.profiles)
     )
-    batched_run = EventDrivenWalkers(chains(fleet_api), batching=True).run(num_samples=200)
+    batched_run = EventDrivenWalkers(chains(fleet_api)).run(num_samples=200)
     bit_for_bit = (
         batched_run.samples == lock_run.samples
         and batched_run.queries == lock_run.queries
@@ -575,7 +575,6 @@ def test_planning_profile(network, figure_report, warm_history):
     )
     zero_knob_run = EventDrivenWalkers(
         chains(fleet_api),
-        batching=True,
         planner=DispatchPlanner(lookahead=0, speculation=0),
     ).run(num_samples=200)
     bit_for_bit = (
@@ -694,7 +693,6 @@ def test_history_profile(network, figure_report, warm_history):
         )
         zero_knob_run = EventDrivenWalkers(
             _make_chains(network, name)(fleet_api),
-            batching=True,
             planner=DispatchPlanner(lookahead=0, speculation=0),
         ).run(num_samples=_HIST_PROBE_SAMPLES)
         zero_knob[name] = (

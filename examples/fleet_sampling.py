@@ -15,7 +15,9 @@ ways over identical chains:
   in-flight fleet state (router, per-shard stacks, open bursts) snapshots
   and resumes bit-for-bit.
 
-All runs bill the identical §II-B query cost — batching changes *when*
+Coalescing needs no switch: ``EventDrivenWalkers`` finds the fleet in
+the interface's provider stack and dispatches batch-aware.  All runs
+bill the identical §II-B query cost — coalescing changes *when*
 responses land, never what they cost.
 
 Run:
@@ -62,7 +64,7 @@ def main() -> None:
     results = {}
     for label, cap in (("coalescing off", 1), ("coalescing on", 8)):
         net, api = build_api(cap)
-        run = EventDrivenWalkers(make_chains(net, api), batching=True).run(
+        run = EventDrivenWalkers(make_chains(net, api)).run(
             num_samples=SAMPLES
         )
         est = estimate(query, run.samples, api)
@@ -91,13 +93,13 @@ def main() -> None:
     # checkpoint the coalescing run mid-flight, resume in fresh objects
     # ------------------------------------------------------------------
     net, api = build_api(8)
-    group = EventDrivenWalkers(make_chains(net, api), batching=True)
+    group = EventDrivenWalkers(make_chains(net, api))
     backend = KeyValueBackend()
     session = SamplingSession(api, group, backend, checkpoint_every=500)
     interrupted = group.run(num_samples=SAMPLES)
 
     net2, api2 = build_api(8)
-    resumed_group = EventDrivenWalkers(make_chains(net2, api2), batching=True)
+    resumed_group = EventDrivenWalkers(make_chains(net2, api2))
     resume_session = SamplingSession(api2, resumed_group, backend)
     assert resume_session.resume()
     resumed = resumed_group.run(num_samples=SAMPLES)

@@ -13,7 +13,9 @@ planning layer (``repro.planning``) turns that history into wall-clock:
 * **adaptive chain lifecycle** — a policy retires latency-tail chains
   and spawns warm reserves that burned in alongside the group.
 
-The example runs the same chains over the same skewed fleet three ways
+The planner rides the fleet dispatch ``EventDrivenWalkers`` runs
+whenever the interface's provider stack contains a fleet.  The example
+runs the same chains over the same skewed fleet three ways
 (no planner / prefetch planner / prefetch + adaptive policy), then
 checkpoints a planning run mid-flight — outstanding prefetch ledger,
 chain roster and all — and resumes it bit-for-bit in fresh objects.
@@ -71,7 +73,7 @@ def main() -> None:
         ("prefetch + adaptive", make_planner(adaptive=True)),
     ):
         net, api = build_api()
-        group = EventDrivenWalkers(make_chains(net, api), batching=True, planner=planner)
+        group = EventDrivenWalkers(make_chains(net, api), planner=planner)
         run = group.run(num_samples=SAMPLES)
         runs[label] = run
         line = (
@@ -101,7 +103,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     net, api = build_api()
     group = EventDrivenWalkers(
-        make_chains(net, api), batching=True, planner=make_planner(adaptive=True)
+        make_chains(net, api), planner=make_planner(adaptive=True)
     )
     backend = KeyValueBackend()
     session = SamplingSession(api, group, backend, checkpoint_every=500)
@@ -109,7 +111,7 @@ def main() -> None:
 
     net2, api2 = build_api()
     resumed_group = EventDrivenWalkers(
-        make_chains(net2, api2), batching=True, planner=make_planner(adaptive=True)
+        make_chains(net2, api2), planner=make_planner(adaptive=True)
     )
     resume_session = SamplingSession(api2, resumed_group, backend)
     assert resume_session.resume()

@@ -43,7 +43,7 @@ from repro.core.overlay import OverlayGraph, build_overlay_fixpoint
 from repro.datastore.snapshot import JsonLinesBackend, KeyValueBackend, SnapshotBackend
 from repro.graph.adjacency import Graph
 from repro.interface.api import RestrictedSocialAPI
-from repro.fleet import ShardRouter, ShardedProvider, sharded_fleet
+from repro.fleet import ShardRouter, ShardedProvider
 from repro.interface.providers import (
     FlakyProvider,
     InMemoryGraphProvider,
@@ -72,7 +72,6 @@ from repro.obs import (
     reconcile_service,
 )
 from repro.service import SamplingService, TenantSession
-from repro.walks.executor import MultiprocessChainExecutor
 from repro.walks.mhrw import MetropolisHastingsWalk
 from repro.walks.parallel import ParallelWalkers
 from repro.walks.rj import RandomJumpWalk
@@ -99,7 +98,6 @@ __all__ = [
     "FlakyProvider",
     "ShardRouter",
     "ShardedProvider",
-    "sharded_fleet",
     "FleetSpec",
     "ProviderSpec",
     "PlannerSpec",
@@ -130,7 +128,6 @@ __all__ = [
     "SLOWatcher",
     "ParallelWalkers",
     "EventDrivenWalkers",
-    "MultiprocessChainExecutor",
     "SamplingSession",
     "SnapshotBackend",
     "JsonLinesBackend",

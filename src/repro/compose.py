@@ -3,11 +3,11 @@
 Before this module, standing up the full stack meant hand-threading
 keyword arguments through five layers of constructors::
 
-    fleet = sharded_fleet(net.graph, 4, latency_distribution=..., ...)
+    fleet = ShardedProvider([...per-shard provider stacks...], router=...)
     api = RestrictedSocialAPI(fleet, cache=..., query_budget=...)
     samplers = [SimpleRandomWalk(api, start=..., seed=...) for ...]
     planner = DispatchPlanner(lookahead=..., policy=AdaptiveChainPolicy(...))
-    walkers = EventDrivenWalkers(samplers, batching=True, planner=planner)
+    walkers = EventDrivenWalkers(samplers, planner=planner)
 
 That wiring cannot be persisted, compared, or handed to a service that
 must rebuild a tenant's stack on demand.  Here the same stack is one
@@ -27,10 +27,6 @@ Every spec is a frozen dataclass registered with the snapshot codec
 through any snapshot backend — the service layer persists each tenant's
 ``StackConfig`` next to its session state and rebuilds the identical
 stack in a fresh process.
-
-The legacy helpers keep working but are deprecated:
-:func:`repro.fleet.provider.sharded_fleet` now emits a
-:class:`DeprecationWarning` pointing at :class:`FleetSpec`.
 """
 
 from __future__ import annotations
@@ -92,8 +88,7 @@ WALK_ENGINES = {
 class ProviderSpec:
     """Per-shard serving behaviour (latency + flakiness layers).
 
-    Mirrors the per-shard knobs of the old ``sharded_fleet(...)`` call:
-    each shard wraps the hidden graph in an optional seeded
+    Each shard wraps the hidden graph in an optional seeded
     :class:`~repro.interface.providers.LatencyModelProvider` and an
     optional seeded :class:`~repro.interface.providers.FlakyProvider`.
     """
@@ -138,7 +133,7 @@ class FleetSpec:
     latency_quantum: float = 0.0
 
     def build(self, graph, profiles=None) -> ShardedProvider:
-        """Assemble the fleet this spec describes (was ``sharded_fleet``)."""
+        """Assemble the fleet this spec describes."""
         return build_fleet(self, graph, profiles=profiles)
 
 
@@ -467,7 +462,6 @@ def build_stack(
     walkers = EventDrivenWalkers(
         samplers,
         max_lead=config.walk.max_lead,
-        batching=True,
         batch_window=config.walk.batch_window,
         planner=planner,
     )

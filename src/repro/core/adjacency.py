@@ -284,7 +284,7 @@ class CompactAdjacency:
         return self._interner.node(int(self._flat[self._start[idx] + j]))
 
     # ------------------------------------------------------------------
-    # batched reads — the vectorized lane
+    # batched reads
     # ------------------------------------------------------------------
     def _indexes(self, nodes: Sequence[Node]) -> np.ndarray:
         index = self._interner.index

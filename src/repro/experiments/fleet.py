@@ -183,7 +183,7 @@ def run_fleet_sweep(
             SimpleRandomWalk(api, start=network.seed_node(i), seed=seed * 100_003 + i)
             for i in range(chains)
         ]
-        return EventDrivenWalkers(walkers, batching=True).run(
+        return EventDrivenWalkers(walkers).run(
             num_samples=num_samples, thinning=thinning
         )
 

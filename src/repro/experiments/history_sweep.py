@@ -5,7 +5,7 @@ sharded provider; this driver measures the layer above it: the same
 chains crawling the same fleet under the **history-aware dispatch
 planner** (:mod:`repro.planning`) at different prefetch lookaheads and
 chain-lifecycle policies.  ``lookahead=0`` with the policy off is the
-planner-free PR-4 batching baseline that anchors every speedup column.
+planner-free PR-4 coalescing baseline that anchors every speedup column.
 
 Because predictive prefetch replays each chain's own RNG, a policy-off
 planning run issues *exactly* the unique queries the baseline issues —
@@ -237,7 +237,7 @@ def run_history_sweep(
                     min_observations=6,
                 )
             planner = DispatchPlanner(lookahead=lookahead, policy=policy, seed=seed)
-        return EventDrivenWalkers(walkers, batching=True, planner=planner).run(
+        return EventDrivenWalkers(walkers, planner=planner).run(
             num_samples=num_samples, thinning=thinning
         )
 

@@ -241,7 +241,7 @@ def run_warm_history(
             for i in range(chains)
         ]
         planner = DispatchPlanner(lookahead=look, seed=seed) if look > 0 else None
-        return api, planner, EventDrivenWalkers(walkers, batching=True, planner=planner)
+        return api, planner, EventDrivenWalkers(walkers, planner=planner)
 
     rows: List[WarmHistoryEngineRow] = []
     for engine_name in engines:

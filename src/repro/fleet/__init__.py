@@ -22,15 +22,16 @@ Three pieces live here:
   flaky retries, composed from the existing PR-3 providers), applies
   seeded per-shard outage/degradation schedules, and keeps per-shard
   accounting (queries, latency spent, retries, burst depth);
-* :func:`~repro.fleet.provider.sharded_fleet` — a builder that composes
-  the standard in-memory → latency → flaky stack for every shard.
+* :func:`~repro.fleet.provider.find_fleet` — locates the fleet inside a
+  wrapped provider stack.
 
-On top of the fleet, :class:`~repro.walks.scheduler.EventDrivenWalkers`
-grows batch-aware dispatch (``batching=True``): same-tick dispatches
-headed to the same shard coalesce into one ``query_many``-style burst
-billed as a single provider round-trip — the max latency of the burst,
-bounded by the shard's batch cap — while §II-B unique-query billing stays
-bit-for-bit identical to unbatched runs.
+:func:`repro.compose.build_fleet` composes the standard in-memory →
+latency → flaky stack for every shard.  Over a stack that contains a
+fleet, :class:`~repro.walks.scheduler.EventDrivenWalkers` dispatches
+batch-aware: same-tick dispatches headed to the same shard coalesce into
+one ``query_many``-style burst billed as a single provider round-trip —
+the max latency of the burst, bounded by the shard's batch cap — while
+§II-B unique-query billing is the same as one fetch at a time.
 """
 
 from repro.fleet.provider import (
@@ -38,7 +39,6 @@ from repro.fleet.provider import (
     ShardStats,
     ShardedProvider,
     find_fleet,
-    sharded_fleet,
 )
 from repro.fleet.router import ShardRouter
 from repro.fleet.disruption import DisruptionSchedule
@@ -50,5 +50,4 @@ __all__ = [
     "ShardStats",
     "ShardedProvider",
     "find_fleet",
-    "sharded_fleet",
 ]

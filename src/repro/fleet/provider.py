@@ -24,17 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from repro.datastore.documents import DocumentStore
 from repro.errors import PrivateUserError
 from repro.fleet.disruption import DisruptionSchedule
 from repro.fleet.router import ShardRouter
-from repro.graph.adjacency import Graph
-from repro.interface.providers import (
-    SocialProvider,
-)
+from repro.interface.providers import SocialProvider
 from repro.obs.trace import EVENT_FETCH, EVENT_RETRY, TraceRecorder
 
 Node = Hashable
@@ -440,107 +435,3 @@ def find_fleet(provider: SocialProvider) -> Optional[ShardedProvider]:
         provider = getattr(provider, "inner", None)
         seen += 1
     return None
-
-
-def sharded_fleet(
-    graph: Graph,
-    num_shards: int,
-    seed: int = 0,
-    weights: Optional[Sequence[float]] = None,
-    profiles: Optional[DocumentStore] = None,
-    latency_distribution: Optional[str] = None,
-    latency_scale: float = 1.0,
-    latency_alpha: float = 1.5,
-    shard_latency_spread: float = 0.0,
-    failure_rate: float = 0.0,
-    max_attempts: int = 8,
-    timeout_latency: float = 5.0,
-    disruption: Optional[dict] = None,
-    batch_cap: Union[int, Sequence[int]] = 8,
-    admission_interval: Union[float, Sequence[float]] = 0.0,
-    latency_quantum: float = 0.0,
-) -> ShardedProvider:
-    """Compose a homogeneous-data, heterogeneous-serving fleet.
-
-    Every shard serves the same hidden ``graph`` (the fleet partitions
-    *traffic*, not data) through its own stack of the PR-3 provider
-    layers::
-
-        InMemoryGraphProvider          # the data
-          └─ LatencyModelProvider      # per-shard seeded latency (optional)
-               └─ FlakyProvider        # per-shard seeded retries (optional)
-
-    Args:
-        graph: The hidden social-network topology.
-        num_shards: Fleet size (>= 1).
-        seed: Master seed; every shard's latency/flaky/disruption streams
-            derive from it (and the shard index), so the whole fleet is a
-            pure function of its configuration.
-        weights: Optional routing weights (skew axis): heavier shards own
-            proportionally more of the key space.
-        profiles: Optional per-user attribute documents.
-        latency_distribution: When given, each shard serves through a
-            seeded :class:`~repro.interface.providers.LatencyModelProvider`
-            of this distribution.
-        latency_scale: Base latency scale in simulated seconds.
-        latency_alpha: Pareto shape for heavy-tailed latencies.
-        shard_latency_spread: Heterogeneity axis: shard ``s`` scales its
-            latency by ``1 + spread * s / (num_shards - 1)`` — shard 0 is
-            the fastest replica, the last shard the slowest.
-        failure_rate: When positive, each shard wraps its stack in a
-            seeded :class:`~repro.interface.providers.FlakyProvider`.
-        max_attempts: Flaky retry bound per fetch.
-        timeout_latency: Simulated seconds one timed-out attempt costs.
-        disruption: When given, keyword arguments for per-shard
-            :class:`~repro.fleet.disruption.DisruptionSchedule` instances
-            (each seeded from ``seed`` and the shard index); ``{}`` uses
-            the schedule defaults.
-        batch_cap: Per-shard batch caps (see :class:`ShardedProvider`).
-        admission_interval: Per-shard admission intervals.
-        latency_quantum: Response-latency grid (see
-            :class:`ShardedProvider`; 0.0 keeps latencies continuous).
-
-    Raises:
-        ValueError: On invalid shard counts or parameters (propagated from
-            the underlying layers).
-
-    .. deprecated::
-        Build fleets declaratively through
-        :class:`repro.compose.FleetSpec` — specs persist through the
-        snapshot codec and compose into full stacks via
-        :func:`repro.compose.build_stack`.  This shim keeps old call
-        sites working and emits a :class:`DeprecationWarning`.
-    """
-    # Imported lazily: repro.compose builds on this module's classes.
-    from repro.compose import FleetSpec, ProviderSpec
-
-    warnings.warn(
-        "sharded_fleet() is deprecated; use repro.compose.FleetSpec("
-        "num_shards=..., provider=ProviderSpec(...)).build(graph, profiles=...) "
-        "(see repro.compose)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    spec = FleetSpec(
-        num_shards=num_shards,
-        seed=seed,
-        weights=None if weights is None else tuple(weights),
-        provider=ProviderSpec(
-            latency_distribution=latency_distribution,
-            latency_scale=latency_scale,
-            latency_alpha=latency_alpha,
-            failure_rate=failure_rate,
-            max_attempts=max_attempts,
-            timeout_latency=timeout_latency,
-        ),
-        shard_latency_spread=shard_latency_spread,
-        disruption=disruption,
-        batch_cap=batch_cap if isinstance(batch_cap, int) else tuple(batch_cap),
-        admission_interval=(
-            admission_interval
-            if isinstance(admission_interval, (int, float))
-            else tuple(admission_interval)
-        ),
-        latency_quantum=latency_quantum,
-    )
-    return spec.build(graph, profiles=profiles)

@@ -111,8 +111,8 @@ def _matches_tenant(event: TraceEvent, tenant: Optional[str]) -> bool:
 def _ready_of(event: TraceEvent) -> float:
     """When the acting chain became ready again, bit-for-bit.
 
-    Batched steps carry the settle loop's own ``ready`` annotation;
-    unbatched steps re-derive it as ``ts + dur`` — the identical floats
+    Fleet steps carry the settle loop's own ``ready`` annotation; steps
+    without a fleet re-derive it as ``ts + dur`` — the identical floats
     and operation the event loop used (``when + latency``).  Samples
     read local state and are free.
     """
@@ -237,9 +237,9 @@ def _decompose(
     if not bursts:
         # A step with no dispatches that still left the chain waiting:
         # it walked onto a prefetched node whose round trip had not
-        # landed yet (unbatched steps land here too, with their whole
-        # provider latency as the wait — there is no burst structure to
-        # split, and no admission on an unbatched path).
+        # landed yet (steps without a fleet land here too, with their
+        # whole provider latency as the wait — there is no burst
+        # structure to split, and no admission without a fleet).
         if event.attrs.get("ready") is None and event.dur > 0.0:
             return [
                 Segment(ts, end, CATEGORY_SHARD_LATENCY, chain=chain, tenant=tenant)

@@ -16,7 +16,6 @@ third party would pay:
 
 from repro.walks.base import RandomWalkSampler, SamplingRun, WalkSample
 from repro.walks.crawlers import BFSCrawler, DFSCrawler, SnowballCrawler
-from repro.walks.executor import MultiprocessChainExecutor
 from repro.walks.mhrw import MetropolisHastingsWalk
 from repro.walks.nbrw import NonBacktrackingWalk
 from repro.walks.parallel import ParallelWalkers
@@ -34,7 +33,6 @@ __all__ = [
     "DFSCrawler",
     "SnowballCrawler",
     "MetropolisHastingsWalk",
-    "MultiprocessChainExecutor",
     "NonBacktrackingWalk",
     "ParallelRun",
     "ParallelWalkers",

@@ -21,15 +21,7 @@ algorithm".  This module makes the observation concrete:
   predicts (SRW, MHRW, NBRW, and MTO's overlay replay); chains whose
   next draw still cannot be replayed — private users, an unresolvable
   branch, or an MTO chain whose shared overlay an earlier-stepping
-  chain may rewire first — fall back to fetch-on-visit;
-* uniform SRW groups can opt into a *vectorized* lock-step lane
-  (``vectorized=True``): each round's draws are served by one
-  :meth:`~repro.core.adjacency.CompactAdjacency.draw_many` call over a
-  mirror of the cached neighborhoods, bit-for-bit identical (same
-  per-chain RNG consumption, same query log, same billing) to stepping
-  the chains one at a time.  It is off by default — per-chain seeded
-  draws cannot be batched, so the memoized per-chain fast lane measures
-  faster at every realistic group size.
+  chain may rewire first — fall back to fetch-on-visit.
 """
 
 from __future__ import annotations
@@ -37,14 +29,12 @@ from __future__ import annotations
 from typing import Hashable, List, Optional, Sequence
 
 from repro.convergence.gelman_rubin import GelmanRubinDiagnostic
-from repro.core.adjacency import CompactAdjacency
 from repro.core.overlay import shared_overlay_of
 from repro.errors import SnapshotError, WalkError
 from repro.interface.api import BatchQueryResult
 from repro.interface.telemetry import collect_telemetry
 from repro.walks.base import RandomWalkSampler, SamplingRun, WalkSample
 from repro.walks.results import ParallelRun
-from repro.walks.srw import SimpleRandomWalk
 
 Node = Hashable
 
@@ -62,23 +52,9 @@ class ParallelWalkers:
             cache.  Only actual future fetches are billed — query cost
             is equal-or-lower than with prefetch off, and unpredictable
             chains fall back to fetch-on-visit; off by default.
-        vectorized: ``True`` routes eligible rounds (a uniform SRW
-            group over a private-free network) through one
-            :meth:`~repro.core.adjacency.CompactAdjacency.draw_many`
-            call — bit-for-bit identical to per-chain stepping (same
-            RNG consumption, same query log, same billing).  The
-            default ``None`` keeps the per-chain loop: the draws
-            themselves cannot be batched (each chain's Mersenne
-            ``randrange`` is consumed individually to preserve seeded
-            replays), so the gather only amortizes neighbor
-            *resolution*, and measured lock-step throughput stays below
-            the memoized per-chain fast lane at every group size worth
-            running on one interface (0.5–0.65x at 4–128 chains).
 
     Raises:
-        WalkError: With fewer than two samplers or mismatched interfaces,
-            or when ``vectorized=True`` and the group is not eligible
-            (mixed engines, MTO, or a network with private users).
+        WalkError: With fewer than two samplers or mismatched interfaces.
 
     Example:
         >>> from repro.datasets import load
@@ -98,7 +74,6 @@ class ParallelWalkers:
         self,
         samplers: Sequence[RandomWalkSampler],
         prefetch: bool = False,
-        vectorized: Optional[bool] = None,
     ) -> None:
         if len(samplers) < 2:
             raise WalkError("parallel walking needs at least two samplers")
@@ -134,25 +109,6 @@ class ParallelWalkers:
         # to a concrete fetch vs answered None (auditable via
         # planning_summary / SamplingSession.summary).
         self._predict_stats: dict = {}
-        # Vectorized lock-step lane: a uniform SRW group over a
-        # private-free network can draw every round through one
-        # CompactAdjacency.draw_many call against a mirror of the cached
-        # neighborhoods — same per-chain RNG consumption, same query
-        # log, same billing as per-chain stepping, bit for bit.  Opt-in:
-        # per-chain Mersenne draws cannot be batched without breaking
-        # seeded replays, so the gather never beats the memoized
-        # per-chain fast lane (see the ``vectorized`` doc above).
-        eligible = not api.may_have_private and all(
-            type(s) is SimpleRandomWalk and s._uses_default_trace
-            for s in self._samplers
-        )
-        if vectorized and not eligible:
-            raise WalkError(
-                "vectorized lock-step requires a uniform SRW group over "
-                "a network without private users"
-            )
-        self._vector_lane = bool(vectorized) and eligible
-        self._mirror: Optional[CompactAdjacency] = CompactAdjacency() if self._vector_lane else None
         # Users already swept into a batch; the network is static, so a
         # once-prefetched user never needs to enter a batch again.
         self._prefetched: set = set()
@@ -210,50 +166,12 @@ class ParallelWalkers:
             # the provider model, so the batch contributes its full
             # latency to the round.
             self._sim_elapsed += self._api.latency_spent - before
-        if self._vector_lane:
-            latencies = self._step_round_vectorized()
-        else:
-            latencies = [self._timed_step(s) for s in self._samplers]
-        self._sim_elapsed += max(latencies)
+        self._sim_elapsed += max([self._timed_step(s) for s in self._samplers])
         positions = [s.current for s in self._samplers]
         self._rounds += 1
         if self._checkpoint_fn is not None and self._rounds % self._checkpoint_every == 0:
             self._checkpoint_fn(self)
         return positions
-
-    def _step_round_vectorized(self) -> List[float]:
-        """One lock-step round of SRW draws through a single ``draw_many``.
-
-        The mirror adjacency holds each chain's current neighborhood as
-        the immutable tuple the serial fast lane would draw from (rows
-        are filled through ``_current_neighbor_seq``, so a cold memo
-        costs the same free re-read in both lanes).  ``draw_many``
-        consumes exactly one ``randrange(degree)`` per chain in chain
-        order — per-chain RNG streams are independent, so the round is
-        bit-for-bit identical to stepping the chains one at a time —
-        and the follow-up fetches commit in the same chain order,
-        keeping the query log and billing identical too.
-        """
-        mirror = self._mirror
-        samplers = self._samplers
-        currents = []
-        for s in samplers:
-            cur = s._current
-            if not mirror.has_row(cur):
-                mirror.set_row(cur, s._current_neighbor_seq())
-            currents.append(cur)
-        draws = mirror.draw_many(currents, [s._rng for s in samplers])
-        api = self._api
-        latencies: List[float] = []
-        for s, nxt in zip(samplers, draws):
-            before = api.latency_spent
-            if nxt is None:
-                s._stay_fast(0)
-            else:
-                nxt_seq = api.fetch_seq(nxt)
-                s._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
-            latencies.append(api.latency_spent - before)
-        return latencies
 
     # ------------------------------------------------------------------
     # checkpoint hook + snapshot support
@@ -392,7 +310,6 @@ class ParallelWalkers:
         thinning: int = 1,
         check_every: int = 25,
         max_steps: int = 250_000,
-        executor=None,
     ) -> ParallelRun:
         """Burn in until R̂ converges, then collect samples round-robin.
 
@@ -403,33 +320,14 @@ class ParallelWalkers:
             check_every: Lock-step rounds between R̂ evaluations (grows
                 geometrically like the single-chain driver).
             max_steps: Per-chain step budget for the burn-in phase.
-            executor: Optional
-                :class:`~repro.walks.executor.MultiprocessChainExecutor`.
-                Collection then runs its ``thinning``-round step blocks in
-                worker processes and replays their logical queries here,
-                producing the same samples, log, and billing as the serial
-                loop (see the executor module for the equivalence
-                argument and its restrictions — registry engines only, no
-                overlay/private users, zero-latency providers, no
-                checkpoint hook).  Burn-in stays serial: the monitor reads
-                traces between rounds.
 
         Raises:
             ValueError: On non-positive ``num_samples``/``thinning``.
-            WalkError: If ``executor`` is given but the group violates its
-                equivalence restrictions.
         """
         if num_samples <= 0:
             raise ValueError("num_samples must be positive")
         if thinning <= 0:
             raise ValueError("thinning must be positive")
-        if executor is not None:
-            executor.check_compatible(self._samplers, self._api)
-            if self._checkpoint_fn is not None:
-                raise WalkError(
-                    "round checkpoints cannot fire inside executor step blocks; "
-                    "clear_checkpoint() before running with an executor"
-                )
         r_hat: Optional[float] = None
         if monitor is not None:
             next_check = 0
@@ -448,27 +346,6 @@ class ParallelWalkers:
 
         merged: List[WalkSample] = []
         per_chain_samples: List[List[WalkSample]] = [[] for _ in self._samplers]
-        if executor is not None:
-            # The serial loop below is uniform: `since` starts equal and
-            # advances in lock-step, so rounds are all-sample or all-step
-            # and collection decomposes into sample rounds separated by
-            # `thinning`-round step blocks — which the executor runs in
-            # worker processes, replaying their queries for §II-B parity.
-            while len(merged) < num_samples:
-                for i, sampler in enumerate(self._samplers):
-                    if len(merged) >= num_samples:
-                        break
-                    sample = WalkSample(
-                        node=sampler.current,
-                        weight=sampler.weight(sampler.current),
-                        query_cost=self._api.query_cost,
-                        step=sampler.steps,
-                    )
-                    merged.append(sample)
-                    per_chain_samples[i].append(sample)
-                if len(merged) >= num_samples:
-                    break
-                executor.step_rounds(self._samplers, self._api, thinning)
         since = [thinning] * len(self._samplers)
         while len(merged) < num_samples:
             round_latencies: List[float] = []

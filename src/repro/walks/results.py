@@ -18,16 +18,11 @@ the service layer — had to special-case which engine produced it.
 * ``chain_steps`` — per-chain committed step counts;
 * ``telemetry`` — the full
   :class:`~repro.interface.telemetry.InterfaceTelemetry` capture.
-
-The old spellings (``merged``, ``query_cost``) keep working as read-only
-properties but emit :class:`DeprecationWarning` naming the canonical
-field; internal code and ``examples/`` are linted clean of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 from repro.interface.telemetry import InterfaceTelemetry, ShardTelemetry
@@ -66,29 +61,6 @@ class RunResult:
     latency_spent: float = 0.0
     chain_steps: Optional[Tuple[int, ...]] = None
     telemetry: Optional[InterfaceTelemetry] = None
-
-    # -- deprecated spellings -----------------------------------------
-    @property
-    def merged(self) -> List[WalkSample]:
-        """Deprecated alias for :attr:`samples`."""
-        warnings.warn(
-            "RunResult.merged is deprecated; read RunResult.samples "
-            "(see repro.walks.results)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.samples
-
-    @property
-    def query_cost(self) -> int:
-        """Deprecated alias for :attr:`queries`."""
-        warnings.warn(
-            "RunResult.query_cost is deprecated; read RunResult.queries "
-            "(see repro.walks.results)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.queries
 
 
 @dataclasses.dataclass

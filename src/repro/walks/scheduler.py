@@ -33,21 +33,23 @@ Two clocks, deliberately distinct:
   around each step) onto concurrent per-chain timelines;
   :attr:`EventDrivenWalkers.simulated_elapsed` is the resulting makespan.
 
-Batch-aware dispatch (``batching=True``) adds the fleet dimension: over a
-:class:`~repro.fleet.provider.ShardedProvider`, dispatches that land on
-the same simulated tick and head to the same shard coalesce into one
-``query_many``-style burst, billed as a *single* provider round trip —
-the maximum latency of the burst, bounded by the shard's batch cap —
-and each burst consumes one admission slot of the shard's rate limit
-instead of one per fetch.  §II-B unique-query billing is untouched
-(every fetch is still billed individually by the interface); only the
-concurrent timeline changes.  With batching disabled the code path is
-the unbatched one, bit for bit; with a single zero-latency shard the
-coalesced timeline degenerates to the unbatched one, so the equivalence
+The loop advances one *tick* at a time.  Without a provider fleet a
+tick is the single earliest event and the stepped chain is ready at the
+event time plus the latency its step incurred.  When the interface's
+provider stack contains a :class:`~repro.fleet.provider.ShardedProvider`
+dispatch is batch-aware: a tick is every event at the earliest timestamp
+(plus ``batch_window``), and dispatches of one tick that head to the
+same shard coalesce into one ``query_many``-style burst, billed as a
+*single* provider round trip — the maximum latency of the burst, bounded
+by the shard's batch cap — and each burst consumes one admission slot of
+the shard's rate limit instead of one per fetch.  §II-B unique-query
+billing is untouched (every fetch is still billed individually by the
+interface); only the concurrent timeline changes.  With a single
+zero-latency shard every burst completes instantly, so the equivalence
 guarantee above carries over to fleets.
 
 History-aware planning (``planner=DispatchPlanner(...)``) adds the
-:mod:`repro.planning` layer on top of batch-coalescing dispatch:
+:mod:`repro.planning` layer on top of fleet dispatch:
 
 * **cache-first stepping** — a chain whose next neighborhood is already
   in history advances at zero simulated latency without occupying an
@@ -63,9 +65,7 @@ History-aware planning (``planner=DispatchPlanner(...)``) adds the
   in alongside the group; quotas rebalance deterministically and retired
   chains' merged samples stay where completion order put them.
 
-With no planner every code path above is untouched — the determinism
-suite pins the planner-free scheduler to the PR-3/PR-4 behaviour bit for
-bit.
+With no planner none of the above runs.
 
 The full in-flight state — event queue, per-chain ready times, per-shard
 admission horizons, phase, chain roster, planner ledger, and the
@@ -77,8 +77,8 @@ mid-flight and a fresh process resumes it bit-for-bit.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.convergence.gelman_rubin import GelmanRubinDiagnostic
 from repro.core.overlay import shared_overlay_of
@@ -105,13 +105,25 @@ from repro.planning.planner import DispatchPlanner
 from repro.walks.base import RandomWalkSampler, SamplingRun, WalkSample
 from repro.walks.results import EventDrivenRun
 
-Node = Hashable
-
 #: Scheduler lifecycle phases (persisted in snapshots).
 PHASE_FRESH = "fresh"
 PHASE_BURNIN = "burnin"
 PHASE_COLLECT = "collect"
 PHASE_DONE = "done"
+
+
+class _Tick:
+    """One fleet tick's settle books (``None`` stands in without a fleet)."""
+
+    __slots__ = ("fetches", "waits", "step_events")
+
+    def __init__(self) -> None:
+        # (chain, dispatches) per stepped chain, in FIFO order
+        self.fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]] = []
+        # (chain, land time) for chains that reached a pending prefetch
+        self.waits: List[Tuple[int, float]] = []
+        # chain -> its walk_step event, when a recorder is attached
+        self.step_events: Dict[int, TraceEvent] = {}
 
 
 class EventDrivenWalkers:
@@ -128,13 +140,6 @@ class EventDrivenWalkers:
             lengths for R̂ (a chain arbitrarily far ahead wastes budget if
             convergence fires early); collection has no such bound —
             interleaving by completion is the point.
-        batching: Enable batch-coalescing dispatch.  Requires the shared
-            interface to sit on a provider stack containing a
-            :class:`~repro.fleet.provider.ShardedProvider`: events that
-            pop on the same simulated tick and fetch from the same shard
-            are dispatched as one burst (up to the shard's batch cap)
-            billed a single round-trip latency — the burst maximum — and
-            one admission slot.  §II-B billing is identical either way.
         batch_window: Simulated seconds the dispatcher may *hold* a ready
             chain so later-completing chains can join its tick: events
             within ``batch_window`` of the earliest queued event form one
@@ -144,21 +149,25 @@ class EventDrivenWalkers:
             default) coalesces only exact ties, which preserves the
             zero-latency equivalence guarantee trivially (every event
             sits at the same timestamp, so the window adds nothing).
-            Requires ``batching``.
+            Requires a fleet.
         planner: Optional :class:`~repro.planning.DispatchPlanner`
             enabling history-aware dispatch: cache-first stepping
             accounting, predictive prefetch into open bursts' spare
             slots, and (when the planner carries a policy) adaptive
-            chain spawn/retire.  Requires ``batching`` — prefetch rides
+            chain spawn/retire.  Requires a fleet — prefetch rides
             coalesced round trips.  The planner must be freshly
             constructed (it holds per-run state).
 
+    Dispatch coalesces exactly when the shared interface's provider
+    stack contains a :class:`~repro.fleet.provider.ShardedProvider`
+    (found by :func:`~repro.fleet.provider.find_fleet`); there is no
+    switch.
+
     Raises:
         WalkError: With fewer than two samplers, mismatched interfaces,
-            a non-positive ``max_lead``, a negative ``batch_window`` (or
-            one without ``batching``), ``batching`` over an interface
-            whose provider stack has no fleet, or a ``planner`` without
-            ``batching``.
+            a non-positive ``max_lead``, a negative ``batch_window``, or
+            a positive ``batch_window`` or a ``planner`` over an
+            interface whose provider stack has no fleet.
 
     Example:
         >>> from repro.datasets import load
@@ -178,7 +187,6 @@ class EventDrivenWalkers:
         self,
         samplers: Sequence[RandomWalkSampler],
         max_lead: int = 64,
-        batching: bool = False,
         batch_window: float = 0.0,
         planner: Optional[DispatchPlanner] = None,
     ) -> None:
@@ -209,19 +217,15 @@ class EventDrivenWalkers:
             or overlay_writers[id(s.overlay)] == 1
             for s in self._samplers
         ]
-        self._fleet = None
         if batch_window < 0:
             raise WalkError("batch_window must be non-negative")
-        if batch_window > 0 and not batching:
-            raise WalkError("batch_window only applies to batch-coalescing dispatch")
+        self._fleet = find_fleet(api.provider)
+        if batch_window > 0 and self._fleet is None:
+            raise WalkError(
+                "batch_window needs a ShardedProvider in the interface's "
+                "provider stack (see repro.fleet)"
+            )
         self._batch_window = float(batch_window)
-        if batching:
-            self._fleet = find_fleet(api.provider)
-            if self._fleet is None:
-                raise WalkError(
-                    "batch-coalescing dispatch needs a ShardedProvider in the "
-                    "interface's provider stack (see repro.fleet)"
-                )
         num_shards = self._fleet.num_shards if self._fleet else 0
         self._next_free = [0.0] * num_shards
         # Per shard: the open (not yet departed) burst as [start, max
@@ -234,8 +238,8 @@ class EventDrivenWalkers:
         if planner is not None:
             if self._fleet is None:
                 raise WalkError(
-                    "a dispatch planner needs batch-coalescing dispatch "
-                    "(batching=True over a provider fleet; see repro.planning)"
+                    "a dispatch planner needs a ShardedProvider in the "
+                    "interface's provider stack (see repro.planning)"
                 )
             planner.bind(self._api, self._fleet)
         # Chain roster and per-chain observation books.  Without a policy
@@ -309,13 +313,8 @@ class EventDrivenWalkers:
         return self._phase
 
     @property
-    def batching(self) -> bool:
-        """Whether batch-coalescing dispatch is enabled."""
-        return self._fleet is not None
-
-    @property
     def fleet(self):
-        """The dispatch fleet when batching, else ``None``."""
+        """The fleet dispatch coalesces over, or ``None``."""
         return self._fleet
 
     @property
@@ -430,21 +429,25 @@ class EventDrivenWalkers:
     # event-queue plumbing
     # ------------------------------------------------------------------
     def _push(self, chain: int, when: float) -> None:
-        heapq.heappush(self._heap, (when, self._seq, chain))
+        heappush(self._heap, (when, self._seq, chain))
         self._seq += 1
 
-    def _timed_step(self, chain: int) -> float:
-        """Step one chain; returns the provider latency its step incurred."""
-        before = self._api.latency_spent
-        self._samplers[chain].step()
-        return self._api.latency_spent - before
+    def _tick_committed(self, events_in_tick: int) -> None:
+        """Commit a whole tick; checkpoints fire only at tick boundaries.
 
-    def _event_committed(self) -> None:
-        """One action landed; the state is a clean resumable cut."""
-        self._events += 1
+        Mid-tick the popped-but-unsettled dispatches are not yet back in
+        the queue, so a snapshot there would not be a resumable cut; the
+        period is therefore honoured at the first boundary that crosses
+        it.
+        """
+        before = self._events
+        self._events += events_in_tick
         if self._watcher is not None:
             self._watcher.poll(self._sim_time)
-        if self._checkpoint_fn is not None and self._events % self._checkpoint_every == 0:
+        if (
+            self._checkpoint_fn is not None
+            and self._events // self._checkpoint_every > before // self._checkpoint_every
+        ):
             self._checkpoint_fn(self)
 
     # ------------------------------------------------------------------
@@ -535,7 +538,7 @@ class EventDrivenWalkers:
             sampler.load_state(chain_state)
         self._phase = str(state["phase"])
         self._heap = [tuple(entry) for entry in state["heap"]]
-        heapq.heapify(self._heap)
+        heapify(self._heap)
         self._seq = int(state["next_seq"])
         self._ready = [float(t) for t in state["ready"]]
         self._sim_time = float(state["sim_time"])
@@ -602,6 +605,13 @@ class EventDrivenWalkers:
     # ------------------------------------------------------------------
     # the event loop
     # ------------------------------------------------------------------
+    # Both phases advance one *tick* at a time (see the module docstring):
+    # every popped chain acts — steps, or during collection takes its
+    # sample — and only then are the tick's fetches settled (over a
+    # fleet) and the chains re-queued.  On a fleet whose every latency is
+    # zero a tick is one lock-step round and the dispatch order reduces
+    # to FIFO round-robin — the equivalence the determinism suite asserts.
+
     def run(
         self,
         num_samples: int,
@@ -609,7 +619,6 @@ class EventDrivenWalkers:
         thinning: int = 1,
         check_every: int = 25,
         max_steps: int = 250_000,
-        executor=None,
     ) -> EventDrivenRun:
         """Burn in until R̂ converges, then collect by completion time.
 
@@ -617,7 +626,8 @@ class EventDrivenWalkers:
         <repro.walks.parallel.ParallelWalkers.run>` (and reproduce it
         bit-for-bit on zero-latency providers); the difference is purely
         *when* each chain acts: as soon as its previous response lands,
-        never at a round barrier.
+        never at a round barrier.  Collection runs the same tick loop as
+        :meth:`begin_collect` + :meth:`collect_tick`.
 
         Re-entrant after a checkpoint restore: a scheduler whose state was
         loaded mid-flight continues from the restored phase when ``run``
@@ -630,46 +640,19 @@ class EventDrivenWalkers:
             check_every: Burn-in rounds between R̂ evaluations (grows
                 geometrically, like the lock-step driver).
             max_steps: Per-chain step budget for the burn-in phase.
-            executor: Optional
-                :class:`~repro.walks.executor.MultiprocessChainExecutor`.
-                At zero provider latency this scheduler's collection loop
-                *is* lock-step round-robin (see :meth:`_run_collect`), so
-                its ``thinning``-round step blocks can run in worker
-                processes with queries replayed here for identical
-                billing.  Executor runs require a fresh scheduler (no
-                mid-flight restore), no fleet, no planner, and no
-                checkpoint hook; burn-in stays serial.
 
         Raises:
             ValueError: On non-positive ``num_samples``/``thinning``.
-            WalkError: If ``executor`` is given but this scheduler's
-                configuration violates its equivalence restrictions.
         """
         if num_samples <= 0:
             raise ValueError("num_samples must be positive")
         if thinning <= 0:
             raise ValueError("thinning must be positive")
-        if executor is not None:
-            executor.check_compatible(self._samplers, self._api)
-            if self._phase != PHASE_FRESH:
-                raise WalkError(
-                    "a multiprocess executor needs a fresh scheduler: restored "
-                    "mid-flight state may not sit on a round boundary"
-                )
-            if self._fleet is not None or self._planner is not None:
-                raise WalkError(
-                    "multiprocess execution composes with neither fleet dispatch "
-                    "nor an adaptive planner; build the scheduler without them"
-                )
-            if self._checkpoint_fn is not None:
-                raise WalkError(
-                    "event checkpoints cannot fire inside executor step blocks; "
-                    "clear_checkpoint() before running with an executor"
-                )
-        if self._fleet is not None:
+        fleet = self._fleet
+        if fleet is not None:
             # Tracing is scoped to the run so an api outliving this
             # scheduler never accumulates an undrained dispatch log.
-            self._fleet.trace_dispatches(True)
+            fleet.trace_dispatches(True)
         if self._phase == PHASE_FRESH:
             if monitor is not None:
                 self._phase = PHASE_BURNIN
@@ -683,28 +666,27 @@ class EventDrivenWalkers:
                     "this scheduler is mid-burn-in (e.g. restored from a checkpoint); "
                     "run() needs the same monitor the original run used"
                 )
-            if self._fleet is not None:
-                self._run_burnin_batched(monitor, check_every, max_steps)
-            else:
-                self._run_burnin(monitor, check_every, max_steps)
+            self._run_burnin(monitor, check_every, max_steps)
             self._begin_collect(thinning)
         if self._phase == PHASE_COLLECT:
-            if executor is not None:
-                self._run_collect_executor(num_samples, thinning, executor)
-            elif self._fleet is not None:
-                self._run_collect_batched(num_samples, thinning)
-            else:
-                self._run_collect(num_samples, thinning)
+            if fleet is not None:
+                fleet.drain_dispatches()
+            self._init_collect(num_samples, thinning)
+            while len(self._merged) < num_samples:
+                self._collect_tick(num_samples)
             self._phase = PHASE_DONE
-        if self._fleet is not None:
-            self._fleet.trace_dispatches(False)
+        if fleet is not None:
+            fleet.trace_dispatches(False)
         return self._result(monitor)
 
     def _run_burnin(
         self, monitor: GelmanRubinDiagnostic, check_every: int, max_steps: int
     ) -> None:
+        if self._fleet is not None:
+            self._fleet.drain_dispatches()  # drop anything traced outside the loop
+        burn_rounds = self._burn_rounds
         while True:
-            rounds = min(self._burn_rounds)
+            rounds = min(burn_rounds)
             if rounds >= max_steps:
                 self._r_hat = monitor.r_hat([s.trace for s in self._samplers])
                 self._converged = False
@@ -724,27 +706,30 @@ class EventDrivenWalkers:
                         self._sim_time, monitor.r_hat(traces)
                     )
                 self._next_check = rounds + max(check_every, rounds // 5)
-            when, _seq, chain = heapq.heappop(self._heap)
-            self._sim_time = max(self._sim_time, when)
-            latency = self._timed_step(chain)
-            if self._recorder is not None:
-                self._record_step(chain, when, latency)
-            self._burn_rounds[chain] += 1
-            self._ready[chain] = when + latency
-            floor = min(self._burn_rounds)
-            if self._burn_rounds[chain] - floor >= self._max_lead:
-                self._parked.add(chain)
-            else:
-                self._push(chain, self._ready[chain])
-            if floor > rounds and self._parked:
-                # The slowest chain advanced: release parked chains whose
-                # lead dropped back under the bound (index order keeps the
-                # queue deterministic).
-                for idx in sorted(self._parked):
-                    if self._burn_rounds[idx] - floor < self._max_lead:
-                        self._parked.discard(idx)
-                        self._push(idx, self._ready[idx])
-            self._event_committed()
+            group = self._pop_tick()
+            when = group[-1][0]  # a held group departs together
+            if when > self._sim_time:
+                self._sim_time = when
+            tick = _Tick() if self._fleet is not None else None
+            pushes: List[int] = []
+            floor = rounds
+            for _when, _seq, chain in group:
+                self._step(chain, when, tick)
+                burn_rounds[chain] += 1
+                floor_before, floor = floor, min(burn_rounds)
+                if burn_rounds[chain] - floor >= self._max_lead:
+                    self._parked.add(chain)
+                else:
+                    pushes.append(chain)
+                if floor > floor_before and self._parked:
+                    # The slowest chain advanced: release parked chains
+                    # whose lead dropped back under the bound (index order
+                    # keeps the queue deterministic).
+                    for idx in sorted(self._parked):
+                        if burn_rounds[idx] - floor < self._max_lead:
+                            self._parked.discard(idx)
+                            pushes.append(idx)
+            self._finish_tick(when, tick, pushes, len(group))
 
     def _begin_collect(self, thinning: int) -> None:
         """Switch to collection: discard burn-in events, re-seed the queue.
@@ -768,118 +753,157 @@ class EventDrivenWalkers:
             if self._roster[i] == ROSTER_ACTIVE:
                 self._push(i, self._ready[i])
 
-    def _run_collect(self, num_samples: int, thinning: int) -> None:
-        # Per-chain quota: no chain contributes more than its fair share.
-        # At zero latency the quota binds exactly when the global one does
-        # (round-robin fills all chains evenly), so lock-step equivalence
-        # is untouched; under heterogeneous latency it stops fast chains
-        # from crowding out slow ones — every chain does the same work as
-        # in a lock-step run, which is what makes query cost comparable
-        # at equal sample counts.
-        quota = -(-num_samples // len(self._samplers))  # ceil division
-        collected = [0] * len(self._samplers)
-        for chain in self._merged_chain:
-            collected[chain] += 1
-        while len(self._merged) < num_samples:
-            when, _seq, chain = heapq.heappop(self._heap)
-            self._sim_time = max(self._sim_time, when)
-            sampler = self._samplers[chain]
-            if self._since[chain] >= thinning:
-                sample = WalkSample(
-                    node=sampler.current,
-                    weight=sampler.weight(sampler.current),
-                    query_cost=self._api.query_cost,
-                    step=sampler.steps,
-                )
-                self._merged.append(sample)
-                self._merged_chain.append(chain)
-                collected[chain] += 1
-                self._since[chain] = 0
-                self._ready[chain] = when  # collection reads local state: free
-                if self._recorder is not None:
-                    self._record_sample(chain, when)
-                if collected[chain] >= quota:
-                    # Fair share delivered: the chain leaves the queue.
-                    self._event_committed()
-                    continue
-            else:
-                latency = self._timed_step(chain)
-                if self._recorder is not None:
-                    self._record_step(chain, when, latency)
-                self._since[chain] += 1
-                self._ready[chain] = when + latency
-            self._push(chain, self._ready[chain])
-            self._event_committed()
+    def _init_collect(self, num_samples: int, thinning: int) -> None:
+        """(Re-)derive collection bookkeeping: thinning, per-chain tallies, quota.
 
-    def _run_collect_executor(self, num_samples: int, thinning: int, executor) -> None:
-        """Collection via worker-process step blocks (zero-latency only).
-
-        At zero latency the event loop above degenerates to lock-step
-        round-robin with uniform ``_since`` counters — rounds are all-
-        sample or all-step, and the per-chain quota binds only in the
-        final sample round, where the global quota ends collection anyway
-        (a sample round adds at most ``k`` samples and ``num_samples <=
-        quota * k``).  Collection therefore decomposes into sample rounds
-        separated by ``thinning``-round step blocks, which the executor
-        runs out-of-process, replaying each block's logical queries here
-        so the §II-B log and every sample's ``query_cost`` match the
-        serial event loop exactly.  The event counter advances one commit
-        per chain action, same as the serial loop.
+        The per-chain quota means no chain contributes more than its fair
+        share.  At zero latency it binds exactly when the global count
+        does (round-robin fills all chains evenly), so lock-step
+        equivalence is untouched; under heterogeneous latency it stops
+        fast chains from crowding out slow ones — every chain does the
+        same work as in a lock-step run, which is what makes query cost
+        comparable at equal sample counts.
         """
-        while len(self._merged) < num_samples:
-            for chain, sampler in enumerate(self._samplers):
-                if len(self._merged) >= num_samples:
-                    break
-                sample = WalkSample(
-                    node=sampler.current,
-                    weight=sampler.weight(sampler.current),
-                    query_cost=self._api.query_cost,
-                    step=sampler.steps,
-                )
-                self._merged.append(sample)
-                self._merged_chain.append(chain)
-                self._since[chain] = 0
-                if self._recorder is not None:
-                    self._record_sample(chain, self._sim_time)
-                self._event_committed()
+        policy = self._planner.policy if self._planner is not None else None
+        self._thinning = thinning
+        self._collected = [0] * len(self._samplers)
+        for chain in self._merged_chain:
+            self._collected[chain] += 1
+        if policy is not None:
+            self._recompute_quota(num_samples)
+        else:
+            self._quota = -(-num_samples // len(self._samplers))  # ceil division
+
+    def _collect_tick(self, num_samples: int) -> None:
+        """Advance collection by exactly one tick."""
+        if self._fleet is None:
+            # A one-event tick: nothing to coalesce, nothing to settle.
+            when, _seq, chain = heappop(self._heap)
+            if when > self._sim_time:
+                self._sim_time = when
+            if self._collect_action(chain, when, None):
+                self._push(chain, self._ready[chain])
+            self._tick_committed(1)
+            return
+        policy = self._planner.policy if self._planner is not None else None
+        if policy is not None:
+            group = self._pop_tick_active(num_samples)
+        else:
+            group = self._pop_tick()
+        when = group[-1][0]  # a held group departs together
+        if when > self._sim_time:
+            self._sim_time = when
+        tick = _Tick()
+        pushes: List[int] = []
+        events = 0
+        for _when, _seq, chain in group:
             if len(self._merged) >= num_samples:
-                break
-            executor.step_rounds(self._samplers, self._api, thinning)
-            for chain in range(len(self._samplers)):
-                self._since[chain] += thinning
-                for _ in range(thinning):
-                    self._event_committed()
+                # The quota filled mid-tick: requeue the unprocessed
+                # dispatches so the heap stays a faithful state cut.
+                self._push(chain, self._ready[chain])
+                continue
+            events += 1
+            if self._collect_action(chain, when, tick):
+                pushes.append(chain)
+        self._finish_tick(when, tick, pushes, events)
+        if policy is not None:
+            self._maybe_review_roster(num_samples, when)
+
+    def _collect_action(self, chain: int, when: float, tick: Optional[_Tick]) -> bool:
+        """One chain's collection action: its sample when due, else a step.
+
+        Returns whether the chain stays queued — ``False`` once it has
+        delivered its fair share (the quota).
+        """
+        since = self._since
+        if since[chain] < self._thinning:
+            self._step(chain, when, tick)
+            since[chain] += 1
+            return True
+        sampler = self._samplers[chain]
+        node = sampler.current
+        self._merged.append(
+            WalkSample(
+                node=node,
+                weight=sampler.weight(node),
+                query_cost=self._api.query_cost,
+                step=sampler.steps,
+            )
+        )
+        self._merged_chain.append(chain)
+        self._collected[chain] += 1
+        since[chain] = 0
+        self._ready[chain] = when  # collection reads local state: free
+        if self._recorder is not None:
+            self._record_sample(chain, when)
+        return self._collected[chain] < self._quota
+
+    def _step(self, chain: int, when: float, tick: Optional[_Tick]) -> None:
+        """Step one chain at tick time ``when``.
+
+        Without a fleet (``tick`` is ``None``) the chain's ready time is
+        set here: ``when`` plus the latency the step added to the
+        interface.  Over a fleet the step's dispatches join the tick's
+        books for settling, and a consumed prefetch's land time joins its
+        waits.
+        """
+        sampler = self._samplers[chain]
+        if tick is None:
+            before = self._api.latency_spent
+            sampler.step()
+            latency = self._api.latency_spent - before
+            self._ready[chain] = when + latency
+            if self._recorder is not None:
+                self._record_step(chain, when, latency)
+            return
+        sampler.step()
+        dispatches = self._fleet.drain_dispatches()
+        tick.fetches.append((chain, dispatches))
+        if self._recorder is not None:
+            tick.step_events[chain] = self._record_step(
+                chain, when, sum(d.latency for d in dispatches)
+            )
+        lands_at = self._observe_step(chain, dispatches)
+        if lands_at is not None:
+            tick.waits.append((chain, lands_at))
+
+    def _finish_tick(
+        self, when: float, tick: Optional[_Tick], pushes: List[int], events: int
+    ) -> None:
+        """Settle the tick's fetches (over a fleet), re-queue ``pushes``, commit."""
+        if tick is not None:
+            joined = self._settle_tick(when, tick.fetches)
+            if self._planner is not None:
+                self._apply_prefetch_waits(tick.waits)
+            if tick.step_events:
+                self._annotate_tick(tick.step_events, joined)
+            if self._planner is not None:
+                self._plan_prefetches(when, tick.fetches)
+        for chain in pushes:
+            self._push(chain, self._ready[chain])
+        self._tick_committed(events)
 
     # ------------------------------------------------------------------
-    # the batch-coalescing event loop (fleet dispatch)
+    # fleet dispatch: ticks and bursts
     # ------------------------------------------------------------------
-    # The batched loops mirror the unbatched ones action for action; what
-    # changes is granularity.  Events are popped a *tick* at a time (all
-    # queue entries sharing the earliest timestamp, in FIFO order), every
-    # popped chain acts exactly as in the unbatched loop, and only then
-    # are the tick's provider fetches settled: dispatches to one shard
-    # coalesce into bursts of at most the shard's batch cap, each burst
-    # costs one admission slot plus its members' *maximum* latency, and
-    # each chain becomes ready when its burst completes.  On a fleet
-    # whose every latency is zero a tick is one lock-step round, every
-    # burst completes instantly, and the dispatch order reduces to the
-    # unbatched FIFO round-robin — the equivalence the determinism suite
-    # asserts.
-
     def _pop_tick(self) -> List[Tuple[float, int, int]]:
         """Pop one tick: the earliest event plus everything within the window.
 
-        With ``batch_window == 0`` that is exactly the set of events tied
+        Without a fleet a tick is the earliest event alone.  Over a fleet
+        with ``batch_window == 0`` it is exactly the set of events tied
         at the earliest timestamp, in FIFO order; a positive window also
         sweeps in events up to that much later — the dispatcher holds the
         early chains so the group departs together.  The tick's dispatch
         time is the *latest* member's ready time (``group[-1][0]``; heap
         pops are time-ordered).
         """
-        group = [heapq.heappop(self._heap)]
+        heap = self._heap
+        group = [heappop(heap)]
+        if self._fleet is None:
+            return group
         horizon = group[0][0] + self._batch_window
-        while self._heap and self._heap[0][0] <= horizon:
-            group.append(heapq.heappop(self._heap))
+        while heap and heap[0][0] <= horizon:
+            group.append(heappop(heap))
         return group
 
     def _settle_tick(
@@ -981,25 +1005,6 @@ class EventDrivenWalkers:
                 )
             event.attrs["ready"] = self._ready[chain]
 
-    def _tick_committed(self, events_in_tick: int) -> None:
-        """Commit a whole tick; checkpoints fire only at tick boundaries.
-
-        Mid-tick the popped-but-unsettled dispatches are not yet back in
-        the queue, so a snapshot there would not be a resumable cut; the
-        period is therefore honoured at the first boundary that crosses
-        it.
-        """
-        before = self._events
-        self._events += events_in_tick
-        if self._watcher is not None:
-            self._watcher.poll(self._sim_time)
-        if (
-            self._checkpoint_fn is not None
-            and self._checkpoint_every > 0
-            and self._events // self._checkpoint_every > before // self._checkpoint_every
-        ):
-            self._checkpoint_fn(self)
-
     # ------------------------------------------------------------------
     # the planning hooks (all of them no-ops without a planner)
     # ------------------------------------------------------------------
@@ -1015,6 +1020,8 @@ class EventDrivenWalkers:
             before they land).
         """
         self._timed_steps[chain] += 1
+        if self._phase == PHASE_COLLECT:
+            self._collect_steps[chain] += 1
         self._chain_latency[chain] += sum(d.latency for d in dispatches)
         if self._planner is None:
             return None
@@ -1240,165 +1247,15 @@ class EventDrivenWalkers:
         self._recompute_quota(num_samples)
         self._requeue_missing(when)
 
-    def _run_burnin_batched(
-        self, monitor: GelmanRubinDiagnostic, check_every: int, max_steps: int
-    ) -> None:
-        self._fleet.drain_dispatches()  # drop anything traced outside the loop
-        while True:
-            rounds = min(self._burn_rounds)
-            if rounds >= max_steps:
-                self._r_hat = monitor.r_hat([s.trace for s in self._samplers])
-                self._converged = False
-                return
-            if rounds >= self._next_check:
-                traces = [s.trace for s in self._samplers]
-                if monitor.converged(traces):
-                    self._r_hat = monitor.r_hat(traces)
-                    self._converged = True
-                    if self._recorder is not None:
-                        self._recorder.metrics.series("walk.r_hat").observe(
-                            self._sim_time, self._r_hat
-                        )
-                    return
-                if self._recorder is not None:
-                    self._recorder.metrics.series("walk.r_hat").observe(
-                        self._sim_time, monitor.r_hat(traces)
-                    )
-                self._next_check = rounds + max(check_every, rounds // 5)
-            group = self._pop_tick()
-            when = group[-1][0]  # the held group departs together
-            self._sim_time = max(self._sim_time, when)
-            fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]] = []
-            pushes: List[int] = []
-            waits: List[Tuple[int, float]] = []
-            step_events: Dict[int, TraceEvent] = {}
-            for _when, _seq, chain in group:
-                floor_before = min(self._burn_rounds)
-                self._samplers[chain].step()
-                dispatches = self._fleet.drain_dispatches()
-                fetches.append((chain, dispatches))
-                if self._recorder is not None:
-                    step_events[chain] = self._record_step(
-                        chain, when, sum(d.latency for d in dispatches)
-                    )
-                lands_at = self._observe_step(chain, dispatches)
-                if lands_at is not None:
-                    waits.append((chain, lands_at))
-                self._burn_rounds[chain] += 1
-                floor = min(self._burn_rounds)
-                if self._burn_rounds[chain] - floor >= self._max_lead:
-                    self._parked.add(chain)
-                else:
-                    pushes.append(chain)
-                if floor > floor_before and self._parked:
-                    for idx in sorted(self._parked):
-                        if self._burn_rounds[idx] - floor < self._max_lead:
-                            self._parked.discard(idx)
-                            pushes.append(idx)
-            joined = self._settle_tick(when, fetches)
-            if self._planner is not None:
-                self._apply_prefetch_waits(waits)
-            if step_events:
-                self._annotate_tick(step_events, joined)
-            if self._planner is not None:
-                self._plan_prefetches(when, fetches)
-            for chain in pushes:
-                self._push(chain, self._ready[chain])
-            self._tick_committed(len(group))
-
-    def _run_collect_batched(self, num_samples: int, thinning: int) -> None:
-        self._fleet.drain_dispatches()
-        self._init_collect_batched(num_samples, thinning)
-        while len(self._merged) < num_samples:
-            self._collect_tick_batched(num_samples)
-
-    def _init_collect_batched(self, num_samples: int, thinning: int) -> None:
-        """(Re-)derive collection bookkeeping: thinning, per-chain tallies, quota."""
-        policy = self._planner.policy if self._planner is not None else None
-        self._thinning = thinning
-        self._collected = [0] * len(self._samplers)
-        for chain in self._merged_chain:
-            self._collected[chain] += 1
-        if policy is not None:
-            self._recompute_quota(num_samples)
-        else:
-            self._quota = -(-num_samples // len(self._samplers))  # ceil division
-
-    def _collect_tick_batched(self, num_samples: int) -> None:
-        """Advance collection by exactly one tick (one dispatched group)."""
-        thinning = self._thinning
-        policy = self._planner.policy if self._planner is not None else None
-        if policy is not None:
-            group = self._pop_tick_active(num_samples)
-        else:
-            group = self._pop_tick()
-        when = group[-1][0]  # the held group departs together
-        self._sim_time = max(self._sim_time, when)
-        fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]] = []
-        pushes: List[int] = []
-        waits: List[Tuple[int, float]] = []
-        step_events: Dict[int, TraceEvent] = {}
-        events = 0
-        for _when, _seq, chain in group:
-            if len(self._merged) >= num_samples:
-                # The quota filled mid-tick: requeue the unprocessed
-                # dispatches so the heap stays a faithful state cut.
-                self._push(chain, self._ready[chain])
-                continue
-            events += 1
-            sampler = self._samplers[chain]
-            if self._since[chain] >= thinning:
-                sample = WalkSample(
-                    node=sampler.current,
-                    weight=sampler.weight(sampler.current),
-                    query_cost=self._api.query_cost,
-                    step=sampler.steps,
-                )
-                self._merged.append(sample)
-                self._merged_chain.append(chain)
-                self._collected[chain] += 1
-                self._since[chain] = 0
-                self._ready[chain] = when  # collection reads local state: free
-                if self._recorder is not None:
-                    self._record_sample(chain, when)
-                if self._collected[chain] >= self._quota:
-                    # Fair share delivered: the chain leaves the queue.
-                    continue
-            else:
-                sampler.step()
-                dispatches = self._fleet.drain_dispatches()
-                fetches.append((chain, dispatches))
-                if self._recorder is not None:
-                    step_events[chain] = self._record_step(
-                        chain, when, sum(d.latency for d in dispatches)
-                    )
-                self._since[chain] += 1
-                self._collect_steps[chain] += 1
-                lands_at = self._observe_step(chain, dispatches)
-                if lands_at is not None:
-                    waits.append((chain, lands_at))
-            pushes.append(chain)
-        joined = self._settle_tick(when, fetches)
-        if self._planner is not None:
-            self._apply_prefetch_waits(waits)
-        if step_events:
-            self._annotate_tick(step_events, joined)
-        if self._planner is not None:
-            self._plan_prefetches(when, fetches)
-        for chain in pushes:
-            self._push(chain, self._ready[chain])
-        self._tick_committed(events)
-        if policy is not None:
-            self._maybe_review_roster(num_samples, when)
-
     # ------------------------------------------------------------------
     # incremental collection (service-driven, one tick at a time)
     # ------------------------------------------------------------------
     # The service layer interleaves many tenants' schedulers over one
     # shared fleet: instead of run()'s closed loop, each tenant advances
-    # tick by tick under the service's admission policy.  begin_collect +
-    # collect_tick execute exactly the code path run() does — the
-    # single-tenant equivalence suite pins the two byte for byte.
+    # tick by tick under the service's admission policy.  collect_tick
+    # runs the same _collect_tick that run() loops over, with or without
+    # a fleet — the single-tenant equivalence suite pins the two byte for
+    # byte.
 
     @property
     def samples_collected(self) -> int:
@@ -1420,30 +1277,26 @@ class EventDrivenWalkers:
 
         Raises:
             ValueError: On non-positive ``num_samples``/``thinning``.
-            WalkError: Without batch-coalescing dispatch, or mid-burn-in.
+            WalkError: Mid-burn-in.
         """
         if num_samples <= 0:
             raise ValueError("num_samples must be positive")
         if thinning <= 0:
             raise ValueError("thinning must be positive")
-        if self._fleet is None:
-            raise WalkError(
-                "incremental collection needs batch-coalescing dispatch "
-                "(batching=True over a provider fleet)"
-            )
         if self._phase == PHASE_BURNIN:
             raise WalkError(
                 "this scheduler is mid-burn-in; finish run() with its monitor "
                 "before driving it incrementally"
             )
-        self._fleet.trace_dispatches(True)
-        self._fleet.drain_dispatches()
+        if self._fleet is not None:
+            self._fleet.trace_dispatches(True)
+            self._fleet.drain_dispatches()
         if self._phase == PHASE_FRESH:
             self._begin_collect(thinning)
         elif self._phase == PHASE_DONE and len(self._merged) < num_samples:
             self._phase = PHASE_COLLECT
         if self._phase == PHASE_COLLECT:
-            self._init_collect_batched(num_samples, thinning)
+            self._init_collect(num_samples, thinning)
             # A re-opened scheduler's chains left the queue at the old
             # quota; under-quota active chains resume at the current time.
             self._requeue_missing(self._sim_time)
@@ -1462,7 +1315,7 @@ class EventDrivenWalkers:
         if self._phase != PHASE_COLLECT:
             raise WalkError("begin_collect must run before collect_tick")
         if len(self._merged) < num_samples:
-            self._collect_tick_batched(num_samples)
+            self._collect_tick(num_samples)
         if len(self._merged) >= num_samples:
             self._phase = PHASE_DONE
             return True

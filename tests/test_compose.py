@@ -2,8 +2,7 @@
 
 ISSUE 6 satellite: one declarative ``StackConfig`` stands up the whole
 provider → interface → walkers → planner stack, round-trips through the
-snapshot codec bit-for-bit, and the spec-built fleet is indistinguishable
-from the deprecated ``sharded_fleet(...)`` constructor's output.
+snapshot codec bit-for-bit.
 """
 
 import pytest
@@ -16,15 +15,13 @@ from repro.compose import (
     RateLimitSpec,
     StackConfig,
     WalkSpec,
-    build_fleet,
     build_stack,
     walk_starts,
 )
 from repro.datasets import load
 from repro.datastore.snapshot import KeyValueBackend, decode_value, encode_value
 from repro.errors import ComposeError
-from repro.fleet import sharded_fleet
-from repro.walks import EventDrivenWalkers, SimpleRandomWalk
+from repro.walks import SimpleRandomWalk
 
 
 @pytest.fixture(scope="module")
@@ -183,35 +180,3 @@ class TestSpecCodec:
         a = build_stack(StackConfig(walk=WalkSpec(chains=2, seed=3)), network).run(30)
         b = build_stack(config, network).run(30)
         assert a.samples == b.samples and a.queries == b.queries
-
-
-class TestDeprecatedFleetConstructor:
-    def test_shim_warns_and_matches_spec_fleet(self, network):
-        spec = FleetSpec(
-            num_shards=2,
-            seed=3,
-            provider=ProviderSpec(latency_distribution="uniform", latency_scale=0.3),
-        )
-        with pytest.deprecated_call():
-            legacy = sharded_fleet(
-                network.graph,
-                2,
-                seed=3,
-                profiles=network.profiles,
-                latency_distribution="uniform",
-                latency_scale=0.3,
-            )
-        modern = build_fleet(spec, network.graph, profiles=network.profiles)
-
-        def run(fleet):
-            config = StackConfig(walk=WalkSpec(chains=2, seed=6))
-            return build_stack(config, network, fleet=fleet).run(num_samples=40)
-
-        a, b = run(legacy), run(modern)
-        assert a.samples == b.samples
-        assert a.queries == b.queries
-        assert a.sim_elapsed == b.sim_elapsed
-
-    def test_warning_names_the_replacement(self, network):
-        with pytest.warns(DeprecationWarning, match="FleetSpec"):
-            sharded_fleet(network.graph, 1, seed=0)

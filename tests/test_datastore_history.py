@@ -98,7 +98,7 @@ class TestArtifactRoundTrip:
             for i in range(2)
         ]
         planner = DispatchPlanner(lookahead=2, speculation=0, seed=0)
-        EventDrivenWalkers(chains, batching=True, planner=planner).run(num_samples=40)
+        EventDrivenWalkers(chains, planner=planner).run(num_samples=40)
         sections = capture_history(api, planner=planner)
         stats = sections["history/stats"]["index"]
         assert stats["visits"]
@@ -155,7 +155,7 @@ class TestPlannerWarmStart:
             for i in range(2)
         ]
         planner = DispatchPlanner(lookahead=2, speculation=0, seed=0)
-        EventDrivenWalkers(chains, batching=True, planner=planner).run(num_samples=40)
+        EventDrivenWalkers(chains, planner=planner).run(num_samples=40)
         planner.warm_start({"visits": {network.seed_node(0): 7}})
         assert planner.warm_visit_count == 1
         books = planner.summary()["prediction"]

@@ -2,9 +2,8 @@
 
 Acceptance bars:
 
-* with batching disabled (or a single zero-latency shard), the scheduler
-  over a :class:`ShardedProvider` reproduces the PR-3 scheduler output
-  bit-for-bit — same samples, query cost, R̂;
+* over a single zero-latency shard the coalescing scheduler reproduces
+  lock-step rounds bit-for-bit — same samples, query cost, R̂;
 * with a skewed multi-shard fleet and coalescing on, the same samples
   arrive at identical §II-B query cost in less simulated wall-clock;
 * mid-run fleet state (router, per-shard stacks, open bursts, admission
@@ -25,7 +24,9 @@ from repro.datasets import load
 from repro.datastore.snapshot import JsonLinesBackend, KeyValueBackend
 from repro.compose import FleetSpec, ProviderSpec, build_fleet
 from repro.errors import WalkError
+from repro.fleet import find_fleet
 from repro.interface import RestrictedSocialAPI, SamplingSession
+from repro.planning import DispatchPlanner
 from repro.walks import EventDrivenWalkers, ParallelWalkers, SimpleRandomWalk
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -64,11 +65,18 @@ def _skewed_fleet_api(network, cap, failure_rate=0.0):
 
 
 class TestValidation:
-    def test_batching_requires_a_fleet(self, network):
-        with pytest.raises(WalkError):
-            EventDrivenWalkers(_chains(network, network.interface()), batching=True)
+    def test_coalescing_is_on_iff_the_stack_has_a_fleet(self, network):
+        assert EventDrivenWalkers(_chains(network, network.interface())).fleet is None
+        api = _skewed_fleet_api(network, cap=8, failure_rate=0.1)
+        assert EventDrivenWalkers(_chains(network, api)).fleet is find_fleet(api.provider)
 
-    def test_window_requires_batching(self, network):
+    def test_planner_requires_a_fleet(self, network):
+        with pytest.raises(WalkError):
+            EventDrivenWalkers(
+                _chains(network, network.interface()), planner=DispatchPlanner()
+            )
+
+    def test_batch_window_requires_a_fleet(self, network):
         with pytest.raises(WalkError):
             EventDrivenWalkers(
                 _chains(network, network.interface()), batch_window=1.0
@@ -77,7 +85,7 @@ class TestValidation:
     def test_negative_window(self, network):
         api = _skewed_fleet_api(network, cap=8)
         with pytest.raises(WalkError):
-            EventDrivenWalkers(_chains(network, api), batching=True, batch_window=-1.0)
+            EventDrivenWalkers(_chains(network, api), batch_window=-1.0)
 
 
 class TestFleetEquivalence:
@@ -97,46 +105,20 @@ class TestFleetEquivalence:
         fleet_api = RestrictedSocialAPI(
             build_fleet(FleetSpec(num_shards=1, seed=0), network.graph, profiles=network.profiles)
         )
-        event = EventDrivenWalkers(_chains(network, fleet_api), batching=True)
+        event = EventDrivenWalkers(_chains(network, fleet_api))
         event_run = event.run(**config)
         assert event_run.samples == lock_run.samples
         assert event_run.queries == lock_run.queries
         assert event_run.r_hat_at_convergence == lock_run.r_hat_at_convergence
         assert event_run.sim_elapsed == 0.0
 
-    def test_batching_disabled_over_fleet_matches_pr3_scheduler(self, network):
-        """A fleet is just a provider to the unbatched scheduler: a latency
-        fleet whose single shard mirrors a plain latency stack reproduces
-        the PR-3 scheduler over that stack exactly."""
-        plain_api = network.interface(
-            latency_distribution="heavy_tailed", latency_scale=0.5, latency_seed=1_000_003
-        )
-        plain_run = EventDrivenWalkers(_chains(network, plain_api, 4)).run(num_samples=40)
-
-        # seed=1: the fleet builder derives the shard-0 latency seed as
-        # seed * 1_000_003 + 0, so this fleet's only stack is identical.
-        spec = FleetSpec(
-            num_shards=1,
-            seed=1,
-            provider=ProviderSpec(
-                latency_distribution="heavy_tailed", latency_scale=0.5
-            ),
-        )
-        fleet_api = RestrictedSocialAPI(
-            build_fleet(spec, network.graph, profiles=network.profiles)
-        )
-        fleet_run = EventDrivenWalkers(_chains(network, fleet_api, 4)).run(num_samples=40)
-        assert fleet_run.samples == plain_run.samples
-        assert fleet_run.queries == plain_run.queries
-        assert fleet_run.sim_elapsed == plain_run.sim_elapsed
-
     def test_coalescing_same_bill_less_waiting(self, network):
         k, n = 8, 240
         uncoalesced = EventDrivenWalkers(
-            _chains(network, _skewed_fleet_api(network, cap=1), k), batching=True
+            _chains(network, _skewed_fleet_api(network, cap=1), k)
         ).run(num_samples=n)
         coalesced = EventDrivenWalkers(
-            _chains(network, _skewed_fleet_api(network, cap=8), k), batching=True
+            _chains(network, _skewed_fleet_api(network, cap=8), k)
         ).run(num_samples=n)
         assert coalesced.queries == uncoalesced.queries
         assert sorted(s.node for s in coalesced.samples) == sorted(
@@ -150,11 +132,10 @@ class TestFleetEquivalence:
     def test_batch_window_trades_delay_for_depth(self, network):
         k, n = 8, 160
         tight = EventDrivenWalkers(
-            _chains(network, _skewed_fleet_api(network, cap=8), k), batching=True
+            _chains(network, _skewed_fleet_api(network, cap=8), k)
         ).run(num_samples=n)
         held = EventDrivenWalkers(
             _chains(network, _skewed_fleet_api(network, cap=8), k),
-            batching=True,
             batch_window=1.0,
         ).run(num_samples=n)
         assert held.queries == tight.queries
@@ -164,7 +145,7 @@ class TestFleetEquivalence:
 
     def test_burn_in_runs_batched(self, network):
         api = _skewed_fleet_api(network, cap=8)
-        run = EventDrivenWalkers(_chains(network, api, 4), batching=True).run(
+        run = EventDrivenWalkers(_chains(network, api, 4)).run(
             num_samples=24, monitor=GelmanRubinDiagnostic(threshold=1.3)
         )
         assert len(run.samples) == 24
@@ -173,7 +154,7 @@ class TestFleetEquivalence:
 
     def test_telemetry_surfaced_on_the_run(self, network):
         api = _skewed_fleet_api(network, cap=8, failure_rate=0.2)
-        run = EventDrivenWalkers(_chains(network, api, 4), batching=True).run(
+        run = EventDrivenWalkers(_chains(network, api, 4)).run(
             num_samples=32
         )
         assert run.latency_spent == api.latency_spent > 0
@@ -185,7 +166,7 @@ class TestFleetEquivalence:
 class TestFleetCheckpointing:
     def _build(self, network, cap=8):
         api = _skewed_fleet_api(network, cap=cap, failure_rate=0.1)
-        return api, EventDrivenWalkers(_chains(network, api, 4), batching=True)
+        return api, EventDrivenWalkers(_chains(network, api, 4))
 
     def test_state_roundtrip_mid_flight(self, network):
         api_ref, reference = self._build(network)
@@ -288,7 +269,7 @@ spec = FleetSpec(
 )
 api = RestrictedSocialAPI(build_fleet(spec, network.graph, profiles=network.profiles))
 chains = [SimpleRandomWalk(api, start=network.seed_node(i), seed=i) for i in range(4)]
-group = EventDrivenWalkers(chains, batching=True)
+group = EventDrivenWalkers(chains)
 session = SamplingSession(api, group, JsonLinesBackend(sys.argv[1]))
 assert session.resume()
 run = group.run(num_samples=60)

@@ -69,16 +69,11 @@ def _policy(**overrides):
 
 
 class TestValidation:
-    def test_planner_requires_batching(self, network):
+    def test_planner_requires_a_fleet(self, network):
         with pytest.raises(WalkError):
             EventDrivenWalkers(
                 _chains(network, network.interface()), planner=DispatchPlanner()
             )
-
-    def test_planner_rejects_unbatched_fleet(self, network):
-        api = _skewed_fleet_api(network)
-        with pytest.raises(WalkError):
-            EventDrivenWalkers(_chains(network, api), planner=DispatchPlanner())
 
 
 class TestPredictNextFetch:
@@ -163,7 +158,6 @@ class TestPlanningEquivalence:
         )
         planned = EventDrivenWalkers(
             _chains(network, fleet_api),
-            batching=True,
             planner=DispatchPlanner(lookahead=0, speculation=0),
         ).run(num_samples=48)
         assert planned.samples == lock_run.samples
@@ -173,11 +167,10 @@ class TestPlanningEquivalence:
     def test_same_bill_less_waiting(self, network):
         k, n = 8, 240
         plain = EventDrivenWalkers(
-            _chains(network, _skewed_fleet_api(network), k), batching=True
+            _chains(network, _skewed_fleet_api(network), k)
         ).run(num_samples=n)
         planned = EventDrivenWalkers(
             _chains(network, _skewed_fleet_api(network), k),
-            batching=True,
             planner=DispatchPlanner(lookahead=4),
         ).run(num_samples=n)
         assert planned.queries == plain.queries
@@ -202,7 +195,6 @@ class TestPlanningEquivalence:
         def run_once():
             return EventDrivenWalkers(
                 _chains(network, _skewed_fleet_api(network), 6),
-                batching=True,
                 planner=DispatchPlanner(lookahead=3),
             ).run(num_samples=120)
 
@@ -213,11 +205,10 @@ class TestPlanningEquivalence:
 
     def test_speculation_spends_extra_budget(self, network):
         plain = EventDrivenWalkers(
-            _chains(network, _skewed_fleet_api(network), 6), batching=True
+            _chains(network, _skewed_fleet_api(network), 6)
         ).run(num_samples=120)
         speculative = EventDrivenWalkers(
             _chains(network, _skewed_fleet_api(network), 6),
-            batching=True,
             planner=DispatchPlanner(lookahead=0, speculation=2),
         ).run(num_samples=120)
         # Speculative candidates are guesses: cost may exceed the plain
@@ -227,7 +218,7 @@ class TestPlanningEquivalence:
 
     def test_chain_steps_surfaced(self, network):
         run = EventDrivenWalkers(
-            _chains(network, _skewed_fleet_api(network), 4), batching=True
+            _chains(network, _skewed_fleet_api(network), 4)
         ).run(num_samples=48)
         assert run.chain_steps is not None and len(run.chain_steps) == 4
         assert run.chain_steps == tuple(c.total_steps for c in run.per_chain)
@@ -239,7 +230,6 @@ class TestTelemetryAndSummary:
         api = _skewed_fleet_api(network)
         run = EventDrivenWalkers(
             _chains(network, api, 4),
-            batching=True,
             planner=DispatchPlanner(lookahead=3),
         ).run(num_samples=48)
         telemetry = collect_telemetry(api)
@@ -253,7 +243,6 @@ class TestTelemetryAndSummary:
         api = _skewed_fleet_api(network)
         group = EventDrivenWalkers(
             _chains(network, api, 4),
-            batching=True,
             planner=DispatchPlanner(lookahead=3, policy=_policy()),
         )
         session = SamplingSession(api, group, KeyValueBackend())
@@ -271,7 +260,6 @@ class TestAdaptiveLifecycle:
         api = _skewed_fleet_api(network, shard_latency_spread=4.0)
         group = EventDrivenWalkers(
             _chains(network, api, 8, seed_base=seed_base),
-            batching=True,
             planner=DispatchPlanner(lookahead=3, policy=_policy(min_chains=3)),
         )
         return group, group.run(num_samples=n)
@@ -304,7 +292,6 @@ class TestAdaptiveLifecycle:
         api = _skewed_fleet_api(network, shard_latency_spread=4.0)
         group = EventDrivenWalkers(
             _chains(network, api, 8),
-            batching=True,
             planner=DispatchPlanner(
                 lookahead=3, policy=_policy(min_chains=3, start_chains=6)
             ),
@@ -323,7 +310,6 @@ class TestPlanningCheckpoint:
         api = _skewed_fleet_api(network, shard_latency_spread=4.0)
         group = EventDrivenWalkers(
             _chains(network, api, 4),
-            batching=True,
             planner=DispatchPlanner(lookahead=3, policy=_policy(min_chains=2)),
         )
         return api, group
@@ -356,7 +342,7 @@ class TestPlanningCheckpoint:
         session.save()
 
         api_b = _skewed_fleet_api(network, shard_latency_spread=4.0)
-        bare = EventDrivenWalkers(_chains(network, api_b, 4), batching=True)
+        bare = EventDrivenWalkers(_chains(network, api_b, 4))
         resume_session = SamplingSession(api_b, bare, backend)
         with pytest.raises(SnapshotError):
             resume_session.resume()
@@ -430,7 +416,7 @@ api = RestrictedSocialAPI(build_fleet(spec, network.graph, profiles=network.prof
 chains = [SimpleRandomWalk(api, start=network.seed_node(i), seed=i) for i in range(4)]
 policy = AdaptiveChainPolicy(min_chains=2, tail_ratio=1.5, evaluate_every=8, min_observations=6)
 group = EventDrivenWalkers(
-    chains, batching=True, planner=DispatchPlanner(lookahead=3, policy=policy)
+    chains, planner=DispatchPlanner(lookahead=3, policy=policy)
 )
 session = SamplingSession(api, group, JsonLinesBackend(sys.argv[1]))
 assert session.resume()

@@ -175,7 +175,6 @@ class TestLedgerBalance:
         ]
         walkers = EventDrivenWalkers(
             chains,
-            batching=True,
             planner=DispatchPlanner(lookahead=lookahead, speculation=0, seed=seed),
         )
         walkers.run(num_samples=8 * len(chains))

@@ -144,6 +144,26 @@ class TestLatencyAwareScheduling:
         assert event_run.sim_elapsed < lock_run.sim_elapsed
         assert lock_run.sim_elapsed / event_run.sim_elapsed >= 2.0
 
+    @pytest.mark.parametrize("thinning", [1, 2])
+    def test_tick_driving_without_a_fleet_matches_run(self, network, thinning):
+        """begin_collect + collect_tick is run()'s collection loop, fleet or not."""
+        k, n = 8, 400
+        api_run = network.interface(latency_distribution="heavy_tailed", latency_seed=3)
+        ran = EventDrivenWalkers(_srw_chains(network, api_run, k)).run(
+            num_samples=n, thinning=thinning
+        )
+        api_tick = network.interface(latency_distribution="heavy_tailed", latency_seed=3)
+        walkers = EventDrivenWalkers(_srw_chains(network, api_tick, k))
+        assert walkers.fleet is None
+        walkers.begin_collect(n, thinning)
+        while not walkers.collect_tick(n):
+            pass
+        ticked = walkers.result()
+        assert ticked.samples == ran.samples
+        assert ticked.queries == ran.queries
+        assert ticked.sim_elapsed == ran.sim_elapsed > 0
+        assert ticked.events_processed == ran.events_processed
+
     def test_merged_interleaves_by_completion(self, network):
         api = network.interface(latency_distribution="heavy_tailed", latency_seed=3)
         chains = _srw_chains(network, api, 4)
