@@ -36,7 +36,7 @@ from repro.core.overlay import OverlayGraph
 from repro.errors import DeadEndError, PrivateUserError, WalkError
 from repro.interface.api import RestrictedSocialAPI
 from repro.utils.rng import RngLike
-from repro.walks.base import RandomWalkSampler
+from repro.walks.base import UNRESOLVED, RandomWalkSampler
 
 Node = Hashable
 
@@ -184,58 +184,64 @@ class MTOSampler(RandomWalkSampler):
             WalkError: If ``max_redraws`` is exhausted (degenerate
                 overlay).
         """
-        u = self.current
-        overlay = self._overlay
-        rng = self._rng
-        overlay.ensure_known(u)
-        for _ in range(self._max_redraws):
-            v = overlay.random_neighbor(u, rng)
-            if v is None:
-                raise DeadEndError(u)
-            try:
-                overlay.ensure_known(v)  # the step's (potential) query
-            except PrivateUserError:
-                # Private neighbor: never traversable, so drop the overlay
-                # edge (the walk lives on the accessible subgraph) and
-                # redraw.  One billed refusal, cached afterwards.
-                if overlay.degree(u) > 1:
+        try:
+            u = self.current
+            overlay = self._overlay
+            rng = self._rng
+            overlay.ensure_known(u)
+            for _ in range(self._max_redraws):
+                v = overlay.random_neighbor(u, rng)
+                if v is None:
+                    raise DeadEndError(u)
+                try:
+                    overlay.ensure_known(v)  # the step's (potential) query
+                except PrivateUserError:
+                    # Private neighbor: never traversable, so drop the overlay
+                    # edge (the walk lives on the accessible subgraph) and
+                    # redraw.  One billed refusal, cached afterwards.
+                    if overlay.degree(u) > 1:
+                        overlay.remove_edge(u, v)
+                        continue
+                    self._stay()
+                    return self.current
+
+                # --- removal branch (Theorem 3 / Theorem 5) ---------------
+                if (
+                    self._enable_removal
+                    and overlay.degree(u) > 1
+                    and overlay.degree(v) > 1
+                    and self._removable(u, v)
+                ):
                     overlay.remove_edge(u, v)
-                    continue
-                self._stay()
-                return self.current
+                    continue  # redraw from the shrunken neighborhood
 
-            # --- removal branch (Theorem 3 / Theorem 5) ---------------
-            if (
-                self._enable_removal
-                and overlay.degree(u) > 1
-                and overlay.degree(v) > 1
-                and self._removable(u, v)
-            ):
-                overlay.remove_edge(u, v)
-                continue  # redraw from the shrunken neighborhood
+                # --- replacement branch (Theorem 4) -----------------------
+                if (
+                    self._enable_replacement
+                    and replacement_allowed(overlay.degree(v))
+                    and rng.random() < self._replacement_probability
+                ):
+                    w = self._choose_replacement(u, v)
+                    if w is not None:
+                        overlay.replace_edge(u, v, w)
+                        v = w  # the walk's candidate follows the moved edge
 
-            # --- replacement branch (Theorem 4) -----------------------
-            if (
-                self._enable_replacement
-                and replacement_allowed(overlay.degree(v))
-                and rng.random() < self._replacement_probability
-            ):
-                w = self._choose_replacement(u, v)
-                if w is not None:
-                    overlay.replace_edge(u, v, w)
-                    v = w  # the walk's candidate follows the moved edge
-
-            # --- lazy transition ---------------------------------------
-            if not self._lazy or rng.random() < 0.5:
-                if self._uses_default_trace:
-                    # v was just materialized: its original degree is free
-                    # overlay knowledge, no response rebuild needed.
-                    self._advance_fast(v, overlay.original_degree(v))
-                else:
-                    self._advance(v, self._api.query(v))  # cached — free
-                return v
-            # lazy hold: redraw a neighbor without committing a move
-        raise WalkError(f"step at {u!r} exceeded {self._max_redraws} redraws")
+                # --- lazy transition ---------------------------------------
+                if not self._lazy or rng.random() < 0.5:
+                    if self._uses_default_trace:
+                        # v was just materialized: its original degree is free
+                        # overlay knowledge, no response rebuild needed.
+                        self._advance_fast(v, overlay.original_degree(v))
+                    else:
+                        self._advance(v, self._api.query(v))  # cached — free
+                    return v
+                # lazy hold: redraw a neighbor without committing a move
+            raise WalkError(f"step at {u!r} exceeded {self._max_redraws} redraws")
+        except BaseException:
+            # The step may have drawn before failing: the live RNG is
+            # then ahead of anything a replay cursor recorded.
+            self._cursor = None
+            raise
 
     def predict_next_fetch(self, max_steps: int = 64) -> Node | None:
         """Replay the overlay draw / rewiring branches to the next fetch.
@@ -255,7 +261,10 @@ class MTOSampler(RandomWalkSampler):
         The replay reads the overlay as it stands *now*; drivers that
         interleave other chains writing the same shared G* between
         prediction and step must only predict for chains no earlier
-        writer can invalidate (see ``ParallelWalkers``).
+        writer can invalidate (see ``ParallelWalkers``).  The chain's
+        persistent cursor is keyed to :attr:`OverlayGraph.version
+        <repro.core.overlay.OverlayGraph.version>`: any materialization
+        or rewiring, by this chain or a sharer, re-clones it.
 
         Returns ``None`` on networks with private users, in
         ``prefetch_replacement`` mode once the replacement branch fires
@@ -264,52 +273,56 @@ class MTOSampler(RandomWalkSampler):
         """
         if self._api.may_have_private:
             return None
-        overlay = self._overlay
-        if not overlay.is_known(self._current):
+        if not self._overlay.is_known(self._current):
             return None
-        rng = self._replay_rng_clone()
-        u = self._current
-        for _ in range(max_steps):
-            committed = None
-            for _ in range(self._max_redraws):
-                v = overlay.random_neighbor(u, rng)
-                if v is None:
-                    return None  # live step dead-ends
-                if not overlay.is_known(v):
-                    return v  # ensure_known(v) is the step's query
-                if (
-                    self._enable_removal
-                    and overlay.degree(u) > 1
-                    and overlay.degree(v) > 1
-                    and self._removable(u, v)
-                ):
-                    return None  # removal mutates G*, then redraws
-                if (
-                    self._enable_replacement
-                    and replacement_allowed(overlay.degree(v))
-                    and rng.random() < self._replacement_probability
-                ):
-                    if self._prefetch_replacement:
-                        return None  # batched candidate materialization
-                    others = [
-                        w
-                        for w in overlay.neighbors_seq(v)
-                        if w != u and not overlay.has_edge(u, w)
-                    ]
-                    if others:
-                        w = others[rng.randrange(len(others))]
-                        if not overlay.is_known(w):
-                            return w  # _choose_replacement's query
-                        return None  # replace_edge mutates G*
-                    # no candidates: no RNG spent, replacement skipped
-                if not self._lazy or rng.random() < 0.5:
-                    committed = v
-                    break
-                # lazy hold: redraw without committing
-            if committed is None:
-                return None  # max_redraws exhausted — live step raises
-            u = committed
-        return None
+        return self._replay_fetch(max_steps)
+
+    def _replay_token(self):
+        # The replay reads only G*, never the cache.
+        return self._overlay.version
+
+    def _replay_step(self, cursor, cache):
+        """One Algorithm 1 step over the unchanged overlay."""
+        if cursor.pause is not None:
+            # The token pins G*, so the paused target is still unknown.
+            return cursor.pause
+        overlay = self._overlay
+        rng = cursor.rng
+        u = cursor.path[-1]
+        for _ in range(self._max_redraws):
+            v = overlay.random_neighbor(u, rng)
+            if v is None:
+                return UNRESOLVED  # live step dead-ends
+            if not overlay.is_known(v):
+                cursor.pause = v  # ensure_known(v) is the step's query
+                return v
+            if (
+                self._enable_removal
+                and overlay.degree(u) > 1
+                and overlay.degree(v) > 1
+                and self._removable(u, v)
+            ):
+                return UNRESOLVED  # removal mutates G*, then redraws
+            if (
+                self._enable_replacement
+                and replacement_allowed(overlay.degree(v))
+                and rng.random() < self._replacement_probability
+            ):
+                if self._prefetch_replacement:
+                    return UNRESOLVED  # batched candidate materialization
+                others = [w for w in overlay.neighbors_seq(v) if w != u and not overlay.has_edge(u, w)]
+                if others:
+                    w = others[rng.randrange(len(others))]
+                    if not overlay.is_known(w):
+                        cursor.pause = w  # _choose_replacement's query
+                        return w
+                    return UNRESOLVED  # replace_edge mutates G*
+                # no candidates: no RNG spent, replacement skipped
+            if not self._lazy or rng.random() < 0.5:
+                cursor.path.append(v)
+                return None
+            # lazy hold: redraw without committing
+        return UNRESOLVED  # max_redraws exhausted — live step raises
 
     def weight(self, node: Node) -> float:
         """``1 / k*_node`` — corrects the overlay-degree stationary (eq. 10).

@@ -90,6 +90,10 @@ class OverlayGraph:
         self._orig_degree: Dict[Node, int] = {}
         self._removal_count = 0
         self._replacement_count = 0
+        # Bumped by every materialization, edge removal/addition and
+        # load_state: a reader holding a replay of G* compares it to know
+        # the overlay it replayed against is still the one in place.
+        self._version = 0
 
     # ------------------------------------------------------------------
     # materialization
@@ -103,6 +107,7 @@ class OverlayGraph:
         self._known[node] = nbrs
         self._compact.set_row(node, nbrs)
         self._orig_degree[node] = resp.degree
+        self._version += 1
 
     def ensure_known(self, node: Node) -> None:
         """Materialize ``node``'s overlay neighborhood (queries if needed)."""
@@ -290,6 +295,7 @@ class OverlayGraph:
                 self._known[a].pop(b, None)
                 self._compact.remove(a, b)
         self._removal_count += 1
+        self._version += 1
 
     def add_edge(self, u: Node, v: Node) -> None:
         """Insert overlay edge ``(u, v)``.
@@ -305,6 +311,7 @@ class OverlayGraph:
                 if b not in self._known[a]:
                     self._compact.append(a, b)
                 self._known[a][b] = None
+        self._version += 1
 
     def replace_edge(self, u: Node, v: Node, w: Node) -> None:
         """Theorem 4's operation: replace ``e_uv`` by ``e_uw``.
@@ -337,6 +344,11 @@ class OverlayGraph:
     def replacement_count(self) -> int:
         """Number of replacements performed."""
         return self._replacement_count
+
+    @property
+    def version(self) -> int:
+        """Counter bumped by every change to G* (not part of the state)."""
+        return self._version
 
     def state_dict(self) -> dict:
         """Serializable overlay state: G* minus anything re-derivable.
@@ -379,6 +391,7 @@ class OverlayGraph:
         self._compact = CompactAdjacency()
         for node, nbrs in self._known.items():
             self._compact.set_row(node, nbrs)
+        self._version += 1
 
     def known_subgraph(self) -> Graph:
         """The overlay restricted to materialized nodes, as a plain graph.

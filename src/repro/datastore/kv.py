@@ -53,6 +53,11 @@ class KeyValueStore:
         # neighborhood cache's hot dict) compare it to detect foreign
         # writes through a shared store and flush themselves.
         self._version = 0
+        # Bumped only by mutations that drop or replace a live value
+        # (overwrite, delete, purge, eviction, clear, load_state): readers
+        # that keep derived state across calls (a walk's replay cursor)
+        # watch it through :attr:`retention_version`.
+        self._dropped = 0
 
     def _logical_clock(self) -> float:
         return self._logical_now
@@ -68,7 +73,9 @@ class KeyValueStore:
         return deadline is not None and self._clock() >= deadline
 
     def _purge(self, key: Hashable) -> None:
-        self._data.pop(key, None)
+        if key in self._data:
+            del self._data[key]
+            self._dropped += 1
         self._expires.pop(key, None)
         self._version += 1
 
@@ -89,6 +96,7 @@ class KeyValueStore:
         self._version += 1
         if key in self._data:
             self._data.move_to_end(key)
+            self._dropped += 1
         self._data[key] = value
         if ttl is None:
             self._expires.pop(key, None)
@@ -107,6 +115,7 @@ class KeyValueStore:
                 self._expires.pop(evicted, None)
                 self._evictions += 1
                 self._version += 1
+                self._dropped += 1
 
     def get(self, key: Hashable, default: object = None) -> object:
         """Fetch the value for ``key`` or ``default`` if absent/expired."""
@@ -145,6 +154,7 @@ class KeyValueStore:
     def clear(self) -> None:
         """Drop all keys and reset hit/miss counters."""
         self._version += 1
+        self._dropped += 1
         self._data.clear()
         self._expires.clear()
         self._hits = 0
@@ -198,6 +208,7 @@ class KeyValueStore:
             state: Output of :meth:`state_dict`.
         """
         self._version += 1
+        self._dropped += 1
         self._data.clear()
         self._expires.clear()
         now = self._clock()
@@ -226,6 +237,19 @@ class KeyValueStore:
     def version(self) -> int:
         """Monotonic write-version (bumped by every mutation)."""
         return self._version
+
+    @property
+    def retention_version(self) -> Optional[int]:
+        """Counter of mutations that dropped or replaced a live value.
+
+        While it reads the same, every value a reader saw is still stored
+        unchanged.  ``None`` when that cannot be promised: a TTL'd key
+        is present (it expires on the clock, with no mutation) or the
+        store is capacity-bounded (any insert may evict).
+        """
+        if self._capacity is not None or self._expires:
+            return None
+        return self._dropped
 
     @property
     def hits(self) -> int:

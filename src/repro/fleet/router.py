@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import zlib
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.datastore.snapshot import _canonical, encode_value
 from repro.errors import SnapshotError
@@ -99,12 +99,27 @@ class ShardRouter:
         ring.sort()
         self._ring = ring
         self._points = [p for p, _ in ring]
+        # user -> shard.  The ring never changes (``with_shards`` builds a
+        # new router), so answers stay valid; derived, so not snapshotted.
+        self._shard_memo: Dict[Node, int] = {}
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
     def shard_of(self, user: Node) -> int:
-        """The shard index owning ``user`` (stable across processes)."""
+        """The shard index owning ``user`` (stable across processes).
+
+        Memoized per user id: the canonical encoding and hash run once.
+        Ids that compare equal (``1``, ``1.0``, ``True``) share an entry,
+        as they share a cache entry and a graph node everywhere else.
+        """
+        shard = self._shard_memo.get(user)
+        if shard is None:
+            shard = self._shard_memo[user] = self._hash_shard(user)
+        return shard
+
+    def _hash_shard(self, user: Node) -> int:
+        """Uncached :meth:`shard_of`: walk the ring from ``user``'s hash."""
         h = _stable_hash(f"{self._seed}:user:{_canonical(encode_value(user))}")
         idx = bisect.bisect_left(self._points, h)
         if idx == len(self._points):  # wrap past the last ring point

@@ -120,6 +120,20 @@ class NeighborhoodCache:
             self._hot[user] = stored
         return stored
 
+    @property
+    def retention_version(self) -> Optional[int]:
+        """Changes whenever a cached response may have been dropped.
+
+        Readers that keep state derived from earlier reads (a walk's
+        replay cursor) compare it across calls: while it reads the same
+        non-``None`` value, every response seen before is still cached,
+        unchanged.  Any drop through this cache or another one sharing
+        the store (``clear``, ``load_state``, a delete, an overwrite)
+        moves it.  ``None`` when drops can happen unseen: a TTL'd entry
+        is stored, or the store is capacity-bounded.
+        """
+        return self._store.retention_version
+
     def has(self, user: Node) -> bool:
         """Whether ``user``'s response is cached."""
         return self._store.contains(self._nbr_key(user))

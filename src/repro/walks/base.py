@@ -23,6 +23,25 @@ from repro.utils.rng import RngLike, ensure_rng
 
 Node = Hashable
 
+#: Returned by :meth:`RandomWalkSampler._replay_step` when a step cannot be
+#: replayed (dead end, degenerate overlay, a branch that mutates G*).
+UNRESOLVED = object()
+
+
+class _ReplayCursor:
+    """One chain's replay state kept between predictions.
+
+    ``path[i]`` is the position (see
+    :meth:`RandomWalkSampler._replay_position`) after ``base + i`` live
+    steps; ``rng`` is the shadow RNG positioned after ``path[-1]``'s
+    step, or mid-step when ``pause`` holds the uncached node the next
+    step waits on.  ``seq`` carries ``path[-1]``'s neighbor tuple for
+    engines that reuse it across steps; ``token`` is the replay token it
+    was cloned under.
+    """
+
+    __slots__ = ("rng", "token", "base", "path", "pause", "seq")
+
 
 @dataclasses.dataclass(frozen=True)
 class WalkSample:
@@ -125,6 +144,9 @@ class RandomWalkSampler(abc.ABC):
         # neighbor tuple, or None when it must be re-read through the
         # interface (after load_state, or a commit that didn't carry it).
         self._current_seq: Optional[tuple] = None
+        # A caller-supplied Random may be shared with other consumers, so
+        # a replay cursor cannot assume only this chain draws from it.
+        self._owns_rng = not isinstance(seed, random.Random)
         if bootstrap:
             self._bootstrap()
 
@@ -301,8 +323,9 @@ class RandomWalkSampler(abc.ABC):
     def load_state(self, state: dict) -> None:
         """Restore position/steps/trace/RNG captured by :meth:`state_dict`.
 
-        The response memo is invalidated; the next ``step()`` re-reads the
-        current node from the (restored) cache, which is free.
+        The response memo and the replay cursor are invalidated; the next
+        ``step()`` re-reads the current node from the (restored) cache,
+        which is free.
 
         Args:
             state: Output of :meth:`state_dict`.
@@ -313,15 +336,19 @@ class RandomWalkSampler(abc.ABC):
         self._rng.setstate(state["rng"])
         self._current_resp = None
         self._current_seq = None
+        self._cursor = None
 
     # ------------------------------------------------------------------
     # planning support
     # ------------------------------------------------------------------
 
-    #: Scratch RNG reused across predictions (lazily created): seeding a
-    #: fresh ``random.Random`` from the OS per call costs more than the
-    #: replay itself.
+    #: Scratch RNG the replay cursor draws from (lazily created): seeding
+    #: a fresh ``random.Random`` from the OS per clone costs more than
+    #: the replay itself.
     _replay_rng: Optional[random.Random] = None
+
+    #: This chain's replay cursor (lazily created, never serialized).
+    _cursor: Optional["_ReplayCursor"] = None
 
     def _replay_rng_clone(self) -> random.Random:
         """A scratch RNG carrying a copy of the live Mersenne state.
@@ -356,26 +383,132 @@ class RandomWalkSampler(abc.ABC):
         """The node this walk will *fetch* next, or ``None`` if unknown.
 
         Engines whose per-step randomness can be replayed against cached
-        neighborhoods override this to clone their RNG
-        (:meth:`_replay_rng_clone`) and walk forward through known
-        territory until the first uncached node — the fetch a
-        history-aware planner can issue early, into an open burst's
-        spare slot.  All four walk engines now implement the protocol:
-        SRW replays its uniform draw, MHRW replays the
-        proposal-then-accept pair over cached degrees, NBRW threads the
-        simulated predecessor through the exclusion filter, and MTO
-        replays the overlay draw / removal / replacement branches against
-        G* (returning ``None`` at the first branch that would mutate the
-        overlay or depends on an unknown neighborhood).  The prediction
-        must consume **no** live RNG state and issue **no** queries.
-        The default answers ``None``: unpredictable engines simply get
-        no prefetch.
+        neighborhoods override this and delegate to
+        :meth:`_replay_fetch`, supplying only their one-step replay rule
+        (:meth:`_replay_step`).  The replay walks forward from the live
+        node with a copy of the live RNG through known territory until
+        the first uncached node — the fetch a history-aware planner can
+        issue early, into an open burst's spare slot.  All four walk
+        engines implement the protocol: SRW replays its uniform draw,
+        MHRW the proposal-then-accept pair over cached degrees, NBRW
+        threads the simulated predecessor through the exclusion filter,
+        and MTO replays the overlay draw / removal / replacement
+        branches against G* (answering ``None`` at the first branch that
+        would mutate the overlay or depends on an unknown neighborhood).
+        The prediction consumes **no** live RNG state and issues **no**
+        queries.  The default answers ``None``: unpredictable engines
+        simply get no prefetch.
 
         Args:
             max_steps: Simulation horizon — how far through cached
                 territory to look before giving up.
         """
         return None
+
+    def _replay_fetch(self, max_steps: int):
+        """The next fetch within ``max_steps`` steps, via this chain's cursor.
+
+        The cursor keeps the replay between calls: a shadow RNG, the
+        live step count it was cloned at, and the positions it replayed
+        since.  A call first catches the cursor up to the live chain
+        (resuming a paused fetch the walk has since made), checks that
+        the live position lies on the replayed path, and trims the path
+        to start there; it then continues the replay where it stopped.
+        A still-pending uncached target is answered without replaying.
+        Every future draw is thus replayed once, however often a planner
+        asks, and the answer is the one a fresh clone's replay gives.
+
+        The cursor is re-cloned from the live RNG when it can no longer
+        be trusted: the replay token (:meth:`_replay_token`) changed or
+        reads ``None``, the live position is off the replayed path, the
+        sampler's :meth:`load_state` ran, or a live step raised (it may
+        have drawn before failing).  A chain whose RNG was handed in by
+        the caller re-clones on every call, since another holder of that
+        stream may draw from it between predictions.
+
+        Returns:
+            The predicted fetch, or ``None`` when a replay step cannot
+            be resolved or no fetch lies within ``max_steps`` steps.
+        """
+        cache = self._api.cache
+        token = self._replay_token() if self._owns_rng else None
+        cursor = self._cursor
+        if (
+            cursor is None
+            or token is None
+            or cursor.token != token
+            or not self._cursor_catch_up(cursor, cache)
+        ):
+            cursor = self._cursor_clone(token)
+        path = cursor.path
+        step = self._replay_step
+        while len(path) <= max_steps:
+            target = step(cursor, cache)
+            if target is None:
+                continue
+            if target is UNRESOLVED:
+                cursor.token = None
+                return None
+            return target
+        return None
+
+    def _cursor_clone(self, token) -> "_ReplayCursor":
+        """Restart this chain's cursor at the live position and RNG."""
+        cursor = self._cursor
+        if cursor is None:
+            cursor = self._cursor = _ReplayCursor()
+        cursor.rng = self._replay_rng_clone()
+        cursor.token = token
+        cursor.base = self._steps
+        cursor.path = [self._replay_position()]
+        cursor.pause = None
+        cursor.seq = None
+        return cursor
+
+    def _cursor_catch_up(self, cursor: "_ReplayCursor", cache) -> bool:
+        """Move ``cursor`` to the live step; ``False`` when it cannot."""
+        offset = self._steps - cursor.base
+        if offset < 0:
+            return False
+        path = cursor.path
+        while len(path) <= offset:
+            # The live chain stepped past the end of the replay: its
+            # fetches are cached now, so the replay follows it there.
+            if self._replay_step(cursor, cache) is not None:
+                return False
+        if path[offset] != self._replay_position():
+            return False
+        if offset:
+            del path[:offset]
+            cursor.base = self._steps
+        return True
+
+    def _replay_token(self):
+        """What must not change while a cursor is kept, or ``None``.
+
+        The replay reads cached neighborhoods, so the default token is the
+        cache's :attr:`~repro.interface.cache.NeighborhoodCache.
+        retention_version`: newly cached users are picked up by
+        re-checking the paused target, but a dropped or replaced one
+        could change a step already replayed.
+        """
+        return self._api.cache.retention_version
+
+    def _replay_position(self):
+        """The live chain state a replayed path records per step."""
+        return self._current
+
+    def _replay_step(self, cursor: "_ReplayCursor", cache):
+        """Replay one step of this engine from ``cursor.path[-1]``.
+
+        Draws from ``cursor.rng`` exactly as the live step would.  On a
+        completed step, appends the new position to ``cursor.path`` and
+        returns ``None``.  When the step needs an uncached neighborhood,
+        records that node in ``cursor.pause`` and returns it; a later
+        call resumes the paused step once the node is cached.  Returns
+        :data:`UNRESOLVED` when the step cannot be replayed.
+        """
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # sampling loop

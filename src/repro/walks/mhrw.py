@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional
 
-from repro.walks.base import RandomWalkSampler
+from repro.walks.base import UNRESOLVED, RandomWalkSampler
 
 Node = Hashable
 
@@ -32,32 +32,38 @@ class MetropolisHastingsWalk(RandomWalkSampler):
         then one ``random``), same acceptance arithmetic on the same
         degrees, same query log and billing as the full path.
         """
-        if self._uses_default_trace and not self._api.may_have_private:
-            seq = self._current_neighbor_seq()
-            if not seq:
-                self._stay_fast(0)
+        try:
+            if self._uses_default_trace and not self._api.may_have_private:
+                seq = self._current_neighbor_seq()
+                if not seq:
+                    self._stay_fast(0)
+                    return self._current
+                deg_u = len(seq)
+                proposal = seq[self._rng.randrange(deg_u)]
+                prop_seq = self._api.fetch_seq(proposal)
+                deg_v = len(prop_seq)
+                if self._rng.random() < min(1.0, deg_u / deg_v):
+                    self._advance_fast(proposal, deg_v, seq=prop_seq)
+                else:
+                    self._stay_fast(deg_u)
                 return self._current
-            deg_u = len(seq)
-            proposal = seq[self._rng.randrange(deg_u)]
-            prop_seq = self._api.fetch_seq(proposal)
-            deg_v = len(prop_seq)
-            if self._rng.random() < min(1.0, deg_u / deg_v):
-                self._advance_fast(proposal, deg_v, seq=prop_seq)
+            resp = self._query_current()
+            drawn = self._draw_accessible(resp.neighbor_seq)
+            if drawn is None:
+                self._stay()
+                return self.current
+            proposal, prop_resp = drawn
+            accept = min(1.0, resp.degree / prop_resp.degree)
+            if self._rng.random() < accept:
+                self._advance(proposal, prop_resp)
             else:
-                self._stay_fast(deg_u)
-            return self._current
-        resp = self._query_current()
-        drawn = self._draw_accessible(resp.neighbor_seq)
-        if drawn is None:
-            self._stay()
+                self._stay()
             return self.current
-        proposal, prop_resp = drawn
-        accept = min(1.0, resp.degree / prop_resp.degree)
-        if self._rng.random() < accept:
-            self._advance(proposal, prop_resp)
-        else:
-            self._stay()
-        return self.current
+        except BaseException:
+            # The step may have drawn before failing: the live RNG is
+            # then ahead of anything a replay cursor recorded.
+            self._cursor = None
+            raise
 
     def predict_next_fetch(self, max_steps: int = 64) -> Optional[Node]:
         """Replay proposal draws *and* acceptance tests to the next fetch.
@@ -68,7 +74,9 @@ class MetropolisHastingsWalk(RandomWalkSampler):
         resolving the accept branch, which is exactly one ``random()``
         against ``min(1, k_u / k_v)`` — both degrees readable from the
         cache — so the replay continues through accepted moves and
-        rejected holds alike, bit-for-bit with the live step.
+        rejected holds alike, bit-for-bit with the live step.  The
+        chain's persistent cursor pauses between an uncached proposal
+        and its coin, and draws the coin once the proposal is cached.
 
         Returns ``None`` on networks with private users (the redraw loop
         has data-dependent draw counts), at dead ends, or when everything
@@ -76,24 +84,32 @@ class MetropolisHastingsWalk(RandomWalkSampler):
         """
         if self._api.may_have_private:
             return None
-        cache = self._api.cache
-        rng = self._replay_rng_clone()
-        cur = self._current
-        cur_seq = self._replay_seq_of(cache, cur)
-        for _ in range(max_steps):
+        return self._replay_fetch(max_steps)
+
+    def _replay_step(self, cursor, cache):
+        """One proposal and its accept coin; pauses on an uncached proposal."""
+        path = cursor.path
+        cur_seq = cursor.seq
+        if cur_seq is None:
+            cur_seq = cursor.seq = self._replay_seq_of(cache, path[-1])
+        proposal = cursor.pause
+        if proposal is None:
             if not cur_seq:
-                return None
-            deg_u = len(cur_seq)
-            proposal = cur_seq[rng.randrange(deg_u)]
-            prop_seq = cache.neighbor_seq(proposal)
-            if prop_seq is None:
-                return proposal
-            deg_v = len(prop_seq)
-            if not deg_v:  # degree-0 proposal: the live accept would fault
-                return None
-            if rng.random() < min(1.0, deg_u / deg_v):
-                cur, cur_seq = proposal, prop_seq
-            # rejected proposals hold in place: same node, same sequence
+                return UNRESOLVED
+            proposal = cur_seq[cursor.rng.randrange(len(cur_seq))]
+        prop_seq = cache.neighbor_seq(proposal)
+        if prop_seq is None:
+            cursor.pause = proposal
+            return proposal
+        cursor.pause = None
+        deg_v = len(prop_seq)
+        if not deg_v:  # degree-0 proposal: the live accept would fault
+            return UNRESOLVED
+        if cursor.rng.random() < min(1.0, len(cur_seq) / deg_v):
+            path.append(proposal)
+            cursor.seq = prop_seq
+        else:  # rejected proposals hold in place: same node, same sequence
+            path.append(path[-1])
         return None
 
     def weight(self, node: Node) -> float:

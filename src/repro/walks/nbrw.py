@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional, Sequence
 
-from repro.walks.base import RandomWalkSampler
+from repro.walks.base import UNRESOLVED, RandomWalkSampler
 
 Node = Hashable
 
@@ -36,36 +36,42 @@ class NonBacktrackingWalk(RandomWalkSampler):
         over the same stable sequence, the same single ``randrange``, the
         same query log and billing as the full path.
         """
-        if self._uses_default_trace and not self._api.may_have_private:
-            seq = self._current_neighbor_seq()
-            neighbors: Sequence[Node] = seq
+        try:
+            if self._uses_default_trace and not self._api.may_have_private:
+                seq = self._current_neighbor_seq()
+                neighbors: Sequence[Node] = seq
+                if self._previous is not None and len(neighbors) > 1:
+                    neighbors = [v for v in neighbors if v != self._previous]
+                if not neighbors:  # only possible when seq itself is empty
+                    self._stay_fast(0)
+                    return self._current
+                nxt = neighbors[self._rng.randrange(len(neighbors))]
+                nxt_seq = self._api.fetch_seq(nxt)
+                self._previous = self._current
+                self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
+                return nxt
+            resp = self._query_current()
+            neighbors: Sequence[Node] = resp.neighbor_seq
             if self._previous is not None and len(neighbors) > 1:
                 neighbors = [v for v in neighbors if v != self._previous]
-            if not neighbors:  # only possible when seq itself is empty
-                self._stay_fast(0)
-                return self._current
-            nxt = neighbors[self._rng.randrange(len(neighbors))]
-            nxt_seq = self._api.fetch_seq(nxt)
-            self._previous = self._current
-            self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
+            drawn = self._draw_accessible(neighbors)
+            if drawn is None:
+                # Everything (except possibly the predecessor) is private:
+                # allow the backtrack rather than dying.
+                fallback = self._draw_accessible(resp.neighbor_seq)
+                if fallback is None:
+                    self._stay()
+                    return self.current
+                drawn = fallback
+            nxt, nxt_resp = drawn
+            self._previous = self.current
+            self._advance(nxt, nxt_resp)
             return nxt
-        resp = self._query_current()
-        neighbors: Sequence[Node] = resp.neighbor_seq
-        if self._previous is not None and len(neighbors) > 1:
-            neighbors = [v for v in neighbors if v != self._previous]
-        drawn = self._draw_accessible(neighbors)
-        if drawn is None:
-            # Everything (except possibly the predecessor) is private:
-            # allow the backtrack rather than dying.
-            fallback = self._draw_accessible(resp.neighbor_seq)
-            if fallback is None:
-                self._stay()
-                return self.current
-            drawn = fallback
-        nxt, nxt_resp = drawn
-        self._previous = self.current
-        self._advance(nxt, nxt_resp)
-        return nxt
+        except BaseException:
+            # The step may have drawn before failing: the live RNG is
+            # then ahead of anything a replay cursor recorded.
+            self._cursor = None
+            raise
 
     def predict_next_fetch(self, max_steps: int = 64) -> Optional[Node]:
         """Replay the predecessor-exclusion draw to the next fetch.
@@ -74,7 +80,10 @@ class NonBacktrackingWalk(RandomWalkSampler):
         (at degree > 1), so the replay threads a *simulated* predecessor
         alongside the cloned RNG: filter, ``randrange`` over what
         remains, advance, repeat — until the drawn node's neighborhood is
-        not cached, which is the fetch the live walk will pay for.
+        not cached, which is the fetch the live walk will pay for.  The
+        chain's persistent cursor records ``(node, predecessor)`` per
+        step, so a live chain is on the replayed path only when both
+        match.
 
         Returns ``None`` on networks with private users (the exclusion
         fallback re-draws with data-dependent counts), at dead ends, or
@@ -82,22 +91,32 @@ class NonBacktrackingWalk(RandomWalkSampler):
         """
         if self._api.may_have_private:
             return None
-        cache = self._api.cache
-        rng = self._replay_rng_clone()
-        cur = self._current
-        prev = self._previous
-        seq = self._replay_seq_of(cache, cur)
-        for _ in range(max_steps):
+        return self._replay_fetch(max_steps)
+
+    def _replay_position(self):
+        return (self._current, self._previous)
+
+    def _replay_step(self, cursor, cache):
+        """One predecessor-excluding draw; pauses on an uncached node."""
+        cur, prev = cursor.path[-1]
+        nxt = cursor.pause
+        if nxt is None:
+            seq = cursor.seq
+            if seq is None:
+                seq = self._replay_seq_of(cache, cur)
             if not seq:
-                return None
+                return UNRESOLVED
             neighbors: Sequence[Node] = seq
             if prev is not None and len(neighbors) > 1:
                 neighbors = [v for v in neighbors if v != prev]
-            nxt = neighbors[rng.randrange(len(neighbors))]
-            nxt_seq = cache.neighbor_seq(nxt)
-            if nxt_seq is None:
-                return nxt
-            prev, cur, seq = cur, nxt, nxt_seq
+            nxt = neighbors[cursor.rng.randrange(len(neighbors))]
+        nxt_seq = cache.neighbor_seq(nxt)
+        if nxt_seq is None:
+            cursor.pause = nxt
+            return nxt
+        cursor.pause = None
+        cursor.seq = nxt_seq
+        cursor.path.append((nxt, cur))
         return None
 
     def weight(self, node: Node) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional
 
-from repro.walks.base import RandomWalkSampler
+from repro.walks.base import UNRESOLVED, RandomWalkSampler
 
 Node = Hashable
 
@@ -39,23 +39,29 @@ class SimpleRandomWalk(RandomWalkSampler):
         RestrictedSocialAPI.fetch_seq` — same RNG consumption, same query
         log, same billing as the full path, bit for bit.
         """
-        if self._uses_default_trace and not self._api.may_have_private:
-            seq = self._current_neighbor_seq()
-            if not seq:
-                self._stay_fast(0)
-                return self._current
-            nxt = seq[self._rng.randrange(len(seq))]
-            nxt_seq = self._api.fetch_seq(nxt)
-            self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
+        try:
+            if self._uses_default_trace and not self._api.may_have_private:
+                seq = self._current_neighbor_seq()
+                if not seq:
+                    self._stay_fast(0)
+                    return self._current
+                nxt = seq[self._rng.randrange(len(seq))]
+                nxt_seq = self._api.fetch_seq(nxt)
+                self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
+                return nxt
+            resp = self._query_current()
+            drawn = self._draw_accessible(resp.neighbor_seq)
+            if drawn is None:
+                self._stay()
+                return self.current
+            nxt, nxt_resp = drawn
+            self._advance(nxt, nxt_resp)
             return nxt
-        resp = self._query_current()
-        drawn = self._draw_accessible(resp.neighbor_seq)
-        if drawn is None:
-            self._stay()
-            return self.current
-        nxt, nxt_resp = drawn
-        self._advance(nxt, nxt_resp)
-        return nxt
+        except BaseException:
+            # The step may have drawn before failing: the live RNG is
+            # then ahead of anything a replay cursor recorded.
+            self._cursor = None
+            raise
 
     def predict_next_fetch(self, max_steps: int = 64) -> Optional[Node]:
         """Replay the walk's RNG through cached territory to its next fetch.
@@ -65,7 +71,11 @@ class SimpleRandomWalk(RandomWalkSampler):
         *actual* future path for free: follow the draws while every
         visited neighborhood is cached, and the first uncached node hit
         is precisely the neighborhood the walk will pay a provider round
-        trip for.  The live RNG is untouched and no queries are issued.
+        trip for.  The replay runs on the chain's persistent cursor
+        (:meth:`~repro.walks.base.RandomWalkSampler._replay_fetch`), so
+        asking again after a prefetch continues from the prefetched node
+        instead of replaying the path from the live node.  The live RNG
+        is untouched and no queries are issued.
 
         Returns ``None`` when the future path cannot be simulated: the
         network has private users (the redraw loop consumes a
@@ -75,16 +85,25 @@ class SimpleRandomWalk(RandomWalkSampler):
         """
         if self._api.may_have_private:
             return None
-        cache = self._api.cache
-        rng = self._replay_rng_clone()
-        cur = self._current
-        for _ in range(max_steps):
-            seq = self._replay_seq_of(cache, cur)
-            if not seq:
-                return None
-            cur = seq[rng.randrange(len(seq))]
-            if not cache.has(cur):
-                return cur
+        return self._replay_fetch(max_steps)
+
+    def _replay_step(self, cursor, cache):
+        """One uniform draw; pauses on an uncached node."""
+        target = cursor.pause
+        if target is not None:
+            if not cache.has(target):
+                return target
+            cursor.pause = None
+            cursor.path.append(target)
+            return None
+        seq = self._replay_seq_of(cache, cursor.path[-1])
+        if not seq:
+            return UNRESOLVED
+        nxt = seq[cursor.rng.randrange(len(seq))]
+        if not cache.has(nxt):
+            cursor.pause = nxt
+            return nxt
+        cursor.path.append(nxt)
         return None
 
     def weight(self, node: Node) -> float:

@@ -1,5 +1,7 @@
 """Unit tests for the overlay graph and the offline fixpoint builder."""
 
+import random
+
 import pytest
 
 from repro.analysis import min_conductance_exact
@@ -108,6 +110,41 @@ class TestModifications:
         assert ov.has_edge(0, 1)
         ov.ensure_known(2)  # unaffected node
         assert ov.has_edge(2, 0)
+
+
+class TestVersion:
+    def test_every_change_to_g_star_moves_it(self):
+        ov = overlay_for(complete_graph(5))
+        seen = [ov.version]
+        ov.ensure_known(0)
+        seen.append(ov.version)
+        ov.ensure_known(0)  # already materialized: no change
+        assert ov.version == seen[-1]
+        ov.ensure_known_many([1, 2])
+        seen.append(ov.version)
+        ov.remove_edge(0, 1)
+        seen.append(ov.version)
+        ov.add_edge(0, 1)
+        seen.append(ov.version)
+        ov.ensure_known(3)
+        ov.remove_edge(0, 3)
+        seen.append(ov.version)
+        ov.replace_edge(0, 2, 3)
+        seen.append(ov.version)
+        ov.load_state(ov.state_dict())
+        seen.append(ov.version)
+        assert seen == sorted(set(seen))
+
+    def test_reads_leave_it(self):
+        ov = overlay_for(complete_graph(4))
+        ov.ensure_known(0)
+        before = ov.version
+        ov.neighbors_seq(0)
+        ov.degree(0)
+        ov.is_known(1)
+        ov.random_neighbor(0, random.Random(1))
+        assert ov.version == before
+        assert "version" not in ov.state_dict()
 
 
 class TestKnownSubgraph:

@@ -156,6 +156,55 @@ class TestTtlLruInteraction:
         assert kv.evictions == 1
 
 
+class TestRetentionVersion:
+    """Moves on every drop or replacement of a live value, never on inserts."""
+
+    def test_inserts_and_reads_leave_it(self):
+        kv = KeyValueStore()
+        before = kv.retention_version
+        kv.set("a", 1)
+        kv.set("b", 2)
+        kv.get("a")
+        kv.get("missing")
+        assert "b" in kv
+        assert kv.retention_version == before
+
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            lambda kv: kv.set("a", 9),
+            lambda kv: kv.delete("a"),
+            lambda kv: kv.clear(),
+            lambda kv: kv.load_state(KeyValueStore().state_dict()),
+        ],
+        ids=["overwrite", "delete", "clear", "load_state"],
+    )
+    def test_drops_move_it(self, drop):
+        kv = KeyValueStore()
+        kv.set("a", 1)
+        before = kv.retention_version
+        drop(kv)
+        assert kv.retention_version is not None
+        assert kv.retention_version != before
+
+    def test_delete_of_absent_key_leaves_it(self):
+        kv = KeyValueStore()
+        before = kv.retention_version
+        kv.delete("missing")
+        assert kv.retention_version == before
+
+    def test_none_while_a_ttl_key_is_present(self):
+        kv = KeyValueStore()
+        kv.set("a", 1, ttl=5.0)
+        assert kv.retention_version is None
+        kv.advance(10.0)
+        assert kv.get("a") is None  # purged on read
+        assert kv.retention_version is not None
+
+    def test_none_for_a_bounded_store(self):
+        assert KeyValueStore(capacity=4).retention_version is None
+
+
 class TestStatePersistence:
     def test_round_trip_preserves_entries_and_counters(self):
         kv = KeyValueStore()

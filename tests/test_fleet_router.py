@@ -147,3 +147,39 @@ class TestRebalancing:
         for u in users:
             if before.shard_of(u) < 3:
                 assert after.shard_of(u) == before.shard_of(u)
+
+
+class TestShardMemo:
+    """``shard_of`` memoizes per user id without changing any answer."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(users=st.lists(USER_IDS, max_size=40))
+    def test_memo_equals_uncached_hash(self, users):
+        router = ShardRouter(5, seed=3, weights=[3.0, 1.0, 1.0, 2.0, 1.0])
+        for user in users + users:  # the second pass is served by the memo
+            assert router.shard_of(user) == router._hash_shard(user)
+
+    @pytest.mark.parametrize("user", [0, 12345, -7, "alice", "", ("bob", 3), (1, (2, "x"))])
+    def test_memo_equals_uncached_hash_per_id_shape(self, user):
+        router = ShardRouter(4, seed=11)
+        first = router.shard_of(user)
+        assert router.shard_of(user) == first == router._hash_shard(user)
+
+    def test_with_shards_keeps_a_separate_memo(self):
+        users = list(range(2000)) + [f"u{i}" for i in range(200)]
+        before = ShardRouter(3, seed=8)
+        routed = [before.shard_of(u) for u in users]
+        after = before.with_shards(4)
+        assert after._shard_memo is not before._shard_memo
+        assert not after._shard_memo
+        assert [after.shard_of(u) for u in users] == [after._hash_shard(u) for u in users]
+        assert [before.shard_of(u) for u in users] == routed
+        assert sum(a != b for a, b in zip(routed, (after.shard_of(u) for u in users))) > 0
+
+    def test_memo_is_not_snapshotted(self):
+        router = ShardRouter(4, seed=2)
+        captured = router.state_dict()
+        for user in range(100):
+            router.shard_of(user)
+        assert router.state_dict() == captured
+        assert "_shard_memo" not in json.dumps(encode_value(router.state_dict()))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datastore import DocumentStore
+from repro.datastore import DocumentStore, KeyValueStore
 from repro.errors import QueryBudgetExhaustedError, UnknownUserError
 from repro.graph import Graph
 from repro.interface import (
@@ -134,3 +134,15 @@ class TestNeighborhoodCache:
         cache.put("a", frozenset(), {})
         cache.clear()
         assert not cache.has("a")
+
+    def test_retention_version(self):
+        cache = NeighborhoodCache()
+        before = cache.retention_version
+        cache.put("a", frozenset({1}), {})
+        assert cache.retention_version == before  # new entries drop nothing
+        cache.put("a", frozenset({2}), {})
+        assert cache.retention_version != before  # a replaced response
+        ttl_cache = NeighborhoodCache(ttl=1.0)
+        ttl_cache.put("a", frozenset({1}), {})
+        assert ttl_cache.retention_version is None  # entries expire unseen
+        assert NeighborhoodCache(KeyValueStore(capacity=8)).retention_version is None

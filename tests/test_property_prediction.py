@@ -1,16 +1,25 @@
-"""Property-based tests for universal prefetch prediction (ISSUE 8).
+"""Property-based tests for universal prefetch prediction.
 
-The prediction contract every walk engine now honors: cloning the live
-RNG (:meth:`~repro.walks.base.RandomWalkSampler._replay_rng_clone`) and
-replaying the engine's own draw discipline through cached territory
-yields either ``None`` (unresolvable — private users, dead ends, a
+The prediction contract every walk engine honors: replaying the engine's
+own draw discipline through cached territory, with a copy of the live
+RNG, yields either ``None`` (unresolvable — private users, dead ends, a
 rewiring branch, or no fetch within the horizon) or the *exact* user the
 walk's next billed §II-B query will hit.  Hypothesis sweeps random
 connected graphs, walk seeds, warm-up depths, and pre-warmed cache
 states; a wrong prediction here means a planner would prefetch — and
 bill — a neighborhood the walk never visits.
 
-The second family checks the planner's books over mixed-engine rosters:
+Each chain keeps one persistent replay cursor between predictions
+(:meth:`~repro.walks.base.RandomWalkSampler._replay_fetch`), so a
+prediction continues the previous replay instead of re-cloning the RNG
+(:meth:`~repro.walks.base.RandomWalkSampler._replay_rng_clone`).  The
+differential family interleaves predictions, prefetches, live steps and
+``load_state`` at random and checks every cursor answer against a fresh
+clone's replay; named cases cover a reloaded RNG at the same position,
+TTL'd and capacity-bounded caches, and a sharer's write to an MTO
+overlay.
+
+The ledger family checks the planner's books over mixed-engine rosters:
 the prefetch ledger must balance (issued = used + wasted + outstanding)
 and the per-engine prediction counters must cover exactly the engine
 types that walked, both for one scheduler hosting a heterogeneous
@@ -18,6 +27,9 @@ roster and for a multi-tenant service whose tenants run different
 engines over one shared cache.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,8 +41,12 @@ from repro.compose import (
     build_fleet,
 )
 from repro.core.mto import MTOSampler
+from repro.core.overlay import OverlayGraph
+from repro.datastore.kv import KeyValueStore
+from repro.errors import QueryBudgetExhaustedError
 from repro.graph import Graph
 from repro.interface.api import RestrictedSocialAPI
+from repro.interface.cache import NeighborhoodCache
 from repro.planning import DispatchPlanner
 from repro.walks.mhrw import MetropolisHastingsWalk
 from repro.walks.nbrw import NonBacktrackingWalk
@@ -154,6 +170,241 @@ class TestPredictionMatchesReality:
         for _ in range(8):
             walk.step()
         assert walk.predict_next_fetch(max_steps=HORIZON) is None
+
+
+def _fresh_prediction(walk, horizon):
+    """What a freshly cloned replay predicts; the walk's cursor is untouched."""
+    saved = walk._cursor, walk._replay_rng
+    walk._cursor = walk._replay_rng = None
+    try:
+        return walk.predict_next_fetch(max_steps=horizon)
+    finally:
+        walk._cursor, walk._replay_rng = saved
+
+
+def _checked_prediction(walk, horizon):
+    """The cursor's prediction, asserted equal to a fresh clone's."""
+    live_rng = walk.rng.getstate()
+    fresh = _fresh_prediction(walk, horizon)
+    predicted = walk.predict_next_fetch(max_steps=horizon)
+    assert predicted == fresh, (
+        f"{type(walk).__name__} cursor predicted {predicted!r}, "
+        f"a fresh replay {fresh!r} (horizon {horizon}, step {walk.steps})"
+    )
+    assert walk.rng.getstate() == live_rng  # no live draws consumed
+    return predicted
+
+
+#: One interleaving step: plan (the planner's loop: predict, prefetch the
+#: target, ask again, up to ``arg`` times), predict alone at a horizon,
+#: fetch an arbitrary node (another chain's query), step live, or capture
+#: / reload the sampler's state.
+OPS = st.one_of(
+    st.tuples(st.just("plan"), st.integers(1, 4)),
+    st.tuples(st.just("predict"), st.integers(1, 12)),
+    st.tuples(st.just("fetch"), st.integers(0, 11)),
+    st.tuples(st.just("step"), st.integers(1, 3)),
+    st.tuples(st.just("save"), st.just(0)),
+    st.tuples(st.just("load"), st.just(0)),
+)
+
+
+def _run_interleaving(walk, api, graph, ops):
+    saved = None
+    nodes = sorted(graph.nodes())
+    for op, arg in ops:
+        if op == "plan":
+            for _ in range(arg):
+                target = _checked_prediction(walk, HORIZON)
+                if target is None:
+                    break
+                api.query(target)
+        elif op == "predict":
+            _checked_prediction(walk, arg)
+        elif op == "fetch":
+            api.query(nodes[arg % len(nodes)])
+        elif op == "step":
+            for _ in range(arg):
+                walk.step()
+        elif op == "save":
+            saved = walk.state_dict()
+        elif saved is not None:
+            walk.load_state(saved)
+    _checked_prediction(walk, HORIZON)
+
+
+class TestReplayCursor:
+    """The persistent cursor answers exactly what a fresh replay answers."""
+
+    @settings(deadline=None)  # max_examples comes from the active profile
+    @given(
+        graph=connected_graphs(),
+        engine=st.sampled_from(sorted(ENGINES)),
+        seed=st.integers(0, 2**20),
+        ops=st.lists(OPS, min_size=3, max_size=30),
+    )
+    def test_cursor_matches_fresh_replay(self, graph, engine, seed, ops):
+        api = RestrictedSocialAPI(graph)
+        walk = ENGINES[engine](api, start=0, seed=seed)
+        _run_interleaving(walk, api, graph, ops)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_load_state_same_position_other_rng(self, engine):
+        """Reloading the same ``(steps, current)`` with another RNG re-clones."""
+        graph = Graph([(i, j) for i in range(12) for j in range(i + 1, 12) if (i * j) % 5 < 3])
+        differed = 0
+        for seed in range(20):
+            api = RestrictedSocialAPI(graph)
+            walk = ENGINES[engine](api, start=0, seed=seed)
+            for _ in range(3):
+                walk.step()
+            before = _checked_prediction(walk, HORIZON)
+            state = walk.state_dict()
+            state["rng"] = random.Random(10_000 + seed).getstate()
+            walk.load_state(state)
+            after = _checked_prediction(walk, HORIZON)
+            differed += after != before
+        assert differed  # the reload changed the answer at least once
+
+    @pytest.mark.parametrize("engine", ["srw", "mhrw", "nbrw"])
+    def test_shared_caller_rng(self, engine):
+        """Another holder of a caller-supplied RNG may draw between calls."""
+        graph = Graph([(i, (i + 1) % 30) for i in range(30)] + [(i, (i + 4) % 30) for i in range(30)])
+        api = RestrictedSocialAPI(graph)
+        for v in range(0, 30, 2):
+            api.query(v)
+        shared = random.Random(4)
+        walk = ENGINES[engine](api, start=0, seed=shared)
+        other = ENGINES[engine](api, start=15, seed=shared)
+        for _ in range(30):
+            _checked_prediction(walk, HORIZON)
+            other.step()
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_step_failing_after_a_draw(self, engine):
+        """A step that draws, then fails its fetch, leaves the RNG ahead."""
+        graph = Graph([(i, (i + 1) % 30) for i in range(30)] + [(i, (i + 4) % 30) for i in range(30)])
+        failures = 0
+        for seed in range(10):
+            api = RestrictedSocialAPI(graph, query_budget=8)
+            walk = ENGINES[engine](api, start=0, seed=seed)
+            for _ in range(40):
+                _checked_prediction(walk, HORIZON)
+                try:
+                    walk.step()
+                except QueryBudgetExhaustedError:
+                    failures += 1
+        assert failures
+
+    def test_pending_target_answered_without_replay(self):
+        graph = Graph([(i, (i + 1) % 40) for i in range(40)] + [(i, (i + 7) % 40) for i in range(40)])
+        api = RestrictedSocialAPI(graph)
+        walk = SimpleRandomWalk(api, start=0, seed=3)
+        for _ in range(10):
+            walk.step()
+        target = walk.predict_next_fetch(max_steps=64)
+        assert target is not None
+        cursor = walk._cursor
+        offset = len(cursor.path)  # draws from the live node to the target
+        rng_state = cursor.rng.getstate()
+        assert walk.predict_next_fetch(max_steps=offset) == target
+        assert walk.predict_next_fetch(max_steps=offset - 1) is None
+        assert cursor.rng.getstate() == rng_state  # nothing replayed again
+        assert "cursor" not in str(sorted(walk.state_dict()))
+
+    def test_path_trimmed_as_live_chain_catches_up(self):
+        graph = Graph([(i, (i + 1) % 30) for i in range(30)] + [(i, (i + 4) % 30) for i in range(30)])
+        api = RestrictedSocialAPI(graph)
+        for v in graph.nodes():
+            api.query(v)
+        walk = NonBacktrackingWalk(api, start=0, seed=5)
+        assert walk.predict_next_fetch(max_steps=20) is None  # everything cached
+        cursor = walk._cursor
+        assert len(cursor.path) == 21
+        for _ in range(7):
+            walk.step()
+        assert _checked_prediction(walk, 20) is None
+        assert walk._cursor is cursor
+        assert cursor.base == walk.steps
+        assert cursor.path[0] == (walk.current, walk._previous)
+        assert len(cursor.path) == 21
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @settings(max_examples=20, deadline=None)
+    @given(
+        graph=connected_graphs(),
+        seed=st.integers(0, 2**20),
+        ops=st.lists(OPS, min_size=3, max_size=30),
+    )
+    def test_ttl_cache(self, engine, graph, seed, ops):
+        """TTL'd entries expire on the clock: every prediction re-clones."""
+        now = [0.0]
+        store = KeyValueStore(clock=lambda: now[0])
+        api = RestrictedSocialAPI(graph, cache=NeighborhoodCache(store, ttl=3.0))
+        walk = ENGINES[engine](api, start=0, seed=seed)
+        assert api.cache.retention_version is None
+        timed = []
+        for op in ops:
+            timed.append(op)
+            if op[0] == "step":
+                timed.append(("predict", HORIZON))
+        for op, arg in timed:
+            now[0] += 1.0  # entries fetched three operations ago expire
+            _run_interleaving(walk, api, graph, [(op, arg)])
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @settings(max_examples=20, deadline=None)
+    @given(
+        graph=connected_graphs(),
+        seed=st.integers(0, 2**20),
+        capacity=st.integers(6, 24),
+        ops=st.lists(OPS, min_size=3, max_size=30),
+    )
+    def test_capacity_bounded_cache(self, engine, graph, seed, capacity, ops):
+        """A bounded store evicts on any insert: every prediction re-clones."""
+        api = RestrictedSocialAPI(graph, cache=NeighborhoodCache(KeyValueStore(capacity=capacity)))
+        walk = ENGINES[engine](api, start=0, seed=seed)
+        assert api.cache.retention_version is None
+        _run_interleaving(walk, api, graph, ops)
+
+    def test_shared_store_delete_invalidates(self):
+        """A second cache object deleting through the shared store is seen."""
+        graph = Graph([(i, (i + 1) % 20) for i in range(20)] + [(i, (i + 3) % 20) for i in range(20)])
+        for seed in range(50):
+            store = KeyValueStore()
+            api = RestrictedSocialAPI(graph, cache=NeighborhoodCache(store))
+            for v in range(16):
+                api.query(v)
+            walk = SimpleRandomWalk(api, start=0, seed=seed)
+            before = _checked_prediction(walk, HORIZON)
+            path = walk._cursor.path
+            if len(path) > 1 and path[1] != walk.current:
+                break
+        else:
+            pytest.fail("no seed replayed through a cached neighbor")
+        version = api.cache.retention_version
+        store.delete(NeighborhoodCache(store)._nbr_key(path[1]))
+        assert api.cache.retention_version != version
+        assert _checked_prediction(walk, HORIZON) == path[1] != before
+
+    def test_mto_sharer_overlay_write(self):
+        """Another chain materializing the predicted node re-clones the cursor."""
+        graph = Graph([(i, (i + 1) % 24) for i in range(24)] + [(i, (i + 5) % 24) for i in range(24)])
+        api = RestrictedSocialAPI(graph)
+        overlay = OverlayGraph(api)
+        chain = MTOSampler(api, start=0, seed=2, overlay=overlay)
+        sharer = MTOSampler(api, start=12, seed=9, overlay=overlay)
+        target = _checked_prediction(chain, HORIZON)
+        assert target is not None
+        version = overlay.version
+        overlay.ensure_known(target)  # the sharer's step would do this
+        assert overlay.version != version
+        assert _checked_prediction(chain, HORIZON) != target
+        for _ in range(20):
+            sharer.step()
+            _checked_prediction(chain, HORIZON)
+            chain.step()
+            _checked_prediction(chain, HORIZON)
 
 
 class TestLedgerBalance:
