@@ -10,8 +10,9 @@ is visible from ``v`` whenever ``v`` is materialized, so the overlay is a
 well-defined undirected graph at every instant.
 
 Materialized neighborhoods are *indexed*: an insertion-ordered mapping for
-O(1) membership plus a lazily cached neighbor tuple, so the walk's uniform
-draw is O(1) and deterministic under a fixed seed without any sorting.
+O(1) membership plus a lazily cached neighbor tuple (dropped whenever the
+row changes), so the walk's uniform draw is O(1) and deterministic under a
+fixed seed without any sorting.
 The ordering follows the interface's stable ``neighbor_seq`` (removal
 filters preserve it; replacements append), which is itself deterministic
 for deterministically built networks.
@@ -25,9 +26,8 @@ producing the G* / G** whose conductances §II-D and §III report.
 from __future__ import annotations
 
 import random
-from typing import AbstractSet, Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.core.adjacency import CompactAdjacency
 from repro.core.criteria import is_removable, replacement_allowed
 from repro.errors import EdgeNotFoundError, SelfLoopError, WalkError
 from repro.graph.adjacency import Graph
@@ -78,10 +78,11 @@ class OverlayGraph:
         self._api = api
         # node -> insertion-ordered neighbor index (dict keys as ordered set)
         self._known: Dict[Node, Dict[Node, None]] = {}
-        # Int-interned arena mirror of _known, mutated in lockstep: serves
-        # neighbor tuples, seeded draws, and the batched lanes (a row
-        # exists exactly for materialized nodes).
-        self._compact = CompactAdjacency()
+        # node -> its row as a tuple (what seeded draws index); filled
+        # lazily, dropped by every change to a materialized row.  A node
+        # gets an entry only once materialized, so materializing a row
+        # never leaves a stale tuple behind.
+        self._seqs: Dict[Node, Tuple[Node, ...]] = {}
         self._removed: Dict[Node, Set[Node]] = {}
         # insertion-ordered so lazy application preserves determinism
         self._added: Dict[Node, Dict[Node, None]] = {}
@@ -105,7 +106,6 @@ class OverlayGraph:
             if v != node:
                 nbrs[v] = None
         self._known[node] = nbrs
-        self._compact.set_row(node, nbrs)
         self._orig_degree[node] = resp.degree
         self._version += 1
 
@@ -131,13 +131,8 @@ class OverlayGraph:
             The underlying :class:`~repro.interface.api.BatchQueryResult`,
             so callers can see which members failed.
         """
-        order = list(dict.fromkeys(nodes))
-        if order:
-            # One batched membership read instead of per-id dict probes.
-            mask = self._compact.row_mask(order)
-            missing = [n for n, known in zip(order, mask) if not known]
-        else:
-            missing = []
+        known = self._known
+        missing = [n for n in dict.fromkeys(nodes) if n not in known]
         result = self._api.query_many(missing)
         for node, resp in result.responses.items():
             if node not in self._known:
@@ -180,53 +175,54 @@ class OverlayGraph:
         except KeyError:
             raise WalkError(f"node {node!r} not materialized in overlay") from None
 
+    def _seq(self, node: Node) -> Tuple[Node, ...]:
+        # The cached row tuple; the overlay's own hot paths call this
+        # rather than the public ``neighbors_seq``.
+        seq = self._seqs.get(node)
+        if seq is None:
+            try:
+                seq = self._seqs[node] = tuple(self._known[node])
+            except KeyError:
+                raise WalkError(f"node {node!r} not materialized in overlay") from None
+        return seq
+
     def neighbors_seq(self, node: Node) -> Tuple[Node, ...]:
         """Stable neighbor tuple of a materialized node (cached, O(1)).
 
         Raises:
             WalkError: If the node has not been materialized.
         """
-        try:
-            return self._compact.seq(node)
-        except KeyError:
-            raise WalkError(f"node {node!r} not materialized in overlay") from None
+        return self._seq(node)
 
     def random_neighbor(self, node: Node, rng: random.Random) -> Optional[Node]:
         """Uniform O(1) draw from a materialized neighborhood.
 
-        Returns ``None`` when the overlay leaves ``node`` isolated.
+        Consumes exactly one ``rng.randrange(degree)``; returns ``None``
+        without drawing when the overlay leaves ``node`` isolated.
 
         Raises:
             WalkError: If the node has not been materialized.
         """
-        try:
-            return self._compact.draw(node, rng)
-        except KeyError:
-            raise WalkError(f"node {node!r} not materialized in overlay") from None
+        seq = self._seq(node)
+        return seq[rng.randrange(len(seq))] if seq else None
 
-    def draw_many(
-        self, nodes, rngs
-    ) -> "list[Optional[Node]]":
-        """One uniform draw per ``(node, rng)`` pair — see
-        :meth:`repro.core.adjacency.CompactAdjacency.draw_many`.
+    def draw_many(self, nodes: Iterable[Node], rngs: Iterable[random.Random]) -> List[Optional[Node]]:
+        """One :meth:`random_neighbor` draw per ``(node, rng)`` pair, in list order.
 
         Raises:
-            WalkError: If any node has not been materialized.
+            WalkError: If a node has not been materialized.
         """
-        try:
-            return self._compact.draw_many(nodes, rngs)
-        except KeyError as exc:
-            raise WalkError(
-                f"node {exc.args[0]!r} not materialized in overlay"
-            ) from None
+        return [self.random_neighbor(node, rng) for node, rng in zip(nodes, rngs)]
 
-    def known_mask(self, nodes):
-        """Boolean is-materialized for a batch of ids, one call."""
-        return self._compact.row_mask(nodes)
+    def known_mask(self, nodes: Iterable[Node]) -> List[bool]:
+        """Whether each node has been materialized."""
+        known = self._known
+        return [node in known for node in nodes]
 
-    def known_degrees_many(self, nodes):
-        """Overlay degrees for a batch; ``-1`` marks unmaterialized ids."""
-        return self._compact.degrees_many(nodes)
+    def known_degrees_many(self, nodes: Iterable[Node]) -> List[int]:
+        """Overlay degree of each node; ``-1`` marks unmaterialized ids."""
+        known = self._known
+        return [len(known[node]) if node in known else -1 for node in nodes]
 
     def degree(self, node: Node) -> int:
         """Overlay degree ``k*_node`` of a materialized node.
@@ -293,7 +289,7 @@ class OverlayGraph:
         for a, b in ((u, v), (v, u)):
             if a in self._known:
                 self._known[a].pop(b, None)
-                self._compact.remove(a, b)
+                self._seqs.pop(a, None)
         self._removal_count += 1
         self._version += 1
 
@@ -308,9 +304,8 @@ class OverlayGraph:
         self._note_added(u, v)
         for a, b in ((u, v), (v, u)):
             if a in self._known:
-                if b not in self._known[a]:
-                    self._compact.append(a, b)
                 self._known[a][b] = None
+                self._seqs.pop(a, None)
         self._version += 1
 
     def replace_edge(self, u: Node, v: Node, w: Node) -> None:
@@ -388,9 +383,7 @@ class OverlayGraph:
         self._orig_degree = dict(state["orig_degree"])
         self._removal_count = int(state["removal_count"])
         self._replacement_count = int(state["replacement_count"])
-        self._compact = CompactAdjacency()
-        for node, nbrs in self._known.items():
-            self._compact.set_row(node, nbrs)
+        self._seqs = {}
         self._version += 1
 
     def known_subgraph(self) -> Graph:

@@ -12,13 +12,31 @@ from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional
 
 from repro.errors import DataStoreError, DocumentNotFoundError
 
+# Immutable value types a returned copy may share with the stored document.
+_ATOMIC = frozenset({int, float, str, bool, type(None), bytes})
+
+
+def _copy_document(doc: Mapping) -> dict:
+    """A copy of ``doc`` indistinguishable from ``copy.deepcopy(doc)``.
+
+    Atomic top-level values are handed back by reference; only container
+    values are deep-copied, through one memo for the whole document, so
+    two fields aliasing one list come back aliased, as under a deepcopy.
+    """
+    out: dict = {}
+    memo = {id(doc): out}
+    for key, value in doc.items():
+        out[key] = value if type(value) in _ATOMIC else copy.deepcopy(value, memo)
+    return out
+
 
 class DocumentStore:
     """Collection of documents keyed by id.
 
-    Documents are stored by deep copy and returned by deep copy, so callers
-    can never corrupt the store through shared references (matching the
-    serialization boundary a real document database imposes).
+    Documents go in and come out as copies equal to a deep copy, so
+    callers can never corrupt the store through shared references
+    (matching the serialization boundary a real document database
+    imposes); only immutable top-level values are shared.
     """
 
     def __init__(self) -> None:
@@ -33,11 +51,11 @@ class DocumentStore:
         """
         if doc_id in self._docs:
             raise DataStoreError(f"document {doc_id!r} already exists")
-        self._docs[doc_id] = copy.deepcopy(dict(document))
+        self._docs[doc_id] = _copy_document(document)
 
     def upsert(self, doc_id: Hashable, document: Mapping) -> None:
         """Insert or replace the document under ``doc_id``."""
-        self._docs[doc_id] = copy.deepcopy(dict(document))
+        self._docs[doc_id] = _copy_document(document)
 
     def update(self, doc_id: Hashable, fields: Mapping) -> None:
         """Merge ``fields`` into an existing document.
@@ -47,7 +65,7 @@ class DocumentStore:
         """
         if doc_id not in self._docs:
             raise DocumentNotFoundError(doc_id)
-        self._docs[doc_id].update(copy.deepcopy(dict(fields)))
+        self._docs[doc_id].update(_copy_document(fields))
 
     def get(self, doc_id: Hashable) -> dict:
         """Fetch a document copy.
@@ -56,14 +74,14 @@ class DocumentStore:
             DocumentNotFoundError: If ``doc_id`` is absent.
         """
         try:
-            return copy.deepcopy(self._docs[doc_id])
+            return _copy_document(self._docs[doc_id])
         except KeyError:
             raise DocumentNotFoundError(doc_id) from None
 
     def get_or_none(self, doc_id: Hashable) -> Optional[dict]:
         """Fetch a document copy or ``None`` if absent."""
         doc = self._docs.get(doc_id)
-        return copy.deepcopy(doc) if doc is not None else None
+        return _copy_document(doc) if doc is not None else None
 
     def delete(self, doc_id: Hashable) -> bool:
         """Remove a document; returns whether it existed."""
@@ -92,7 +110,7 @@ class DocumentStore:
         out = []
         for doc in self._docs.values():
             if all(doc.get(field) == value for field, value in equals.items()):
-                out.append(copy.deepcopy(doc))
+                out.append(_copy_document(doc))
         return out
 
     def find_where(self, predicate: Callable[[dict], bool]) -> List[dict]:
@@ -101,7 +119,7 @@ class DocumentStore:
         The predicate receives the *stored* document (not a copy) for speed;
         it must not mutate it.  Matches are returned as copies.
         """
-        return [copy.deepcopy(d) for d in self._docs.values() if predicate(d)]
+        return [_copy_document(d) for d in self._docs.values() if predicate(d)]
 
     def count(self, predicate: Optional[Callable[[dict], bool]] = None) -> int:
         """Number of documents, optionally filtered by ``predicate``."""

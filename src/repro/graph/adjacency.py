@@ -10,14 +10,11 @@ the spectral/conductance analyses read it.  Design points:
 * **Indexed neighborhoods.**  Each node keeps its neighbors in an
   insertion-ordered mapping, which gives O(1) membership tests (the hot
   operation in the MTO removal criterion) *and* a stable deterministic
-  ordering.
-* **Compact mirror.**  A :class:`~repro.core.adjacency.CompactAdjacency`
-  shadows the dict rows in lockstep: interned int32 ids, arena-backed
-  rows in identical insertion order, cached id-tuples.  The dicts stay
-  authoritative for membership and set-view intersections; the mirror
-  serves ``neighbors_seq``, uniform draws, and the batched lanes
-  (``draw_many`` / ``degrees_many`` / ``known_mask`` / ``csr``) without
-  per-step Python object traffic.
+  ordering.  That dict row is the only adjacency store.
+* **Tuple cache.**  ``neighbors_seq`` and the seeded draws index a
+  per-node neighbor tuple built lazily from the row and dropped whenever
+  the row changes, so a draw is one ``randrange(degree)`` over insertion
+  order with no per-step copy.
 * **Hashable node ids.**  Nodes can be ints, strings, or any hashable;
   generators use dense ints, dataset stand-ins use opaque user ids.
 """
@@ -25,21 +22,8 @@ the spectral/conductance analyses read it.  Design points:
 from __future__ import annotations
 
 import random
-from typing import (
-    AbstractSet,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import AbstractSet, Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Set, Tuple
 
-from repro.core.adjacency import CompactAdjacency
 from repro.errors import NodeNotFoundError, SelfLoopError
 
 Node = Hashable
@@ -81,9 +65,9 @@ class Graph:
         # Per-node insertion-ordered neighbor index (dict keys double as an
         # ordered set: O(1) membership, deterministic iteration).
         self._adj: Dict[Node, Dict[Node, None]] = {}
-        # Int-interned arena mirror, mutated in lockstep with _adj: serves
-        # neighbor tuples, seeded draws, and the batched numpy lanes.
-        self._compact = CompactAdjacency()
+        # node -> its row as a tuple (what seeded draws index); filled
+        # lazily, dropped by every change to that node's row.
+        self._seq: Dict[Node, Tuple[Node, ...]] = {}
         self._num_edges = 0
         if edges is not None:
             self.add_edges(edges)
@@ -94,7 +78,6 @@ class Graph:
     def add_node(self, node: Node) -> None:
         """Insert an isolated node (no-op if it already exists)."""
         self._adj.setdefault(node, {})
-        self._compact.ensure_row(node)
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
         """Insert many nodes."""
@@ -117,8 +100,8 @@ class Graph:
             return False
         nu[v] = None
         self._adj.setdefault(v, {})[u] = None
-        self._compact.append(u, v)
-        self._compact.append(v, u)
+        self._seq.pop(u, None)
+        self._seq.pop(v, None)
         self._num_edges += 1
         return True
 
@@ -147,8 +130,8 @@ class Graph:
             return False
         del self._adj[u][v]
         del self._adj[v][u]
-        self._compact.remove(u, v)
-        self._compact.remove(v, u)
+        self._seq.pop(u, None)
+        self._seq.pop(v, None)
         self._num_edges -= 1
         return True
 
@@ -163,7 +146,7 @@ class Graph:
         for nbr in list(self._adj[node]):
             self.remove_edge(node, nbr)
         del self._adj[node]
-        self._compact.drop_row(node)
+        self._seq.pop(node, None)
 
     # ------------------------------------------------------------------
     # queries
@@ -253,10 +236,13 @@ class Graph:
         Raises:
             NodeNotFoundError: If the node does not exist.
         """
-        try:
-            return self._compact.seq(node)
-        except KeyError:
-            raise NodeNotFoundError(node) from None
+        seq = self._seq.get(node)
+        if seq is None:
+            try:
+                seq = self._seq[node] = tuple(self._adj[node])
+            except KeyError:
+                raise NodeNotFoundError(node) from None
+        return seq
 
     def random_neighbor(self, node: Node, rng: random.Random) -> Optional[Node]:
         """Uniformly draw one neighbor of ``node`` in O(1).
@@ -267,41 +253,8 @@ class Graph:
         Raises:
             NodeNotFoundError: If the node does not exist.
         """
-        try:
-            return self._compact.draw(node, rng)
-        except KeyError:
-            raise NodeNotFoundError(node) from None
-
-    def draw_many(
-        self, nodes: Sequence[Node], rngs: Sequence[random.Random]
-    ) -> List[Optional[Node]]:
-        """One uniform neighbor draw per ``(node, rng)`` pair, one gather.
-
-        Bit-for-bit equal to calling :meth:`random_neighbor` per pair in
-        list order — each rng consumes exactly one ``randrange(degree)``
-        (none for isolated nodes) — with the neighbor resolution done in
-        a single numpy fancy-index instead of per-pair tuple traffic.
-
-        Raises:
-            NodeNotFoundError: If any node does not exist.
-        """
-        try:
-            return self._compact.draw_many(nodes, rngs)
-        except KeyError as exc:
-            raise NodeNotFoundError(exc.args[0]) from None
-
-    def degrees_many(self, nodes: Sequence[Node]):
-        """Degrees for a batch in one call; ``-1`` marks unknown nodes."""
-        return self._compact.degrees_many(nodes)
-
-    def known_mask(self, nodes: Sequence[Node]):
-        """Boolean membership for a batch of ids in one call."""
-        return self._compact.row_mask(nodes)
-
-    def csr(self):
-        """Compact CSR export ``(nodes, offsets, columns)`` — see
-        :meth:`repro.core.adjacency.CompactAdjacency.csr`."""
-        return self._compact.csr()
+        seq = self.neighbors_seq(node)
+        return seq[rng.randrange(len(seq))] if seq else None
 
     def degree(self, node: Node) -> int:
         """``k_node = |N(node)|``.
@@ -337,14 +290,14 @@ class Graph:
     # derived graphs
     # ------------------------------------------------------------------
     def copy(self) -> "Graph":
-        """Deep copy of the topology (node ids are shared, indexes are not)."""
+        """Deep copy of the topology (node ids are shared, rows are not).
+
+        Rows keep their insertion order, so the copy's seeded draws equal
+        the original's; its neighbor tuples are rebuilt lazily.
+        """
         g = Graph()
         g._adj = {node: dict(nbrs) for node, nbrs in self._adj.items()}
         g._num_edges = self._num_edges
-        # Rebuild the mirror from the authoritative rows: same node order,
-        # same per-row order, hence identical draw streams.
-        for node, nbrs in g._adj.items():
-            g._compact.set_row(node, nbrs)
         return g
 
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":

@@ -37,10 +37,12 @@ class _ReplayCursor:
     step, or mid-step when ``pause`` holds the uncached node the next
     step waits on.  ``seq`` carries ``path[-1]``'s neighbor tuple for
     engines that reuse it across steps; ``token`` is the replay token it
-    was cloned under.
+    was cloned under.  ``synced`` marks a cursor whose ``rng`` equals the
+    live RNG after ``base`` steps with nothing replayed past it (an
+    engine whose live step draws into the cursor sets it).
     """
 
-    __slots__ = ("rng", "token", "base", "path", "pause", "seq")
+    __slots__ = ("rng", "token", "base", "path", "pause", "seq", "synced")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -424,7 +426,9 @@ class RandomWalkSampler(abc.ABC):
         sampler's :meth:`load_state` ran, or a live step raised (it may
         have drawn before failing).  A chain whose RNG was handed in by
         the caller re-clones on every call, since another holder of that
-        stream may draw from it between predictions.
+        stream may draw from it between predictions.  A changed token
+        costs no clone when the cursor is ``synced`` at the live step:
+        its RNG already equals the live one.
 
         Returns:
             The predicted fetch, or ``None`` when a replay step cannot
@@ -433,6 +437,10 @@ class RandomWalkSampler(abc.ABC):
         cache = self._api.cache
         token = self._replay_token() if self._owns_rng else None
         cursor = self._cursor
+        if cursor is not None and cursor.synced and cursor.base == self._steps and token is not None:
+            # The shadow RNG is the live one and nothing is replayed past
+            # it, so a changed token invalidates nothing: this is a clone.
+            cursor.token = token
         if (
             cursor is None
             or token is None
@@ -440,6 +448,7 @@ class RandomWalkSampler(abc.ABC):
             or not self._cursor_catch_up(cursor, cache)
         ):
             cursor = self._cursor_clone(token)
+        cursor.synced = False
         path = cursor.path
         step = self._replay_step
         while len(path) <= max_steps:
@@ -463,6 +472,7 @@ class RandomWalkSampler(abc.ABC):
         cursor.path = [self._replay_position()]
         cursor.pause = None
         cursor.seq = None
+        cursor.synced = False
         return cursor
 
     def _cursor_catch_up(self, cursor: "_ReplayCursor", cache) -> bool:

@@ -1,12 +1,13 @@
-"""Property tests: the compact adjacency store replays dict-backed draws.
+"""Property tests: adjacency rows replay a dict-of-lists reference.
 
-The store's whole contract is that swapping it in under ``Graph`` /
-``OverlayGraph`` changes *nothing* observable: neighbor sequences keep
-insertion order, seeded draws consume the same RNG stream and land on the
-same nodes, and the batched lanes (``draw_many``/``degrees_many``/
-``row_mask``/``csr``) agree with their scalar counterparts.  Hypothesis
-drives randomized mutation sequences against a plain dict-of-lists
-reference model.
+``Graph`` and ``OverlayGraph`` keep one insertion-ordered dict per row plus
+a lazily built neighbor tuple.  Their contract is the one the seeded walk
+engines rely on: neighbor sequences keep insertion order through every
+mutation, a seeded draw consumes exactly one ``randrange(degree)`` (none on
+an empty row) and lands on the same node as indexing the reference row, and
+the overlay's batched lanes (``draw_many``/``known_mask``/
+``known_degrees_many``) agree with their scalar counterparts.  Hypothesis
+drives randomized mutation programs against a plain dict-of-lists model.
 """
 
 import random
@@ -14,7 +15,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adjacency import CompactAdjacency, NodeInterner
+from repro.core.overlay import OverlayGraph
+from repro.graph import Graph
+from repro.interface import RestrictedSocialAPI
 
 NODES = st.integers(min_value=0, max_value=24)
 
@@ -32,86 +35,148 @@ def _ops():
     )
 
 
-def _apply(ops):
-    """Run one program against the store and the dict reference in lockstep."""
-    compact = CompactAdjacency()
-    model = {}
+def _link(model, u, v):
+    for a, b in ((u, v), (v, u)):
+        row = model.setdefault(a, [])
+        if b not in row:
+            row.append(b)
+
+
+def _unlink(model, u, v):
+    model[u].remove(v)
+    model[v].remove(u)
+
+
+def _assert_rows(store, model):
+    for node, row in model.items():
+        assert store.neighbors_seq(node) == tuple(row)
+
+
+def _apply_graph(ops):
+    """Run one program against a ``Graph`` and the reference in lockstep.
+
+    Rows are undirected, so every edge lands in both endpoints' rows;
+    ``set_row`` unlinks the node's current row in order, then links the new
+    one; ``drop`` deletes the node.  Rows are checked after every op, so
+    the cached neighbor tuples are warm when the next op mutates them.
+    """
+    g, model = Graph(), {}
     for op, node, arg in ops:
+        g.add_node(node)
+        model.setdefault(node, [])
         if op == "append":
-            # Mirror Graph/Overlay usage: rows hold no duplicate neighbors.
-            if arg not in model.setdefault(node, []):
-                model[node].append(arg)
-                compact.ensure_row(node)
-                compact.append(node, arg)
-            else:
-                compact.ensure_row(node)
+            if arg != node:
+                g.add_edge(node, arg)
+                _link(model, node, arg)
         elif op == "remove":
-            if node in model and arg in model[node]:
-                model[node].remove(arg)
-                compact.remove(node, arg)
+            if arg in model[node]:
+                assert g.remove_edge(node, arg)
+                _unlink(model, node, arg)
         elif op == "set_row":
-            row = list(dict.fromkeys(arg))
-            model[node] = row
-            compact.set_row(node, row)
+            for v in list(model[node]):
+                assert g.remove_edge(node, v)
+                _unlink(model, node, v)
+            for v in arg:
+                if v != node:
+                    g.add_edge(node, v)
+                    _link(model, node, v)
         elif op == "drop":
-            if node in model:
-                del model[node]
-                compact.drop_row(node)
-    return compact, model
+            g.remove_node(node)
+            for v in model.pop(node):
+                model[v].remove(node)
+        _assert_rows(g, model)
+    return g, model
+
+
+def _apply_overlay(ops):
+    """Run one program against G* over an edgeless base graph.
+
+    Every touched node is materialized first, so each row is an overlay
+    row; G* has no node deletion, so ``drop`` removes the node's edges and
+    leaves its row empty.  Rows are checked after every op.
+    """
+    base = Graph()
+    base.add_nodes(range(25))
+    overlay, model = OverlayGraph(RestrictedSocialAPI(base)), {}
+    for op, node, arg in ops:
+        touched = [node] + (arg if op == "set_row" else [] if arg is None else [arg])
+        for n in touched:
+            overlay.ensure_known(n)
+            model.setdefault(n, [])
+        if op == "append":
+            if arg != node:
+                overlay.add_edge(node, arg)
+                _link(model, node, arg)
+        elif op == "remove":
+            if arg in model[node]:
+                overlay.remove_edge(node, arg)
+                _unlink(model, node, arg)
+        elif op in ("set_row", "drop"):
+            for v in list(model[node]):
+                overlay.remove_edge(node, v)
+                _unlink(model, node, v)
+            for v in arg or ():
+                if v != node:
+                    overlay.add_edge(node, v)
+                    _link(model, node, v)
+        _assert_rows(overlay, model)
+    return overlay, model
 
 
 class TestMutationReplay:
     @settings(max_examples=120, deadline=None)
     @given(_ops())
     def test_rows_match_dict_reference(self, ops):
-        compact, model = _apply(ops)
-        assert set(compact.nodes_with_rows()) == set(model)
-        for node, row in model.items():
-            assert compact.has_row(node)
-            assert compact.degree(node) == len(row)
-            assert compact.seq(node) == tuple(row)
+        g, model = _apply_graph(ops)
+        assert set(g.nodes()) == set(model)
+        overlay, omodel = _apply_overlay(ops)
+        assert set(overlay.known_nodes()) == set(omodel)
+        for store, rows in ((g, model), (overlay, omodel)):
+            for node, row in rows.items():
+                assert store.degree(node) == len(row)
+                assert store.neighbors_seq(node) == tuple(row)
 
     @settings(max_examples=120, deadline=None)
     @given(_ops(), st.integers(min_value=0, max_value=2**31))
     def test_seeded_draws_are_bit_identical(self, ops, seed):
-        """``draw`` must consume exactly one randrange on the row length."""
-        compact, model = _apply(ops)
-        for node, row in model.items():
-            a, b = random.Random(seed), random.Random(seed)
-            got = compact.draw(node, a)
-            want = row[b.randrange(len(row))] if row else None
-            assert got == want
-            assert a.getstate() == b.getstate()
+        """A draw must consume exactly one randrange on the row length."""
+        for store, model in (_apply_graph(ops), _apply_overlay(ops)):
+            for node, row in model.items():
+                a, b = random.Random(seed), random.Random(seed)
+                got = store.random_neighbor(node, a)
+                want = row[b.randrange(len(row))] if row else None
+                assert got == want
+                assert a.getstate() == b.getstate()
 
     @settings(max_examples=60, deadline=None)
     @given(_ops(), st.integers(min_value=0, max_value=2**31))
     def test_draw_many_matches_scalar_draws(self, ops, seed):
-        compact, model = _apply(ops)
+        overlay, model = _apply_overlay(ops)
         nodes = sorted(model)
         rngs = [random.Random(seed + i) for i in range(len(nodes))]
         mirrors = [random.Random(seed + i) for i in range(len(nodes))]
-        got = compact.draw_many(nodes, rngs)
-        want = [compact.draw(n, r) for n, r in zip(nodes, mirrors)]
+        got = overlay.draw_many(nodes, rngs)
+        want = [overlay.random_neighbor(n, r) for n, r in zip(nodes, mirrors)]
         assert got == want
-        # The batched gather consumes each chain's RNG exactly as the
+        # The batched lane consumes each chain's RNG exactly as the
         # scalar path does — the Mersenne streams stay in lockstep.
         assert [r.getstate() for r in rngs] == [r.getstate() for r in mirrors]
 
     @settings(max_examples=60, deadline=None)
     @given(_ops())
     def test_batched_lookups_and_csr(self, ops):
-        compact, model = _apply(ops)
-        probe = sorted(model) + [1000, 1001]  # plus never-interned nodes
-        assert list(compact.row_mask(probe)) == [n in model for n in probe]
-        assert list(compact.degrees_many(probe)) == [
-            len(model[n]) if n in model else -1 for n in probe
-        ]
-        nodes, offsets, columns = compact.csr()
-        index = compact.interner.index
-        assert len(offsets) == len(nodes) + 1
-        for i, node in enumerate(nodes):
-            cols = list(columns[offsets[i] : offsets[i + 1]])
-            assert cols == [index(v) for v in model[node]]
+        overlay, model = _apply_overlay(ops)
+        probe = sorted(model) + [1000, 1001]  # plus never-materialized nodes
+        assert overlay.known_mask(probe) == [n in model for n in probe]
+        assert overlay.known_degrees_many(probe) == [len(model[n]) if n in model else -1 for n in probe]
+        # The exported rows (the state a snapshot carries) keep row order
+        # and reload into the same neighbor sequences.
+        state = overlay.state_dict()
+        assert state["known"] == model
+        restored = OverlayGraph(RestrictedSocialAPI(Graph()))
+        restored.load_state(state)
+        for node, row in model.items():
+            assert restored.neighbors_seq(node) == tuple(row)
 
 
 class TestOverlayRewireReplay:
@@ -121,36 +186,29 @@ class TestOverlayRewireReplay:
         st.lists(st.tuples(NODES, NODES), max_size=20),
     )
     def test_rewire_sequences_preserve_order(self, edges, rewires):
-        """MTO-style rewires (remove one edge, append another) replay."""
-        compact = CompactAdjacency()
+        """MTO-style rewires (remove one edge, add another) replay."""
+        base = Graph()
+        base.add_nodes(range(25))
         model = {}
         for u, v in edges:
-            if u == v:
-                continue
-            for a, b in ((u, v), (v, u)):
-                if b not in model.setdefault(a, []):
-                    model[a].append(b)
-                    compact.ensure_row(a)
-                    compact.append(a, b)
-        for u, v in rewires:
-            if u in model and v in model.get(u, []):
-                # remove u–v, then re-append it: lands at the row's end,
-                # exactly like OverlayGraph's remove-then-add rewiring.
-                model[u].remove(v)
-                compact.remove(u, v)
-                model[u].append(v)
-                compact.append(u, v)
+            if u != v:
+                base.add_edge(u, v)
+                _link(model, u, v)
+        overlay = OverlayGraph(RestrictedSocialAPI(base))
+        for node in model:
+            overlay.ensure_known(node)
         for node, row in model.items():
-            assert compact.seq(node) == tuple(row)
+            assert overlay.neighbors_seq(node) == tuple(row)
+        for u, v in rewires:
+            if v in model.get(u, []):
+                # replace u–v by u–v: the edge is removed, then re-added
+                # at the end of both rows, like remove-then-add rewiring.
+                overlay.replace_edge(u, v, v)
+                _unlink(model, u, v)
+                _link(model, u, v)
+                _assert_rows(overlay, model)
+        for node, row in model.items():
+            assert overlay.neighbors_seq(node) == tuple(row)
             rng_a, rng_b = random.Random(7), random.Random(7)
-            assert compact.draw(node, rng_a) == row[rng_b.randrange(len(row))]
-
-
-class TestInterner:
-    def test_indices_are_stable_and_dense(self):
-        interner = NodeInterner()
-        ids = [interner.intern(n) for n in ("a", "b", "a", "c")]
-        assert ids == [0, 1, 0, 2]
-        assert interner.node(1) == "b"
-        assert interner.index("c") == 2
-        assert interner.index("missing") is None
+            want = row[rng_b.randrange(len(row))] if row else None
+            assert overlay.random_neighbor(node, rng_a) == want

@@ -147,6 +147,31 @@ class TestVersion:
         assert "version" not in ov.state_dict()
 
 
+class TestNeighborTuples:
+    def test_rewiring_drops_cached_rows(self):
+        ov = overlay_for(complete_graph(4))
+        ov.ensure_known_many([0, 1])
+        assert (ov.neighbors_seq(0), ov.neighbors_seq(1)) == ((1, 2, 3), (0, 2, 3))
+        ov.remove_edge(0, 1)
+        assert (ov.neighbors_seq(0), ov.neighbors_seq(1)) == ((2, 3), (2, 3))
+        ov.add_edge(0, 1)
+        assert (ov.neighbors_seq(0), ov.neighbors_seq(1)) == ((2, 3, 1), (2, 3, 0))
+        ov.replace_edge(0, 2, 2)  # remove then re-add: 2 moves to the end
+        assert ov.neighbors_seq(0) == (3, 1, 2)
+
+    def test_load_state_drops_cached_rows(self):
+        ov = overlay_for(complete_graph(4))
+        ov.ensure_known(0)
+        before = ov.state_dict()
+        ov.remove_edge(0, 1)
+        assert ov.neighbors_seq(0) == (2, 3)
+        ov.load_state(before)
+        assert ov.neighbors_seq(0) == (1, 2, 3)
+        ov.load_state(overlay_for(complete_graph(4)).state_dict())  # empty G*
+        with pytest.raises(WalkError):
+            ov.random_neighbor(0, random.Random(1))
+
+
 class TestKnownSubgraph:
     def test_reflects_modifications(self):
         ov = overlay_for(complete_graph(4))

@@ -73,6 +73,24 @@ class TestIsolation:
         fetched["tags"].append("b")
         assert store.get(1)["tags"] == ["a"]
 
+    def test_nested_list_insulated_from_store(self):
+        store = DocumentStore()
+        store.insert(1, {"name": "a", "groups": [["x"], ["y"]]})
+        fetched = store.get_or_none(1)
+        fetched["groups"][0].append("z")
+        assert store.get(1)["groups"] == [["x"], ["y"]]
+
+    def test_aliased_fields_come_back_aliased(self):
+        shared = ["a"]
+        store = DocumentStore()
+        store.insert(1, {"tags": shared, "labels": shared, "deg": 3})
+        for fetched in (store.get(1), store.get_or_none(1)):
+            # as under copy.deepcopy of the whole document
+            assert fetched["tags"] is fetched["labels"]
+            fetched["tags"].append("b")
+            assert fetched["labels"] == ["a", "b"]
+        assert store.get(1) == {"tags": ["a"], "labels": ["a"], "deg": 3}
+
 
 class TestQueries:
     def _populated(self) -> DocumentStore:

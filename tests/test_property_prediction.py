@@ -44,6 +44,7 @@ from repro.core.mto import MTOSampler
 from repro.core.overlay import OverlayGraph
 from repro.datastore.kv import KeyValueStore
 from repro.errors import QueryBudgetExhaustedError
+from repro.generators import barbell_graph
 from repro.graph import Graph
 from repro.interface.api import RestrictedSocialAPI
 from repro.interface.cache import NeighborhoodCache
@@ -405,6 +406,90 @@ class TestReplayCursor:
             _checked_prediction(chain, HORIZON)
             chain.step()
             _checked_prediction(chain, HORIZON)
+
+    @settings(deadline=None)  # max_examples comes from the active profile
+    @given(
+        graph=connected_graphs(),
+        seeds=st.tuples(st.integers(0, 2**20), st.integers(0, 2**20)),
+        lazy=st.booleans(),
+        rounds=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 13), st.integers(0, 13)),
+            min_size=1,
+            max_size=25,
+        ),
+    )
+    def test_mto_cursor_carried_through_live_steps(self, graph, seeds, lazy, rounds):
+        """Rounds of predict, step, with a sharer's step or a write to G*
+        before and after the live step.  A step carries a cursor paused on
+        its fetch (or holding the whole step) to the live RNG; every later
+        prediction must still equal a fresh replay's."""
+        api = RestrictedSocialAPI(graph)
+        overlay = OverlayGraph(api)
+        nodes = sorted(graph.nodes())
+        chain = MTOSampler(api, start=nodes[0], seed=seeds[0], overlay=overlay, lazy=lazy)
+        sharer = MTOSampler(api, start=nodes[-1], seed=seeds[1], overlay=overlay, lazy=lazy)
+
+        def interfere(arg):
+            # 0-11: materialize a node; 12: the sharer steps; 13: nothing
+            if arg < 12:
+                overlay.ensure_known(nodes[arg % len(nodes)])
+            elif arg == 12:
+                sharer.step()
+
+        for horizon, before, after in rounds:
+            if horizon:
+                _checked_prediction(chain, horizon)
+            interfere(before)
+            chain.step()
+            interfere(after)
+        _checked_prediction(chain, 1)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_mto_cursor_carried_through_seeded_schedules(self, lazy):
+        """Seeded lock-step schedules on graphs rich in each branch: a
+        prism (every node has degree 3, so replacements fire), a barbell
+        (triangles, so removals fire) and a binary tree (lazy redraws hit
+        the same node again).  Every prediction equals a fresh replay's."""
+        prism = Graph(
+            [(i, (i + 1) % 12) for i in range(12)]
+            + [(12 + i, 12 + (i + 1) % 12) for i in range(12)]
+            + [(i, 12 + i) for i in range(12)]
+        )
+        tree = Graph([(i, 2 * i + c) for i in range(15) for c in (1, 2)])
+        for graph in (prism, barbell_graph(8), tree):
+            nodes = sorted(graph.nodes())
+            for seed in range(40):
+                pick = random.Random(seed)
+                api = RestrictedSocialAPI(graph)
+                overlay = OverlayGraph(api)
+                chain = MTOSampler(api, start=nodes[0], seed=seed, overlay=overlay, lazy=lazy)
+                sharer = MTOSampler(api, start=nodes[-1], seed=seed + 1, overlay=overlay, lazy=lazy)
+                for _ in range(30):
+                    for action in pick.sample(["predict", "again", "sharer", "write", "skip"], 3):
+                        if action in ("predict", "again"):
+                            _checked_prediction(chain, pick.choice((1, 1, 2, 3)))
+                        elif action == "sharer":
+                            sharer.step()
+                        elif action == "write":
+                            overlay.ensure_known(pick.choice(nodes))
+                    chain.step()
+
+    def test_mto_lock_step_keeps_one_clone(self):
+        """Predict, step, let a sharer write G*: the cursor is carried
+        through each live step, so it is cloned once, not every round."""
+        graph = Graph([(i, (i + 1) % 40) for i in range(40)] + [(i, (i + 7) % 40) for i in range(40)])
+        api = RestrictedSocialAPI(graph)
+        overlay = OverlayGraph(api)
+        chain = MTOSampler(api, start=0, seed=3, overlay=overlay)
+        sharer = MTOSampler(api, start=20, seed=4, overlay=overlay)
+        clones = []
+        original = chain._cursor_clone
+        chain._cursor_clone = lambda token: clones.append(token) or original(token)
+        for _ in range(30):
+            chain.predict_next_fetch(max_steps=1)
+            chain.step()
+            sharer.step()
+        assert len(clones) < 10, clones
 
 
 class TestLedgerBalance:
