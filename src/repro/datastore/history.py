@@ -86,6 +86,18 @@ class HistoryRecord:
         return len(self.neighborhoods)
 
 
+def _cached_neighborhoods(cache) -> Dict[Node, dict]:
+    """Every live cached response of ``cache`` as a neighborhood row."""
+    neighborhoods: Dict[Node, dict] = {}
+    for user in cache.known_users():
+        seq = cache.neighbor_seq(user)
+        attrs = cache.attributes(user)
+        if seq is None or attrs is None:  # raced expiry between known_users() and the read
+            continue
+        neighborhoods[user] = {"seq": seq, "attrs": attrs}
+    return neighborhoods
+
+
 def capture_history(
     api,
     planner=None,
@@ -101,16 +113,8 @@ def capture_history(
             history-index statistics ride along as the warm prior.
         metadata: Extra JSON-safe entries merged into the meta section.
     """
-    cache = api.cache
-    neighborhoods: Dict[Node, dict] = {}
-    for user in cache.known_users():
-        seq = cache.neighbor_seq(user)
-        if seq is None:  # raced expiry between known_users() and the read
-            continue
-        neighborhoods[user] = {"seq": seq, "attrs": cache.attributes(user) or {}}
-    private = frozenset(
-        user for user in api.log.queried_users() if api.is_known_private(user)
-    )
+    neighborhoods = _cached_neighborhoods(api.cache)
+    private = frozenset(user for user in api.log.queried_users() if api.is_known_private(user))
     stats: dict = {}
     if planner is not None and getattr(planner, "bound", False):
         stats = planner.history.state_dict()
@@ -174,12 +178,7 @@ class HistoryStore:
         interface; this captures every cached neighborhood directly,
         with optional refusal and planning-statistics payloads.
         """
-        neighborhoods: Dict[Node, dict] = {}
-        for user in cache.known_users():
-            seq = cache.neighbor_seq(user)
-            if seq is None:
-                continue
-            neighborhoods[user] = {"seq": seq, "attrs": cache.attributes(user) or {}}
+        neighborhoods = _cached_neighborhoods(cache)
         meta = dict(metadata or {})
         meta.update({"version": HISTORY_VERSION, "users": len(neighborhoods)})
         sections = {

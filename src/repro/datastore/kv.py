@@ -48,11 +48,6 @@ class KeyValueStore:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        # Monotonic write-version: bumped by every mutation (set, delete,
-        # purge, eviction, clear, load_state).  Read-side fast lanes (the
-        # neighborhood cache's hot dict) compare it to detect foreign
-        # writes through a shared store and flush themselves.
-        self._version = 0
         # Bumped only by mutations that drop or replace a live value
         # (overwrite, delete, purge, eviction, clear, load_state): readers
         # that keep derived state across calls (a walk's replay cursor)
@@ -77,7 +72,6 @@ class KeyValueStore:
             del self._data[key]
             self._dropped += 1
         self._expires.pop(key, None)
-        self._version += 1
 
     # ------------------------------------------------------------------
     def set(self, key: Hashable, value: object, ttl: Optional[float] = None) -> None:
@@ -93,7 +87,6 @@ class KeyValueStore:
         """
         if ttl is not None and ttl <= 0:
             raise DataStoreError("ttl must be positive or None")
-        self._version += 1
         if key in self._data:
             self._data.move_to_end(key)
             self._dropped += 1
@@ -114,7 +107,6 @@ class KeyValueStore:
                 evicted, _ = self._data.popitem(last=False)
                 self._expires.pop(evicted, None)
                 self._evictions += 1
-                self._version += 1
                 self._dropped += 1
 
     def get(self, key: Hashable, default: object = None) -> object:
@@ -153,7 +145,6 @@ class KeyValueStore:
 
     def clear(self) -> None:
         """Drop all keys and reset hit/miss counters."""
-        self._version += 1
         self._dropped += 1
         self._data.clear()
         self._expires.clear()
@@ -207,7 +198,6 @@ class KeyValueStore:
         Args:
             state: Output of :meth:`state_dict`.
         """
-        self._version += 1
         self._dropped += 1
         self._data.clear()
         self._expires.clear()
@@ -232,11 +222,6 @@ class KeyValueStore:
     def capacity(self) -> Optional[int]:
         """The LRU capacity bound, or ``None`` when unbounded."""
         return self._capacity
-
-    @property
-    def version(self) -> int:
-        """Monotonic write-version (bumped by every mutation)."""
-        return self._version
 
     @property
     def retention_version(self) -> Optional[int]:

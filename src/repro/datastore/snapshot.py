@@ -48,8 +48,9 @@ from repro.errors import SnapshotError
 #: Format marker written into every snapshot header.
 SNAPSHOT_FORMAT = "repro-snapshot"
 
-#: Version of the on-disk layout; bumped on incompatible changes.
-SNAPSHOT_VERSION = 1
+#: Version of the on-disk layout; bumped on incompatible changes.  Version
+#: 2: the neighborhood cache holds one ``("resp", user)`` record per user.
+SNAPSHOT_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -463,8 +464,13 @@ class KeyValueBackend(SnapshotBackend):
         header = self._store.get(self._header_key())
         if header is None:
             return None
-        if not isinstance(header, dict) or header.get("version") != SNAPSHOT_VERSION:
+        if not isinstance(header, dict):
             raise SnapshotError(f"snapshot namespace {self._namespace!r} has a corrupt header")
+        if header.get("version") != SNAPSHOT_VERSION:
+            raise SnapshotError(
+                f"snapshot namespace {self._namespace!r} has version {header.get('version')!r}; "
+                f"this build reads version {SNAPSHOT_VERSION}"
+            )
         sections: Dict[str, object] = {}
         for name in header.get("sections", ()):
             encoded = self._store.get(self._section_key(name))

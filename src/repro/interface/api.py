@@ -196,9 +196,7 @@ class RestrictedSocialAPI:
                 )
             self._provider: SocialProvider = graph
         else:
-            self._provider = InMemoryGraphProvider(
-                graph, profiles=profiles, inaccessible=inaccessible
-            )
+            self._provider = InMemoryGraphProvider(graph, profiles=profiles, inaccessible=inaccessible)
         self._known_private: set = set()
         self._limiter = rate_limiter if rate_limiter is not None else UnlimitedRateLimiter()
         self._clock = clock if clock is not None else SimulatedClock()
@@ -252,9 +250,7 @@ class RestrictedSocialAPI:
             self._log.record(user, timestamp=self._clock.now())
             self._known_private.add(user)
             if self._recorder is not None:
-                self._recorder.record(
-                    EVENT_REFUSAL, self._clock.now(), user=user, **self._obs_attrs
-                )
+                self._recorder.record(EVENT_REFUSAL, self._clock.now(), user=user, **self._obs_attrs)
             raise
 
     def fetch_seq(self, user: Node) -> Tuple[Node, ...]:
@@ -264,14 +260,12 @@ class RestrictedSocialAPI:
         :meth:`query` — every call logs one logical query, cache hits are
         free, the first contact with an uncached user is billed — but a
         cache hit skips the response rebuild entirely (no frozenset, no
-        attribute copy, no :class:`QueryResponse`): one hot-lane dict
-        read plus one log append.  This is what the walk engines' fast
-        cached-step lane runs on; everything that needs attributes or a
-        full response keeps using :meth:`query`.
-
-        The hot lane only serves unbounded, non-TTL caches; bounded or
-        TTL'd caches (and any miss) fall back to the full :meth:`query`
-        path, so eviction/expiry semantics are untouched.
+        attribute copy, no :class:`QueryResponse`): one store read plus
+        one log append, on every cache configuration — TTL'd and
+        capacity-bounded caches included.  This is what the walk engines'
+        fast cached-step lane runs on; everything that needs attributes
+        or a full response keeps using :meth:`query`.  A miss falls back
+        to :meth:`query`.
 
         Raises:
             Exactly what :meth:`query` raises, under the same conditions.
@@ -284,7 +278,7 @@ class RestrictedSocialAPI:
                     self._warm_hits += 1
                 counter = self._obs_hit_counter
                 if counter is not None:
-                    # Counter-only on the hot lane: no event allocation,
+                    # Counter-only on a cached step: no event allocation,
                     # so recorder-on overhead stays within the CI budget.
                     counter.value += 1
                 self._log.note(user, False, self._clock.now())
@@ -344,9 +338,7 @@ class RestrictedSocialAPI:
                 self._log.record(user, timestamp=self._clock.now())
                 self._known_private.add(user)
                 if self._recorder is not None:
-                    self._recorder.record(
-                        EVENT_REFUSAL, self._clock.now(), user=user, **self._obs_attrs
-                    )
+                    self._recorder.record(EVENT_REFUSAL, self._clock.now(), user=user, **self._obs_attrs)
                 private.append(user)
         return BatchQueryResult(
             responses=responses,
@@ -368,12 +360,17 @@ class RestrictedSocialAPI:
         this tenant's unique set for a fetch it never issued.  For a
         private cache the explicit flag is identical to the derived one —
         a cached user is always already in this log's unique set.
+
+        The cache holds each response as one record, so once the
+        neighbor read hits, the sequence and attribute reads of the same
+        record hit too: a hit never serves a neighbor set without its
+        billed attributes.
         """
         cached = self._cache.neighbors(user)
         if cached is None:
             return None
         seq = self._cache.neighbor_seq(user)
-        attrs = self._cache.attributes(user) or {}
+        attrs = self._cache.attributes(user)
         self._cache_hits += 1
         if user in self._warm_users:
             self._warm_hits += 1
@@ -414,9 +411,7 @@ class RestrictedSocialAPI:
         if recorder is not None:
             throttled = self._clock.now() - started
             if throttled > 0.0:
-                recorder.record(
-                    EVENT_LIMITER_WAIT, started, throttled, user=user, **self._obs_attrs
-                )
+                recorder.record(EVENT_LIMITER_WAIT, started, throttled, user=user, **self._obs_attrs)
         self._clock.advance(self._seconds_per_query + fetched.latency)
         self._latency_spent += fetched.latency
         if recorder is not None:
@@ -515,9 +510,7 @@ class RestrictedSocialAPI:
         """The attached trace recorder, or ``None`` (the default)."""
         return self._recorder
 
-    def set_recorder(
-        self, recorder: Optional[TraceRecorder], tenant: Optional[str] = None
-    ) -> None:
+    def set_recorder(self, recorder: Optional[TraceRecorder], tenant: Optional[str] = None) -> None:
         """Attach (or with ``None`` detach) a trace recorder.
 
         Attaching only affects *this* interface's hooks; use
@@ -740,7 +733,7 @@ class RestrictedSocialAPI:
             recorder = self._recorder if self._recorder is not None else TraceRecorder()
             recorder.load_state(obs)
             self._recorder = recorder
-            # load_state rebuilt every instrument, so the pre-bound hot-lane
+            # load_state rebuilt every instrument, so the pre-bound cached-step
             # counters point at dead objects until re-bound here.
             self._obs_hit_counter = recorder.metrics.counter(self._obs_hits)
             self._obs_miss_counter = recorder.metrics.counter(self._obs_misses)

@@ -113,7 +113,7 @@ class TraceRecorder:
         return event
 
     def count(self, name: str, amount: float = 1) -> None:
-        """Bump a metrics counter — the event-free hot-lane hook.
+        """Bump a metrics counter — the event-free cached-step hook.
 
         Cache hits on ``fetch_seq`` use this instead of :meth:`record`:
         a counter increment keeps the recorder-on overhead within the

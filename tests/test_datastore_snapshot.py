@@ -193,6 +193,14 @@ class TestJsonLinesBackend:
         with pytest.raises(SnapshotError):
             JsonLinesBackend(path).read()
 
+    def test_version_one_snapshot_raises_naming_both_versions(self, tmp_path):
+        # Version 1 stored a cached response as three keys; loading it into
+        # the one-record cache would read as empty, so it must fail loudly.
+        path = tmp_path / "snap.jsonl"
+        path.write_text(json.dumps({"format": "repro-snapshot", "version": 1, "sections": []}) + "\n")
+        with pytest.raises(SnapshotError, match=r"version 1;.*version 2"):
+            JsonLinesBackend(path).read()
+
     def test_truncated_sections_raise(self, tmp_path):
         path = tmp_path / "snap.jsonl"
         backend = JsonLinesBackend(path)
@@ -235,6 +243,12 @@ class TestKeyValueBackend:
         assert backend.read() == {"meta": {"steps": 1}}
         # the stale "state" section is gone from the store, not orphaned
         assert backend.store.get(("snapshot", "default", "section", "state")) is None
+
+    def test_version_one_snapshot_raises_naming_both_versions(self):
+        backend = KeyValueBackend()
+        backend.store.set(("snapshot", "default", "header"), {"version": 1, "sections": ()})
+        with pytest.raises(SnapshotError, match=r"version 1;.*version 2"):
+            backend.read()
 
     def test_evicted_section_raises(self):
         backend = KeyValueBackend()

@@ -146,3 +146,20 @@ class TestNeighborhoodCache:
         ttl_cache.put("a", frozenset({1}), {})
         assert ttl_cache.retention_version is None  # entries expire unseen
         assert NeighborhoodCache(KeyValueStore(capacity=8)).retention_version is None
+
+    def test_bounded_cache_never_serves_half_a_response(self):
+        graph = Graph([(u, u % 7 + 1) for u in range(1, 8)])
+        profiles = DocumentStore()
+        for u in range(1, 8):
+            profiles.insert(u, {"age": 10 * u})
+        cache = NeighborhoodCache(KeyValueStore(capacity=4))
+        api = RestrictedSocialAPI(graph, profiles=profiles, cache=cache)
+        api.query(1)
+        api.cached_degree(1)  # refreshes part of user 1's LRU standing
+        api.query(2)
+        resp = api.query(1)
+        # A hit carries the billed profile; an evicted user is re-fetched.
+        # A free hit with the attributes dropped would bias any estimate.
+        assert resp.attributes == {"age": 10}
+        assert resp.neighbors == frozenset({2, 7})
+        assert set(resp.neighbor_seq) == resp.neighbors

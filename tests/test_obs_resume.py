@@ -91,7 +91,7 @@ class TestInProcessResume:
             resumed.step()
 
         _assert_trace_matches_reference(revived, reference)
-        # the +1 hit above also proves the hot-lane counters were re-bound
+        # the +1 hit above also proves the cached-step counters were re-bound
         # to the revived registry (a stale binding would leave it at the
         # checkpoint value)
 

@@ -160,8 +160,7 @@ class TestPrefetchCacheEviction:
         # Evict chain 0's current node from the cache, as LRU pressure
         # would; its stable ordering is gone from shared local state.
         current = samplers[0].current
-        for key_kind in ("nbrs", "seq", "attrs"):
-            store.delete((key_kind, current))
+        store.delete(("resp", current))
         assert api.cache.neighbor_seq(current) is None
 
         cost_before = api.query_cost
