@@ -41,25 +41,6 @@ from repro.walks.base import UNRESOLVED, RandomWalkSampler
 Node = Hashable
 
 
-class _TeeRandom:
-    """Makes each draw on ``live`` and the same call on ``shadow``, so the
-    two RNGs leave a step in equal states."""
-
-    __slots__ = ("_live", "_shadow")
-
-    def __init__(self, live, shadow) -> None:
-        self._live = live
-        self._shadow = shadow
-
-    def randrange(self, n: int) -> int:
-        self._shadow.randrange(n)
-        return self._live.randrange(n)
-
-    def random(self) -> float:
-        self._shadow.random()
-        return self._live.random()
-
-
 class MTOSampler(RandomWalkSampler):
     """Modified-TOpology sampler (Algorithm 1).
 
@@ -173,7 +154,7 @@ class MTOSampler(RandomWalkSampler):
                 return extension_criterion(len(common), ku, kv, cached)
         return removal_criterion(len(common), ku, kv)
 
-    def _choose_replacement(self, u: Node, v: Node, rng) -> Node | None:
+    def _choose_replacement(self, u: Node, v: Node) -> Node | None:
         """Pick and materialize a Theorem 4 target ``w``, or ``None``."""
         overlay = self._overlay
         others = [w for w in overlay.neighbors_seq(v) if w != u and not overlay.has_edge(u, w)]
@@ -186,8 +167,8 @@ class MTOSampler(RandomWalkSampler):
             others = [w for w in others if overlay.is_known(w)]
             if not others:
                 return None
-            return others[rng.randrange(len(others))]
-        w = others[rng.randrange(len(others))]
+            return others[self._rng.randrange(len(others))]
+        w = others[self._rng.randrange(len(others))]
         try:
             self._overlay.ensure_known(w)
         except PrivateUserError:
@@ -203,121 +184,73 @@ class MTOSampler(RandomWalkSampler):
             WalkError: If ``max_redraws`` is exhausted (degenerate
                 overlay).
         """
-        try:
-            u = self.current
-            overlay = self._overlay
-            rng = self._rng
-            follow = self._followable_cursor()
-            pause = follow.pause if follow is not None else None
-            overlay.ensure_known(u)
-            for _ in range(self._max_redraws):
-                v = overlay.random_neighbor(u, rng)
-                if v is None:
-                    raise DeadEndError(u)
-                try:
-                    overlay.ensure_known(v)  # the step's (potential) query
-                except PrivateUserError:
-                    # Private neighbor: never traversable, so drop the overlay
-                    # edge (the walk lives on the accessible subgraph) and
-                    # redraw.  One billed refusal, cached afterwards.
-                    if overlay.degree(u) > 1:
-                        overlay.remove_edge(u, v)
-                        continue
-                    self._stay()
-                    return self.current
-
-                if pause is not None and v == pause and overlay.version == follow.token + 1:
-                    # Fetching v was this step's only write so far: every
-                    # draw up to here is one the cursor made before pausing
-                    # on v, and it takes the rest of this step's too.
-                    rng = _TeeRandom(rng, follow.rng)
-                    pause = None
-
-                # --- removal branch (Theorem 3 / Theorem 5) ---------------
-                if (
-                    self._enable_removal
-                    and overlay.degree(u) > 1
-                    and overlay.degree(v) > 1
-                    and self._removable(u, v)
-                ):
+        u = self.current
+        overlay = self._overlay
+        rng = self._rng
+        overlay.ensure_known(u)
+        for _ in range(self._max_redraws):
+            v = overlay.random_neighbor(u, rng)
+            if v is None:
+                raise DeadEndError(u)
+            try:
+                overlay.ensure_known(v)  # the step's (potential) query
+            except PrivateUserError:
+                # Private neighbor: never traversable, so drop the overlay
+                # edge (the walk lives on the accessible subgraph) and
+                # redraw.  One billed refusal, cached afterwards.
+                if overlay.degree(u) > 1:
                     overlay.remove_edge(u, v)
-                    continue  # redraw from the shrunken neighborhood
+                    continue
+                self._stay()
+                return self.current
 
-                # --- replacement branch (Theorem 4) -----------------------
-                if (
-                    self._enable_replacement
-                    and replacement_allowed(overlay.degree(v))
-                    and rng.random() < self._replacement_probability
-                ):
-                    w = self._choose_replacement(u, v, rng)
-                    if w is not None:
-                        overlay.replace_edge(u, v, w)
-                        v = w  # the walk's candidate follows the moved edge
+            # --- removal branch (Theorem 3 / Theorem 5) -------------------
+            if (
+                self._enable_removal
+                and overlay.degree(u) > 1
+                and overlay.degree(v) > 1
+                and self._removable(u, v)
+            ):
+                overlay.remove_edge(u, v)
+                continue  # redraw from the shrunken neighborhood
 
-                # --- lazy transition ---------------------------------------
-                if not self._lazy or rng.random() < 0.5:
-                    if self._uses_default_trace:
-                        # v was just materialized: its original degree is free
-                        # overlay knowledge, no response rebuild needed.
-                        self._advance_fast(v, overlay.original_degree(v))
-                    else:
-                        self._advance(v, self._api.query(v))  # cached — free
-                    # Carried: a whole replayed step, or a paused one that
-                    # took every draw since its pause.
-                    if follow is not None and (follow.pause is None or rng is not self._rng):
-                        self._carry_cursor(follow)
-                    return v
-                # lazy hold: redraw a neighbor without committing a move
-            raise WalkError(f"step at {u!r} exceeded {self._max_redraws} redraws")
-        except BaseException:
-            # The step may have drawn before failing: the live RNG is
-            # then ahead of anything a replay cursor recorded.
-            self._cursor = None
-            raise
+            # --- replacement branch (Theorem 4) ---------------------------
+            if (
+                self._enable_replacement
+                and replacement_allowed(overlay.degree(v))
+                and rng.random() < self._replacement_probability
+            ):
+                w = self._choose_replacement(u, v)
+                if w is not None:
+                    overlay.replace_edge(u, v, w)
+                    v = w  # the walk's candidate follows the moved edge
 
-    def _followable_cursor(self):
-        """The replay cursor this step can carry along, or ``None``.
-
-        That is a cursor replayed from the live step over G* as it stands,
-        holding either a pause on this step's first fetch or exactly this
-        whole step.  (Such a cursor was replayed at this very step: a live
-        step either carries it or writes to G* — its own fetch, if no
-        other.)  A whole replayed step is the live step: same RNG state,
-        same G*, and no writes, since a replay stops before any.  A paused
-        cursor ends the step equal to the live RNG once it has taken every
-        draw since its pause.
-        """
-        cursor = self._cursor
-        if (
-            cursor is None
-            or cursor.token != self._overlay.version
-            or len(cursor.path) != (1 if cursor.pause is not None else 2)
-        ):
-            return None
-        return cursor
-
-    def _carry_cursor(self, cursor) -> None:
-        """Mark ``cursor`` synced at the live step just taken."""
-        cursor.base = self._steps
-        cursor.path = [self._current]
-        cursor.pause = None
-        cursor.token = self._overlay.version
-        cursor.synced = True
+            # --- lazy transition -------------------------------------------
+            if not self._lazy or rng.random() < 0.5:
+                if self._uses_default_trace:
+                    # v was just materialized: its original degree is free
+                    # overlay knowledge, no response rebuild needed.
+                    self._advance_fast(v, overlay.original_degree(v))
+                else:
+                    self._advance(v, self._api.query(v))  # cached — free
+                return v
+            # lazy hold: redraw a neighbor without committing a move
+        raise WalkError(f"step at {u!r} exceeded {self._max_redraws} redraws")
 
     def predict_next_fetch(self, max_steps: int = 64) -> Node | None:
         """Replay the overlay draw / rewiring branches to the next fetch.
 
         Algorithm 1's (potential) query is ``ensure_known`` on the drawn
         candidate — or on the Theorem-4 replacement target — so the
-        replay draws from the *live* overlay rows with a cloned RNG and
-        returns the first candidate G* has not materialized.  Branches
-        that would **mutate** the overlay before the fetch resolves
-        (a certified removal, a replacement whose target is already
-        materialized) end the replay with ``None``: simulating them
-        would require mutating shared state the prediction must not
-        touch.  Lazy holds and committed moves through materialized
-        territory replay exactly (the overlay is unchanged by them), so
-        the horizon can span several steps.
+        replay decodes the chain's future draws against the *live*
+        overlay rows and returns the first candidate G* has not
+        materialized.  Branches that would **mutate** the overlay before
+        the fetch resolves (a certified removal, a replacement whose
+        target is already materialized) end the replay with ``None``:
+        simulating them would require mutating shared state the
+        prediction must not touch.  Lazy holds and committed moves
+        through materialized territory replay exactly (the overlay is
+        unchanged by them), so the horizon can span several steps.
 
         The replay reads the overlay as it stands *now*; drivers that
         interleave other chains writing the same shared G* between
@@ -325,10 +258,8 @@ class MTOSampler(RandomWalkSampler):
         writer can invalidate (see ``ParallelWalkers``).  The chain's
         persistent cursor is keyed to :attr:`OverlayGraph.version
         <repro.core.overlay.OverlayGraph.version>`: any materialization
-        or rewiring, by this chain or a sharer, re-clones it, unless the
-        chain's own step carried it: a step that starts where the cursor
-        replayed makes every draw after the cursor's pause on the cursor's
-        RNG too, so it leaves the step equal to the live RNG.
+        or rewiring, by this chain or a sharer, restarts it at the live
+        step, which costs no draw.
 
         Returns ``None`` on networks with private users, in
         ``prefetch_replacement`` mode once the replacement branch fires
@@ -351,10 +282,9 @@ class MTOSampler(RandomWalkSampler):
             # The token pins G*, so the paused target is still unknown.
             return cursor.pause
         overlay = self._overlay
-        rng = cursor.rng
         u = cursor.path[-1]
         for _ in range(self._max_redraws):
-            v = overlay.random_neighbor(u, rng)
+            v = overlay.random_neighbor(u, cursor)
             if v is None:
                 return UNRESOLVED  # live step dead-ends
             if not overlay.is_known(v):
@@ -370,20 +300,20 @@ class MTOSampler(RandomWalkSampler):
             if (
                 self._enable_replacement
                 and replacement_allowed(overlay.degree(v))
-                and rng.random() < self._replacement_probability
+                and cursor.random() < self._replacement_probability
             ):
                 if self._prefetch_replacement:
                     return UNRESOLVED  # batched candidate materialization
                 others = [w for w in overlay.neighbors_seq(v) if w != u and not overlay.has_edge(u, w)]
                 if others:
-                    w = others[rng.randrange(len(others))]
+                    w = others[cursor.randrange(len(others))]
                     if not overlay.is_known(w):
                         cursor.pause = w  # _choose_replacement's query
                         return w
                     return UNRESOLVED  # replace_edge mutates G*
                 # no candidates: no RNG spent, replacement skipped
-            if not self._lazy or rng.random() < 0.5:
-                cursor.path.append(v)
+            if not self._lazy or cursor.random() < 0.5:
+                cursor.push(v)
                 return None
             # lazy hold: redraw without committing
         return UNRESOLVED  # max_redraws exhausted — live step raises

@@ -208,9 +208,9 @@ class KeyValueStore:
             self._data[key] = value
             if remaining is not None:
                 self._expires[key] = now + remaining
-        self._hits = int(state.get("hits", 0))
-        self._misses = int(state.get("misses", 0))
-        self._evictions = int(state.get("evictions", 0))
+        self._hits = int(state["hits"])
+        self._misses = int(state["misses"])
+        self._evictions = int(state["evictions"])
         if self._capacity is not None:
             while len(self._data) > self._capacity:
                 evicted, _ = self._data.popitem(last=False)

@@ -104,15 +104,10 @@ class ShardStats:
         self.disrupted = int(state["disrupted"])
         self.bursts = int(state["bursts"])
         self.max_in_flight = int(state["max_in_flight"])
-        # Absent from snapshots written before the planning layer.
-        self.prefetched = int(state.get("prefetched", 0))
-        # Absent from snapshots written before the service layer.
+        self.prefetched = int(state["prefetched"])
         self.tenants = {
-            str(label): {
-                "queries": int(book.get("queries", 0)),
-                "latency_spent": float(book.get("latency_spent", 0.0)),
-            }
-            for label, book in state.get("tenants", {}).items()
+            str(label): {"queries": int(book["queries"]), "latency_spent": float(book["latency_spent"])}
+            for label, book in state["tenants"].items()
         }
 
 

@@ -719,13 +719,11 @@ class RestrictedSocialAPI:
             self._cache.load_state(state["cache"])
         self._log.load_state(state["log"])
         self._limiter.load_state(state["limiter"])
-        # Keys below joined the payload with the provider refactor; absent
-        # in snapshots written before it (both default to "nothing spent").
-        self._latency_spent = float(state.get("latency_spent", 0.0))
-        self._cache_hits = int(state.get("cache_hits", 0))
-        self._cache_misses = int(state.get("cache_misses", 0))
-        self._warm_users = frozenset(state.get("warm_users", frozenset()))
-        self._warm_hits = int(state.get("warm_hits", 0))
+        self._latency_spent = float(state["latency_spent"])
+        self._cache_hits = int(state["cache_hits"])
+        self._cache_misses = int(state["cache_misses"])
+        self._warm_users = frozenset(state["warm_users"])
+        self._warm_hits = int(state["warm_hits"])
         if "provider" in state:
             self._provider.load_state(state["provider"])
         obs = state.get("obs")

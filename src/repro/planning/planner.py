@@ -357,12 +357,7 @@ class DispatchPlanner:
         self._require_bound()
         self._history.load_state(state["history"])
         self._ledger.load_state(state["ledger"])
-        # Keys below joined with the cross-run warm-start work; absent in
-        # snapshots written before it (both default to "nothing known").
         self._prediction = {
-            engine: {key: int(n) for key, n in row.items()}
-            for engine, row in state.get("prediction", {}).items()
+            engine: {key: int(n) for key, n in row.items()} for engine, row in state["prediction"].items()
         }
-        self._warm_visits = {
-            node: int(count) for node, count in state.get("warm_visits", {}).items()
-        }
+        self._warm_visits = {node: int(count) for node, count in state["warm_visits"].items()}

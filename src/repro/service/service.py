@@ -789,7 +789,7 @@ class SamplingService:
                 frozen_cost=int(row["frozen_cost"]),
                 frozen_latency=float(row["frozen_latency"]),
                 frozen_hits=int(row["frozen_hits"]),
-                frozen_warm_hits=int(row.get("frozen_warm_hits", 0)),
+                frozen_warm_hits=int(row["frozen_warm_hits"]),
             )
             service._tenants[tid] = session
             payload = sections[f"tenant/{tid}"]

@@ -19,7 +19,7 @@ from repro.convergence.monitors import ConvergenceMonitor
 from repro.datastore.snapshot import register_codec
 from repro.errors import DeadEndError, PrivateUserError
 from repro.interface.api import QueryResponse, RestrictedSocialAPI
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, StreamCursor, WordStream
 
 Node = Hashable
 
@@ -28,21 +28,26 @@ Node = Hashable
 UNRESOLVED = object()
 
 
-class _ReplayCursor:
-    """One chain's replay state kept between predictions.
+class _ReplayCursor(StreamCursor):
+    """One chain's replay: an index into its own word stream, plus a path.
 
+    A replay step draws with the cursor's ``randrange``/``random``.
     ``path[i]`` is the position (see
     :meth:`RandomWalkSampler._replay_position`) after ``base + i`` live
-    steps; ``rng`` is the shadow RNG positioned after ``path[-1]``'s
-    step, or mid-step when ``pause`` holds the uncached node the next
-    step waits on.  ``seq`` carries ``path[-1]``'s neighbor tuple for
-    engines that reuse it across steps; ``token`` is the replay token it
-    was cloned under.  ``synced`` marks a cursor whose ``rng`` equals the
-    live RNG after ``base`` steps with nothing replayed past it (an
-    engine whose live step draws into the cursor sets it).
+    steps, and ``marks[i]`` the stream index the live chain has reached
+    there.  ``index`` is where ``path[-1]``'s step starts, or where it
+    continues when ``pause`` holds the uncached node the step waits on.
+    ``seq`` carries ``path[-1]``'s neighbor tuple for engines that reuse
+    it across steps; ``token`` is the replay token the path was replayed
+    under.
     """
 
-    __slots__ = ("rng", "token", "base", "path", "pause", "seq", "synced")
+    __slots__ = ("token", "base", "path", "marks", "pause", "seq")
+
+    def push(self, position) -> None:
+        """Record a completed replay step that ends at ``position``."""
+        self.path.append(position)
+        self.marks.append(self.index)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,7 +136,13 @@ class RandomWalkSampler(abc.ABC):
         bootstrap: bool = True,
     ) -> None:
         self._api = api
-        self._rng = ensure_rng(seed)
+        # A caller-supplied Random may be shared with other consumers, so
+        # only a chain that owns its stream can read its future draws.
+        if isinstance(seed, random.Random):
+            self._rng = seed
+            self._stream: Optional[WordStream] = None
+        else:
+            self._rng = self._stream = WordStream(seed)
         self._uses_default_trace = trace_attribute is None
         self._trace_fn = (
             trace_attribute if trace_attribute is not None else (lambda resp: float(resp.degree))
@@ -146,9 +157,6 @@ class RandomWalkSampler(abc.ABC):
         # neighbor tuple, or None when it must be re-read through the
         # interface (after load_state, or a commit that didn't carry it).
         self._current_seq: Optional[tuple] = None
-        # A caller-supplied Random may be shared with other consumers, so
-        # a replay cursor cannot assume only this chain draws from it.
-        self._owns_rng = not isinstance(seed, random.Random)
         if bootstrap:
             self._bootstrap()
 
@@ -325,9 +333,10 @@ class RandomWalkSampler(abc.ABC):
     def load_state(self, state: dict) -> None:
         """Restore position/steps/trace/RNG captured by :meth:`state_dict`.
 
-        The response memo and the replay cursor are invalidated; the next
-        ``step()`` re-reads the current node from the (restored) cache,
-        which is free.
+        The response memo is invalidated; the next ``step()`` re-reads the
+        current node from the (restored) cache, which is free.  The replay
+        cursor restarts at its next prediction: the restored stream's
+        words carry indices it never recorded.
 
         Args:
             state: Output of :meth:`state_dict`.
@@ -338,32 +347,13 @@ class RandomWalkSampler(abc.ABC):
         self._rng.setstate(state["rng"])
         self._current_resp = None
         self._current_seq = None
-        self._cursor = None
 
     # ------------------------------------------------------------------
     # planning support
     # ------------------------------------------------------------------
 
-    #: Scratch RNG the replay cursor draws from (lazily created): seeding
-    #: a fresh ``random.Random`` from the OS per clone costs more than
-    #: the replay itself.
-    _replay_rng: Optional[random.Random] = None
-
     #: This chain's replay cursor (lazily created, never serialized).
     _cursor: Optional["_ReplayCursor"] = None
-
-    def _replay_rng_clone(self) -> random.Random:
-        """A scratch RNG carrying a copy of the live Mersenne state.
-
-        Predictors draw from the clone exactly as the live step would, so
-        the replayed path *is* the future path — without consuming any
-        live state.
-        """
-        rng = self._replay_rng
-        if rng is None:
-            rng = self._replay_rng = random.Random()
-        rng.setstate(self._rng.getstate())
-        return rng
 
     def _replay_seq_of(self, cache, node: Node) -> Optional[tuple]:
         """``node``'s stable neighbor tuple as a replay would see it.
@@ -385,21 +375,15 @@ class RandomWalkSampler(abc.ABC):
         """The node this walk will *fetch* next, or ``None`` if unknown.
 
         Engines whose per-step randomness can be replayed against cached
-        neighborhoods override this and delegate to
-        :meth:`_replay_fetch`, supplying only their one-step replay rule
-        (:meth:`_replay_step`).  The replay walks forward from the live
-        node with a copy of the live RNG through known territory until
-        the first uncached node — the fetch a history-aware planner can
-        issue early, into an open burst's spare slot.  All four walk
-        engines implement the protocol: SRW replays its uniform draw,
-        MHRW the proposal-then-accept pair over cached degrees, NBRW
-        threads the simulated predecessor through the exclusion filter,
-        and MTO replays the overlay draw / removal / replacement
-        branches against G* (answering ``None`` at the first branch that
-        would mutate the overlay or depends on an unknown neighborhood).
-        The prediction consumes **no** live RNG state and issues **no**
-        queries.  The default answers ``None``: unpredictable engines
-        simply get no prefetch.
+        neighborhoods (all four walk engines) override this and delegate
+        to :meth:`_replay_fetch`, supplying only their one-step replay
+        rule (:meth:`_replay_step`).  The replay walks forward from the
+        live node, decoding the chain's own future draws from its word
+        stream, through known territory until the first uncached node —
+        the fetch a history-aware planner can issue early, into an open
+        burst's spare slot.  The prediction consumes **no** live draw and
+        issues **no** queries.  The default answers ``None``:
+        unpredictable engines simply get no prefetch.
 
         Args:
             max_steps: Simulation horizon — how far through cached
@@ -410,45 +394,31 @@ class RandomWalkSampler(abc.ABC):
     def _replay_fetch(self, max_steps: int):
         """The next fetch within ``max_steps`` steps, via this chain's cursor.
 
-        The cursor keeps the replay between calls: a shadow RNG, the
-        live step count it was cloned at, and the positions it replayed
-        since.  A call first catches the cursor up to the live chain
-        (resuming a paused fetch the walk has since made), checks that
-        the live position lies on the replayed path, and trims the path
-        to start there; it then continues the replay where it stopped.
-        A still-pending uncached target is answered without replaying.
-        Every future draw is thus replayed once, however often a planner
-        asks, and the answer is the one a fresh clone's replay gives.
-
-        The cursor is re-cloned from the live RNG when it can no longer
-        be trusted: the replay token (:meth:`_replay_token`) changed or
-        reads ``None``, the live position is off the replayed path, the
-        sampler's :meth:`load_state` ran, or a live step raised (it may
-        have drawn before failing).  A chain whose RNG was handed in by
-        the caller re-clones on every call, since another holder of that
-        stream may draw from it between predictions.  A changed token
-        costs no clone when the cursor is ``synced`` at the live step:
-        its RNG already equals the live one.
+        A call first checks that the live chain stands on the cursor's
+        path, at both the recorded position and the recorded stream
+        index, trims the path to start there, and continues the replay
+        where it stopped; a still-pending uncached target is answered
+        without replaying.  Every future draw is thus replayed once,
+        however often a planner asks, and the answer is the one a fresh
+        replay gives.  Otherwise — the replay token
+        (:meth:`_replay_token`) changed or reads ``None``, or the live
+        chain is off the path or past its end, which also catches a
+        restored RNG and a step that drew, then raised — the cursor
+        restarts at the live position and index, at no cost.  A chain
+        whose RNG the caller handed in has no stream and answers
+        ``None``: another holder of that RNG may draw between calls.
 
         Returns:
             The predicted fetch, or ``None`` when a replay step cannot
             be resolved or no fetch lies within ``max_steps`` steps.
         """
+        if self._stream is None:
+            return None
         cache = self._api.cache
-        token = self._replay_token() if self._owns_rng else None
+        token = self._replay_token()
         cursor = self._cursor
-        if cursor is not None and cursor.synced and cursor.base == self._steps and token is not None:
-            # The shadow RNG is the live one and nothing is replayed past
-            # it, so a changed token invalidates nothing: this is a clone.
-            cursor.token = token
-        if (
-            cursor is None
-            or token is None
-            or cursor.token != token
-            or not self._cursor_catch_up(cursor, cache)
-        ):
-            cursor = self._cursor_clone(token)
-        cursor.synced = False
+        if cursor is None or token is None or cursor.token != token or not self._cursor_on_path(cursor):
+            cursor = self._cursor_restart(token)
         path = cursor.path
         step = self._replay_step
         while len(path) <= max_steps:
@@ -461,35 +431,32 @@ class RandomWalkSampler(abc.ABC):
             return target
         return None
 
-    def _cursor_clone(self, token) -> "_ReplayCursor":
-        """Restart this chain's cursor at the live position and RNG."""
+    def _cursor_restart(self, token) -> "_ReplayCursor":
+        """Restart this chain's cursor at the live position and stream index."""
         cursor = self._cursor
         if cursor is None:
-            cursor = self._cursor = _ReplayCursor()
-        cursor.rng = self._replay_rng_clone()
+            cursor = self._cursor = _ReplayCursor(self._stream)
+        cursor.index = self._stream.index
         cursor.token = token
         cursor.base = self._steps
         cursor.path = [self._replay_position()]
+        cursor.marks = [cursor.index]
         cursor.pause = None
         cursor.seq = None
-        cursor.synced = False
         return cursor
 
-    def _cursor_catch_up(self, cursor: "_ReplayCursor", cache) -> bool:
-        """Move ``cursor`` to the live step; ``False`` when it cannot."""
+    def _cursor_on_path(self, cursor: "_ReplayCursor") -> bool:
+        """Trim ``cursor`` to start at the live step; ``False`` when off its path."""
         offset = self._steps - cursor.base
-        if offset < 0:
-            return False
-        path = cursor.path
-        while len(path) <= offset:
-            # The live chain stepped past the end of the replay: its
-            # fetches are cached now, so the replay follows it there.
-            if self._replay_step(cursor, cache) is not None:
-                return False
-        if path[offset] != self._replay_position():
+        if (
+            not 0 <= offset < len(cursor.path)
+            or cursor.marks[offset] != self._stream.index
+            or cursor.path[offset] != self._replay_position()
+        ):
             return False
         if offset:
-            del path[:offset]
+            del cursor.path[:offset]
+            del cursor.marks[:offset]
             cursor.base = self._steps
         return True
 
@@ -511,12 +478,13 @@ class RandomWalkSampler(abc.ABC):
     def _replay_step(self, cursor: "_ReplayCursor", cache):
         """Replay one step of this engine from ``cursor.path[-1]``.
 
-        Draws from ``cursor.rng`` exactly as the live step would.  On a
-        completed step, appends the new position to ``cursor.path`` and
-        returns ``None``.  When the step needs an uncached neighborhood,
-        records that node in ``cursor.pause`` and returns it; a later
-        call resumes the paused step once the node is cached.  Returns
-        :data:`UNRESOLVED` when the step cannot be replayed.
+        Draws from ``cursor`` exactly as the live step would.  On a
+        completed step, records the new position with
+        :meth:`_ReplayCursor.push` and returns ``None``.  When the step
+        needs an uncached neighborhood, records that node in
+        ``cursor.pause`` and returns it; a later call resumes the paused
+        step once the node is cached.  Returns :data:`UNRESOLVED` when
+        the step cannot be replayed.
         """
         raise NotImplementedError
 
@@ -637,9 +605,7 @@ class RandomWalkSampler(abc.ABC):
             self._current_seq = seq
         return seq
 
-    def _draw_accessible(
-        self, neighbors: Sequence[Node]
-    ) -> Optional[tuple]:
+    def _draw_accessible(self, neighbors: Sequence[Node]) -> Optional[tuple]:
         """Uniformly draw an accessible neighbor and its query response.
 
         On networks without private users (``api.may_have_private`` is

@@ -32,38 +32,32 @@ class MetropolisHastingsWalk(RandomWalkSampler):
         then one ``random``), same acceptance arithmetic on the same
         degrees, same query log and billing as the full path.
         """
-        try:
-            if self._uses_default_trace and not self._api.may_have_private:
-                seq = self._current_neighbor_seq()
-                if not seq:
-                    self._stay_fast(0)
-                    return self._current
-                deg_u = len(seq)
-                proposal = seq[self._rng.randrange(deg_u)]
-                prop_seq = self._api.fetch_seq(proposal)
-                deg_v = len(prop_seq)
-                if self._rng.random() < min(1.0, deg_u / deg_v):
-                    self._advance_fast(proposal, deg_v, seq=prop_seq)
-                else:
-                    self._stay_fast(deg_u)
+        if self._uses_default_trace and not self._api.may_have_private:
+            seq = self._current_neighbor_seq()
+            if not seq:
+                self._stay_fast(0)
                 return self._current
-            resp = self._query_current()
-            drawn = self._draw_accessible(resp.neighbor_seq)
-            if drawn is None:
-                self._stay()
-                return self.current
-            proposal, prop_resp = drawn
-            accept = min(1.0, resp.degree / prop_resp.degree)
-            if self._rng.random() < accept:
-                self._advance(proposal, prop_resp)
+            deg_u = len(seq)
+            proposal = seq[self._rng.randrange(deg_u)]
+            prop_seq = self._api.fetch_seq(proposal)
+            deg_v = len(prop_seq)
+            if self._rng.random() < min(1.0, deg_u / deg_v):
+                self._advance_fast(proposal, deg_v, seq=prop_seq)
             else:
-                self._stay()
+                self._stay_fast(deg_u)
+            return self._current
+        resp = self._query_current()
+        drawn = self._draw_accessible(resp.neighbor_seq)
+        if drawn is None:
+            self._stay()
             return self.current
-        except BaseException:
-            # The step may have drawn before failing: the live RNG is
-            # then ahead of anything a replay cursor recorded.
-            self._cursor = None
-            raise
+        proposal, prop_resp = drawn
+        accept = min(1.0, resp.degree / prop_resp.degree)
+        if self._rng.random() < accept:
+            self._advance(proposal, prop_resp)
+        else:
+            self._stay()
+        return self.current
 
     def predict_next_fetch(self, max_steps: int = 64) -> Optional[Node]:
         """Replay proposal draws *and* acceptance tests to the next fetch.
@@ -88,15 +82,15 @@ class MetropolisHastingsWalk(RandomWalkSampler):
 
     def _replay_step(self, cursor, cache):
         """One proposal and its accept coin; pauses on an uncached proposal."""
-        path = cursor.path
+        cur = cursor.path[-1]
         cur_seq = cursor.seq
         if cur_seq is None:
-            cur_seq = cursor.seq = self._replay_seq_of(cache, path[-1])
+            cur_seq = cursor.seq = self._replay_seq_of(cache, cur)
         proposal = cursor.pause
         if proposal is None:
             if not cur_seq:
                 return UNRESOLVED
-            proposal = cur_seq[cursor.rng.randrange(len(cur_seq))]
+            proposal = cur_seq[cursor.randrange(len(cur_seq))]
         prop_seq = cache.neighbor_seq(proposal)
         if prop_seq is None:
             cursor.pause = proposal
@@ -105,11 +99,11 @@ class MetropolisHastingsWalk(RandomWalkSampler):
         deg_v = len(prop_seq)
         if not deg_v:  # degree-0 proposal: the live accept would fault
             return UNRESOLVED
-        if cursor.rng.random() < min(1.0, len(cur_seq) / deg_v):
-            path.append(proposal)
+        if cursor.random() < min(1.0, len(cur_seq) / deg_v):
+            cursor.push(proposal)
             cursor.seq = prop_seq
         else:  # rejected proposals hold in place: same node, same sequence
-            path.append(path[-1])
+            cursor.push(cur)
         return None
 
     def weight(self, node: Node) -> float:

@@ -36,54 +36,48 @@ class NonBacktrackingWalk(RandomWalkSampler):
         over the same stable sequence, the same single ``randrange``, the
         same query log and billing as the full path.
         """
-        try:
-            if self._uses_default_trace and not self._api.may_have_private:
-                seq = self._current_neighbor_seq()
-                neighbors: Sequence[Node] = seq
-                if self._previous is not None and len(neighbors) > 1:
-                    neighbors = [v for v in neighbors if v != self._previous]
-                if not neighbors:  # only possible when seq itself is empty
-                    self._stay_fast(0)
-                    return self._current
-                nxt = neighbors[self._rng.randrange(len(neighbors))]
-                nxt_seq = self._api.fetch_seq(nxt)
-                self._previous = self._current
-                self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
-                return nxt
-            resp = self._query_current()
-            neighbors: Sequence[Node] = resp.neighbor_seq
+        if self._uses_default_trace and not self._api.may_have_private:
+            seq = self._current_neighbor_seq()
+            neighbors: Sequence[Node] = seq
             if self._previous is not None and len(neighbors) > 1:
                 neighbors = [v for v in neighbors if v != self._previous]
-            drawn = self._draw_accessible(neighbors)
-            if drawn is None:
-                # Everything (except possibly the predecessor) is private:
-                # allow the backtrack rather than dying.
-                fallback = self._draw_accessible(resp.neighbor_seq)
-                if fallback is None:
-                    self._stay()
-                    return self.current
-                drawn = fallback
-            nxt, nxt_resp = drawn
-            self._previous = self.current
-            self._advance(nxt, nxt_resp)
+            if not neighbors:  # only possible when seq itself is empty
+                self._stay_fast(0)
+                return self._current
+            nxt = neighbors[self._rng.randrange(len(neighbors))]
+            nxt_seq = self._api.fetch_seq(nxt)
+            self._previous = self._current
+            self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
             return nxt
-        except BaseException:
-            # The step may have drawn before failing: the live RNG is
-            # then ahead of anything a replay cursor recorded.
-            self._cursor = None
-            raise
+        resp = self._query_current()
+        neighbors: Sequence[Node] = resp.neighbor_seq
+        if self._previous is not None and len(neighbors) > 1:
+            neighbors = [v for v in neighbors if v != self._previous]
+        drawn = self._draw_accessible(neighbors)
+        if drawn is None:
+            # Everything (except possibly the predecessor) is private:
+            # allow the backtrack rather than dying.
+            fallback = self._draw_accessible(resp.neighbor_seq)
+            if fallback is None:
+                self._stay()
+                return self.current
+            drawn = fallback
+        nxt, nxt_resp = drawn
+        self._previous = self.current
+        self._advance(nxt, nxt_resp)
+        return nxt
 
     def predict_next_fetch(self, max_steps: int = 64) -> Optional[Node]:
         """Replay the predecessor-exclusion draw to the next fetch.
 
         NBRW is SRW with the just-departed node filtered out of the draw
         (at degree > 1), so the replay threads a *simulated* predecessor
-        alongside the cloned RNG: filter, ``randrange`` over what
-        remains, advance, repeat — until the drawn node's neighborhood is
-        not cached, which is the fetch the live walk will pay for.  The
-        chain's persistent cursor records ``(node, predecessor)`` per
-        step, so a live chain is on the replayed path only when both
-        match.
+        alongside the chain's future draws: filter, ``randrange`` over
+        what remains, advance, repeat — until the drawn node's
+        neighborhood is not cached, which is the fetch the live walk will
+        pay for.  The chain's persistent cursor records ``(node,
+        predecessor)`` per step, so a live chain is on the replayed path
+        only when both match (and its stream index does).
 
         Returns ``None`` on networks with private users (the exclusion
         fallback re-draws with data-dependent counts), at dead ends, or
@@ -109,14 +103,14 @@ class NonBacktrackingWalk(RandomWalkSampler):
             neighbors: Sequence[Node] = seq
             if prev is not None and len(neighbors) > 1:
                 neighbors = [v for v in neighbors if v != prev]
-            nxt = neighbors[cursor.rng.randrange(len(neighbors))]
+            nxt = neighbors[cursor.randrange(len(neighbors))]
         nxt_seq = cache.neighbor_seq(nxt)
         if nxt_seq is None:
             cursor.pause = nxt
             return nxt
         cursor.pause = None
         cursor.seq = nxt_seq
-        cursor.path.append((nxt, cur))
+        cursor.push((nxt, cur))
         return None
 
     def weight(self, node: Node) -> float:

@@ -235,12 +235,8 @@ class ParallelWalkers:
             sampler.load_state(chain_state)
         self._prefetched = set(state["prefetched"])
         self._rounds = int(state["rounds"])
-        # Absent from snapshots written before latency-aware providers.
-        self._sim_elapsed = float(state.get("sim_elapsed", 0.0))
-        # Absent from snapshots written before per-engine prediction.
-        self._predict_stats = {
-            k: dict(v) for k, v in state.get("predict_stats", {}).items()
-        }
+        self._sim_elapsed = float(state["sim_elapsed"])
+        self._predict_stats = {k: dict(v) for k, v in state["predict_stats"].items()}
 
     def planning_summary(self) -> dict:
         """Prefetch/prediction accounting for this group.

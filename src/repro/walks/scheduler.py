@@ -551,44 +551,32 @@ class EventDrivenWalkers:
         self._merged = list(state["merged"])
         self._merged_chain = [int(i) for i in state["merged_chain"]]
         self._events = int(state["events"])
-        # Absent from snapshots written before batch-aware dispatch; a
-        # fleet that has admitted nothing has an all-zero horizon.
-        next_free = state.get("next_free", ())
-        if self._fleet is not None:
-            if len(next_free) not in (0, self._fleet.num_shards):
-                raise SnapshotError(
-                    f"snapshot tracks {len(next_free)} shard admission horizons; "
-                    f"this fleet has {self._fleet.num_shards} shards"
-                )
-            restored = [float(t) for t in next_free]
-            self._next_free = restored or [0.0] * self._fleet.num_shards
-        else:
-            self._next_free = [float(t) for t in next_free]
-        open_bursts = state.get("open_bursts", ())
+        self._next_free = [float(t) for t in state["next_free"]]
+        if self._fleet is not None and len(self._next_free) != self._fleet.num_shards:
+            raise SnapshotError(
+                f"snapshot tracks {len(self._next_free)} shard admission horizons; "
+                f"this fleet has {self._fleet.num_shards} shards"
+            )
         self._open_bursts = [
-            None if burst is None else [float(x) for x in burst] for burst in open_bursts
+            None if burst is None else [float(x) for x in burst] for burst in state["open_bursts"]
         ]
-        if self._fleet is not None and not self._open_bursts:
-            self._open_bursts = [None] * self._fleet.num_shards
         if self._fleet is not None and len(self._open_bursts) != self._fleet.num_shards:
             raise SnapshotError(
                 f"snapshot tracks {len(self._open_bursts)} open bursts; "
                 f"this fleet has {self._fleet.num_shards} shards"
             )
-        # Planning keys joined the payload with the planning layer; absent
-        # in earlier snapshots (which could not have planned anything).
         k = len(self._samplers)
-        self._roster = list(state.get("roster", (ROSTER_ACTIVE,) * k))
+        self._roster = list(state["roster"])
         if len(self._roster) != k:
             raise SnapshotError(
                 f"snapshot tracks a roster of {len(self._roster)} chains; "
                 f"this group has {k}"
             )
-        self._collect_steps = [int(c) for c in state.get("collect_steps", (0,) * k)]
-        self._timed_steps = [int(c) for c in state.get("timed_steps", (0,) * k)]
-        self._chain_latency = [float(x) for x in state.get("chain_latency", (0.0,) * k)]
-        self._next_review = int(state.get("next_review", 0))
-        planner_state = state.get("planner")
+        self._collect_steps = [int(c) for c in state["collect_steps"]]
+        self._timed_steps = [int(c) for c in state["timed_steps"]]
+        self._chain_latency = [float(x) for x in state["chain_latency"]]
+        self._next_review = int(state["next_review"])
+        planner_state = state["planner"]
         if self._planner is not None:
             if planner_state is None:
                 raise SnapshotError(

@@ -39,43 +39,37 @@ class SimpleRandomWalk(RandomWalkSampler):
         RestrictedSocialAPI.fetch_seq` — same RNG consumption, same query
         log, same billing as the full path, bit for bit.
         """
-        try:
-            if self._uses_default_trace and not self._api.may_have_private:
-                seq = self._current_neighbor_seq()
-                if not seq:
-                    self._stay_fast(0)
-                    return self._current
-                nxt = seq[self._rng.randrange(len(seq))]
-                nxt_seq = self._api.fetch_seq(nxt)
-                self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
-                return nxt
-            resp = self._query_current()
-            drawn = self._draw_accessible(resp.neighbor_seq)
-            if drawn is None:
-                self._stay()
-                return self.current
-            nxt, nxt_resp = drawn
-            self._advance(nxt, nxt_resp)
+        if self._uses_default_trace and not self._api.may_have_private:
+            seq = self._current_neighbor_seq()
+            if not seq:
+                self._stay_fast(0)
+                return self._current
+            nxt = seq[self._rng.randrange(len(seq))]
+            nxt_seq = self._api.fetch_seq(nxt)
+            self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
             return nxt
-        except BaseException:
-            # The step may have drawn before failing: the live RNG is
-            # then ahead of anything a replay cursor recorded.
-            self._cursor = None
-            raise
+        resp = self._query_current()
+        drawn = self._draw_accessible(resp.neighbor_seq)
+        if drawn is None:
+            self._stay()
+            return self.current
+        nxt, nxt_resp = drawn
+        self._advance(nxt, nxt_resp)
+        return nxt
 
     def predict_next_fetch(self, max_steps: int = 64) -> Optional[Node]:
         """Replay the walk's RNG through cached territory to its next fetch.
 
         SRW consumes exactly one ``randrange`` per step on networks
-        without private users, so a clone of the Mersenne state walks the
-        *actual* future path for free: follow the draws while every
-        visited neighborhood is cached, and the first uncached node hit
-        is precisely the neighborhood the walk will pay a provider round
-        trip for.  The replay runs on the chain's persistent cursor
+        without private users, so decoding the chain's own future words
+        walks the *actual* future path for free: follow the draws while
+        every visited neighborhood is cached, and the first uncached node
+        hit is precisely the neighborhood the walk will pay a provider
+        round trip for.  The replay runs on the chain's persistent cursor
         (:meth:`~repro.walks.base.RandomWalkSampler._replay_fetch`), so
         asking again after a prefetch continues from the prefetched node
-        instead of replaying the path from the live node.  The live RNG
-        is untouched and no queries are issued.
+        instead of replaying the path from the live node.  No live draw
+        is consumed and no queries are issued.
 
         Returns ``None`` when the future path cannot be simulated: the
         network has private users (the redraw loop consumes a
@@ -94,16 +88,16 @@ class SimpleRandomWalk(RandomWalkSampler):
             if not cache.has(target):
                 return target
             cursor.pause = None
-            cursor.path.append(target)
+            cursor.push(target)
             return None
         seq = self._replay_seq_of(cache, cursor.path[-1])
         if not seq:
             return UNRESOLVED
-        nxt = seq[cursor.rng.randrange(len(seq))]
+        nxt = seq[cursor.randrange(len(seq))]
         if not cache.has(nxt):
             cursor.pause = nxt
             return nxt
-        cursor.path.append(nxt)
+        cursor.push(nxt)
         return None
 
     def weight(self, node: Node) -> float:

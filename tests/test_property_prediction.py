@@ -1,8 +1,8 @@
 """Property-based tests for universal prefetch prediction.
 
 The prediction contract every walk engine honors: replaying the engine's
-own draw discipline through cached territory, with a copy of the live
-RNG, yields either ``None`` (unresolvable — private users, dead ends, a
+own draw discipline through cached territory, on the chain's own future
+draws, yields either ``None`` (unresolvable — private users, dead ends, a
 rewiring branch, or no fetch within the horizon) or the *exact* user the
 walk's next billed §II-B query will hit.  Hypothesis sweeps random
 connected graphs, walk seeds, warm-up depths, and pre-warmed cache
@@ -10,12 +10,12 @@ states; a wrong prediction here means a planner would prefetch — and
 bill — a neighborhood the walk never visits.
 
 Each chain keeps one persistent replay cursor between predictions
-(:meth:`~repro.walks.base.RandomWalkSampler._replay_fetch`), so a
-prediction continues the previous replay instead of re-cloning the RNG
-(:meth:`~repro.walks.base.RandomWalkSampler._replay_rng_clone`).  The
-differential family interleaves predictions, prefetches, live steps and
+(:meth:`~repro.walks.base.RandomWalkSampler._replay_fetch`), an index
+into the chain's word stream, so a prediction continues the previous
+replay instead of starting again at the live node.  The differential
+family interleaves predictions, prefetches, live steps and
 ``load_state`` at random and checks every cursor answer against a fresh
-clone's replay; named cases cover a reloaded RNG at the same position,
+replay's; named cases cover a reloaded RNG at the same position,
 TTL'd and capacity-bounded caches, and a sharer's write to an MTO
 overlay.
 
@@ -49,6 +49,7 @@ from repro.graph import Graph
 from repro.interface.api import RestrictedSocialAPI
 from repro.interface.cache import NeighborhoodCache
 from repro.planning import DispatchPlanner
+from repro.utils.rng import WordStream
 from repro.walks.mhrw import MetropolisHastingsWalk
 from repro.walks.nbrw import NonBacktrackingWalk
 from repro.walks.scheduler import EventDrivenWalkers
@@ -75,9 +76,7 @@ def connected_graphs(draw, min_nodes=5, max_nodes=12):
         g.add_edge(draw(st.integers(0, v - 1)), v)
     extra = draw(
         st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                lambda p: p[0] != p[1]
-            ),
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
             max_size=2 * n,
         )
     )
@@ -120,9 +119,7 @@ class TestPredictionMatchesReality:
         predicted = walk.predict_next_fetch(max_steps=HORIZON)
         actual = _next_billed_fetch(walk, api)
         if predicted is not None:
-            assert predicted == actual, (
-                f"{engine} predicted {predicted!r} but the walk billed {actual!r}"
-            )
+            assert predicted == actual, f"{engine} predicted {predicted!r} but the walk billed {actual!r}"
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -131,9 +128,7 @@ class TestPredictionMatchesReality:
         seed=st.integers(0, 2**20),
         warm_fraction=st.floats(0.0, 1.0),
     )
-    def test_prediction_holds_over_warmed_caches(
-        self, graph, engine, seed, warm_fraction
-    ):
+    def test_prediction_holds_over_warmed_caches(self, graph, engine, seed, warm_fraction):
         """Pre-warmed (never-billed) cache entries extend the replay
         horizon without breaking the contract — warm knowledge changes
         *which* fetch comes next, not the predictor's correctness.
@@ -146,9 +141,7 @@ class TestPredictionMatchesReality:
         either way)."""
         api = RestrictedSocialAPI(graph)
         warm_nodes = [v for v in sorted(graph.nodes()) if (v % 10) / 10 < warm_fraction]
-        api.warm_start(
-            {v: (tuple(sorted(graph.neighbors(v))), {}) for v in warm_nodes}
-        )
+        api.warm_start({v: (tuple(sorted(graph.neighbors(v))), {}) for v in warm_nodes})
         walk = ENGINES[engine](api, start=0, seed=seed)
         predicted = walk.predict_next_fetch(max_steps=HORIZON)
         if predicted is not None and not api.cache.has(predicted):
@@ -174,17 +167,17 @@ class TestPredictionMatchesReality:
 
 
 def _fresh_prediction(walk, horizon):
-    """What a freshly cloned replay predicts; the walk's cursor is untouched."""
-    saved = walk._cursor, walk._replay_rng
-    walk._cursor = walk._replay_rng = None
+    """What a fresh replay from the live step predicts; the walk's cursor is untouched."""
+    saved = walk._cursor
+    walk._cursor = None
     try:
         return walk.predict_next_fetch(max_steps=horizon)
     finally:
-        walk._cursor, walk._replay_rng = saved
+        walk._cursor = saved
 
 
 def _checked_prediction(walk, horizon):
-    """The cursor's prediction, asserted equal to a fresh clone's."""
+    """The cursor's prediction, asserted equal to a fresh replay's."""
     live_rng = walk.rng.getstate()
     fresh = _fresh_prediction(walk, horizon)
     predicted = walk.predict_next_fetch(max_steps=horizon)
@@ -251,7 +244,7 @@ class TestReplayCursor:
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_load_state_same_position_other_rng(self, engine):
-        """Reloading the same ``(steps, current)`` with another RNG re-clones."""
+        """Reloading the same ``(steps, current)`` with another RNG restarts the cursor."""
         graph = Graph([(i, j) for i in range(12) for j in range(i + 1, 12) if (i * j) % 5 < 3])
         differed = 0
         for seed in range(20):
@@ -269,7 +262,9 @@ class TestReplayCursor:
 
     @pytest.mark.parametrize("engine", ["srw", "mhrw", "nbrw"])
     def test_shared_caller_rng(self, engine):
-        """Another holder of a caller-supplied RNG may draw between calls."""
+        """Another holder of a caller-supplied RNG may draw between calls,
+        so such a chain has no stream to read ahead: it answers ``None``
+        (fetch-on-visit) without drawing."""
         graph = Graph([(i, (i + 1) % 30) for i in range(30)] + [(i, (i + 4) % 30) for i in range(30)])
         api = RestrictedSocialAPI(graph)
         for v in range(0, 30, 2):
@@ -278,7 +273,9 @@ class TestReplayCursor:
         walk = ENGINES[engine](api, start=0, seed=shared)
         other = ENGINES[engine](api, start=15, seed=shared)
         for _ in range(30):
-            _checked_prediction(walk, HORIZON)
+            state = shared.getstate()
+            assert walk.predict_next_fetch(max_steps=HORIZON) is None
+            assert shared.getstate() == state
             other.step()
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
@@ -307,10 +304,10 @@ class TestReplayCursor:
         assert target is not None
         cursor = walk._cursor
         offset = len(cursor.path)  # draws from the live node to the target
-        rng_state = cursor.rng.getstate()
+        index = cursor.index
         assert walk.predict_next_fetch(max_steps=offset) == target
         assert walk.predict_next_fetch(max_steps=offset - 1) is None
-        assert cursor.rng.getstate() == rng_state  # nothing replayed again
+        assert cursor.index == index  # nothing replayed again
         assert "cursor" not in str(sorted(walk.state_dict()))
 
     def test_path_trimmed_as_live_chain_catches_up(self):
@@ -338,7 +335,7 @@ class TestReplayCursor:
         ops=st.lists(OPS, min_size=3, max_size=30),
     )
     def test_ttl_cache(self, engine, graph, seed, ops):
-        """TTL'd entries expire on the clock: every prediction re-clones."""
+        """TTL'd entries expire on the clock: every prediction restarts the cursor."""
         now = [0.0]
         store = KeyValueStore(clock=lambda: now[0])
         api = RestrictedSocialAPI(graph, cache=NeighborhoodCache(store, ttl=3.0))
@@ -362,7 +359,7 @@ class TestReplayCursor:
         ops=st.lists(OPS, min_size=3, max_size=30),
     )
     def test_capacity_bounded_cache(self, engine, graph, seed, capacity, ops):
-        """A bounded store evicts on any insert: every prediction re-clones."""
+        """A bounded store evicts on any insert: every prediction restarts the cursor."""
         api = RestrictedSocialAPI(graph, cache=NeighborhoodCache(KeyValueStore(capacity=capacity)))
         walk = ENGINES[engine](api, start=0, seed=seed)
         assert api.cache.retention_version is None
@@ -389,7 +386,7 @@ class TestReplayCursor:
         assert _checked_prediction(walk, HORIZON) == path[1] != before
 
     def test_mto_sharer_overlay_write(self):
-        """Another chain materializing the predicted node re-clones the cursor."""
+        """Another chain materializing the predicted node restarts the cursor."""
         graph = Graph([(i, (i + 1) % 24) for i in range(24)] + [(i, (i + 5) % 24) for i in range(24)])
         api = RestrictedSocialAPI(graph)
         overlay = OverlayGraph(api)
@@ -420,9 +417,9 @@ class TestReplayCursor:
     )
     def test_mto_cursor_carried_through_live_steps(self, graph, seeds, lazy, rounds):
         """Rounds of predict, step, with a sharer's step or a write to G*
-        before and after the live step.  A step carries a cursor paused on
-        its fetch (or holding the whole step) to the live RNG; every later
-        prediction must still equal a fresh replay's."""
+        before and after the live step.  Every write restarts the cursor
+        at the live step, and a live step may land on or off the replayed
+        path; every prediction must still equal a fresh replay's."""
         api = RestrictedSocialAPI(graph)
         overlay = OverlayGraph(api)
         nodes = sorted(graph.nodes())
@@ -474,22 +471,30 @@ class TestReplayCursor:
                             overlay.ensure_known(pick.choice(nodes))
                     chain.step()
 
-    def test_mto_lock_step_keeps_one_clone(self):
-        """Predict, step, let a sharer write G*: the cursor is carried
-        through each live step, so it is cloned once, not every round."""
+    def test_mto_lock_step_keeps_one_clone(self, monkeypatch):
+        """Predict, step, let a sharer write G*: every round restarts the
+        cursor, and a restart only moves an index, so no ``getstate`` or
+        ``setstate`` runs in 30 rounds (a buffer fill records the
+        generator's state once per 512 words, not per round)."""
         graph = Graph([(i, (i + 1) % 40) for i in range(40)] + [(i, (i + 7) % 40) for i in range(40)])
         api = RestrictedSocialAPI(graph)
         overlay = OverlayGraph(api)
         chain = MTOSampler(api, start=0, seed=3, overlay=overlay)
         sharer = MTOSampler(api, start=20, seed=4, overlay=overlay)
-        clones = []
-        original = chain._cursor_clone
-        chain._cursor_clone = lambda token: clones.append(token) or original(token)
+        calls = []
+        for cls in (random.Random, WordStream):
+            for name in ("getstate", "setstate"):
+                original = getattr(cls, name)
+                monkeypatch.setattr(
+                    cls, name, lambda self, *a, _n=name, _f=original: calls.append(_n) or _f(self, *a)
+                )
+        predicted = 0
         for _ in range(30):
-            chain.predict_next_fetch(max_steps=1)
+            predicted += chain.predict_next_fetch(max_steps=1) is not None
             chain.step()
             sharer.step()
-        assert len(clones) < 10, clones
+        assert predicted
+        assert calls == []
 
 
 class TestLedgerBalance:

@@ -242,15 +242,3 @@ class TestProviderSnapshotsThroughApi:
         fresh.load_state(state)
         assert fresh_provider.retry_stats == provider.retry_stats
         assert fresh.latency_spent == api.latency_spent
-
-    def test_pre_provider_snapshots_still_load(self):
-        api = RestrictedSocialAPI(complete_graph(4))
-        api.query(0)
-        state = api.state_dict()
-        # Simulate a snapshot written before the provider refactor.
-        state.pop("provider")
-        state.pop("latency_spent")
-        fresh = RestrictedSocialAPI(complete_graph(4))
-        fresh.load_state(state)
-        assert fresh.query_cost == 1
-        assert fresh.latency_spent == 0.0

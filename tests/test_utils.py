@@ -15,7 +15,7 @@ from repro.utils import (
     spawn_rng,
     variance,
 )
-from repro.utils.rng import choice_from_set
+from repro.utils.rng import StreamCursor, WordStream
 
 
 class TestRng:
@@ -41,18 +41,120 @@ class TestRng:
         b = spawn_rng(random.Random(5), 3)
         assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
 
-    def test_choice_from_set_uniform(self):
-        rng = random.Random(0)
-        items = {"a", "b", "c"}
-        counts = {k: 0 for k in items}
-        for _ in range(3000):
-            counts[choice_from_set(rng, items)] += 1
-        for k in items:
-            assert abs(counts[k] / 3000 - 1 / 3) < 0.05
 
-    def test_choice_from_empty_set(self):
-        with pytest.raises(IndexError):
-            choice_from_set(random.Random(0), set())
+def _mixed_draws(rng, pick, count=3000):
+    """``count`` draws of every :class:`random.Random` kind, chosen by ``pick``."""
+    sizes = [1, 3, 7, 1000, 2**31 + 5, 2**32 - 1, 2**32 + 1, 2**70 + 9] + [2**e for e in range(33)]
+    out = []
+    for _ in range(count):
+        kind = pick.randrange(9)
+        if kind == 0:
+            out.append(rng.randrange(pick.choice(sizes)))
+        elif kind == 1:
+            out.append(rng.random())
+        elif kind == 2:
+            out.append(rng.getrandbits(pick.randrange(1, 101)))
+        elif kind == 3:
+            out.append(rng.choice("abcdefghij"))
+        elif kind == 4:
+            items = list(range(pick.randrange(1, 12)))
+            rng.shuffle(items)
+            out.append(tuple(items))
+        elif kind == 5:
+            out.append(tuple(rng.sample(range(50), pick.randrange(0, 10))))
+        elif kind == 6:
+            out.append(rng.gauss(0.0, 1.0))
+        elif kind == 7:
+            out.append(rng.randrange(3, 300, 7))
+        else:
+            out.append(rng.uniform(-1.0, 1.0))
+    return out
+
+
+class TestWordStream:
+    """A :class:`WordStream` is a :class:`random.Random`, draw for draw."""
+
+    def test_randrange_sizes_match_random(self):
+        for n in [1, 2**32 + 1, 5, 1000, 2**31 + 1] + [2**e for e in range(34)]:
+            plain, stream = random.Random(n), WordStream(n)
+            assert [plain.randrange(n) for _ in range(700)] == [stream.randrange(n) for _ in range(700)]
+
+    def test_random_and_getrandbits_match_random(self):
+        plain, stream = random.Random(3), WordStream(3)
+        for k in range(1, 101):
+            assert plain.getrandbits(k) == stream.getrandbits(k)
+            assert plain.random() == stream.random()
+        assert plain.getrandbits(0) == stream.getrandbits(0) == 0
+
+    def test_mixed_draws_match_random_across_refills(self):
+        for seed in range(8):
+            expected = _mixed_draws(random.Random(seed), random.Random(seed + 100))
+            assert _mixed_draws(WordStream(seed), random.Random(seed + 100)) == expected
+
+    def test_outstanding_read_ahead_changes_no_draw(self):
+        for seed in range(4):
+            plain, stream = random.Random(seed), WordStream(seed)
+            cursor = StreamCursor(stream)
+            ahead = [cursor.randrange(10) for _ in range(1500)]  # spans several fills
+            assert [stream.randrange(10) for _ in range(1500)] == ahead
+            assert [plain.randrange(10) for _ in range(1500)] == ahead
+            cursor.index = stream.index
+            for _ in range(40):
+                cursor.random()
+            expected = _mixed_draws(plain, random.Random(seed), count=500)
+            assert _mixed_draws(stream, random.Random(seed), count=500) == expected
+
+    def test_cursor_reads_the_next_live_draws(self):
+        stream = WordStream(11)
+        cursor = StreamCursor(stream)
+        ahead = [(cursor.randrange(37), cursor.random()) for _ in range(800)]
+        assert cursor.index > stream.index
+        assert [(stream.randrange(37), stream.random()) for _ in range(800)] == ahead
+        assert cursor.index == stream.index
+
+    def test_mid_buffer_getstate_equals_random(self):
+        plain, stream = random.Random(5), WordStream(5)
+        cursor = StreamCursor(stream)
+        for _ in range(300):
+            cursor.randrange(7)
+        for draws in (1, 57, 800):
+            for _ in range(draws):
+                for rng in (plain, stream):
+                    rng.randrange(13)
+                    rng.random()
+            assert stream.getstate() == plain.getstate()
+        plain.gauss(0.0, 1.0)
+        stream.gauss(0.0, 1.0)
+        assert stream.getstate() == plain.getstate()  # gauss_next included
+        assert stream.random() == plain.random()
+
+    def test_setstate_drops_the_read_ahead(self):
+        stream = WordStream(1)
+        cursor = StreamCursor(stream)
+        for _ in range(600):
+            cursor.randrange(9)
+        state = random.Random(2).getstate()
+        stream.setstate(state)
+        assert stream.index > cursor.index  # no old index names a new word
+        cursor.index = stream.index
+        ahead = [cursor.randrange(9) for _ in range(600)]
+        plain = random.Random()
+        plain.setstate(state)
+        assert [stream.randrange(9) for _ in range(600)] == ahead == [plain.randrange(9) for _ in range(600)]
+
+    def test_seed_restarts_the_stream(self):
+        stream = WordStream(1)
+        before = stream.index
+        stream.random()
+        stream.seed(9)
+        assert stream.index > before + 2
+        assert stream.getstate() == random.Random(9).getstate()
+
+    def test_state_dict_layout_unchanged(self):
+        stream = WordStream(4)
+        stream.randrange(100)
+        version, internal, gauss_next = stream.getstate()
+        assert (version, len(internal), gauss_next) == (random.Random.VERSION, 625, None)
 
 
 class TestStats:
