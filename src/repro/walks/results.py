@@ -1,12 +1,8 @@
 """One result shape for every walk engine.
 
-Historically :class:`~repro.walks.parallel.ParallelWalkers` and
-:class:`~repro.walks.scheduler.EventDrivenWalkers` returned structurally
-different records (``merged``/``query_cost`` here, extra batch fields
-there), so any code consuming a run — telemetry reporting, experiments,
-the service layer — had to special-case which engine produced it.
-
-:class:`RunResult` is the shared protocol both engines now return:
+:class:`RunResult` is the shared protocol both multi-chain drivers
+return, so code consuming a run — telemetry reporting, experiments, the
+service layer — never special-cases which driver produced it:
 
 * ``samples`` — all chains' samples interleaved in collection order
   (completion order under the event-driven scheduler; at zero latency the

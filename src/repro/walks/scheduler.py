@@ -1,27 +1,31 @@
-"""Event-driven, latency-aware scheduling of many parallel chains.
+"""The one dispatch loop for many parallel chains, on simulated time.
 
-:class:`~repro.walks.parallel.ParallelWalkers` advances chains in
-lock-step rounds: every chain takes one step, then every chain takes the
-next.  On a zero-latency in-memory provider that is free, but under real
-response latencies one slow or throttled query stalls *every* chain for
-the whole round — the group pays the per-round **maximum** latency.  The
-follow-up paper "Walk, Not Wait: Faster Sampling Over Online Social
-Networks" observes that a crawler should instead keep queries from many
-chains in flight and react to whichever response lands first.
+The follow-up paper "Walk, Not Wait: Faster Sampling Over Online Social
+Networks" observes that a crawler should keep queries from many chains
+in flight and react to whichever response lands first, instead of
+advancing chains in lock-step rounds where one slow or throttled query
+stalls *every* chain and the group pays the per-round **maximum**
+latency.
 
-:class:`EventDrivenWalkers` is that scheduler on simulated time.  Each
-chain is an event source: when its previous response lands (an event at
-simulated time ``t``), its next step is dispatched immediately and its
-following event is scheduled at ``t`` plus the provider latency that step
-incurred.  Chains interleave by *completion time* instead of round index,
-so the group's makespan approaches the fastest chains' aggregate rate
-rather than the slowest chain's.
+:class:`EventDrivenWalkers` is that scheduler.  Each chain is an event
+source in one ``(ready_time, seq, chain)`` queue: when its previous
+response lands (an event at simulated time ``t``), its next step is
+dispatched immediately and its following event is scheduled at ``t``
+plus the provider latency that step incurred.  Chains interleave by
+*completion time* instead of round index, so the group's makespan
+approaches the fastest chains' aggregate rate rather than the slowest
+chain's.
 
-Equivalence guarantee: on a zero-latency provider every event carries the
-same timestamp and the queue degenerates to FIFO round-robin — the exact
-order lock-step uses — so the scheduler reproduces a
-``ParallelWalkers.run`` bit-for-bit (same merged sample sequence, same
-§II-B billing, same R̂).  The determinism suite asserts this.
+Lock-step is the *barrier* case of the same loop
+(:class:`~repro.walks.parallel.ParallelWalkers`): a tick is the whole
+round, every queued chain in FIFO order, and every chain of the round
+becomes ready at the round's latest ready time.  That is the per-round
+maximum exactly, since ``max(t + l_i) == t + max(l_i)`` in floating
+point.  Equivalence guarantee: on a zero-latency provider every event
+carries the same timestamp, so without the barrier the queue degenerates
+to the same FIFO round-robin and reproduces a lock-step run bit-for-bit
+(same merged sample sequence, same §II-B billing, same R̂).  The
+determinism suite asserts this.
 
 Two clocks, deliberately distinct:
 
@@ -103,7 +107,7 @@ from repro.planning.lifecycle import (
 )
 from repro.planning.planner import DispatchPlanner
 from repro.walks.base import RandomWalkSampler, SamplingRun, WalkSample
-from repro.walks.results import EventDrivenRun
+from repro.walks.results import EventDrivenRun, ParallelRun, RunResult
 
 #: Scheduler lifecycle phases (persisted in snapshots).
 PHASE_FRESH = "fresh"
@@ -183,6 +187,10 @@ class EventDrivenWalkers:
         30
     """
 
+    #: Lock-step rounds (see the module docstring); fixed per class, set
+    #: only by :class:`~repro.walks.parallel.ParallelWalkers`.
+    _barrier = False
+
     def __init__(
         self,
         samplers: Sequence[RandomWalkSampler],
@@ -191,7 +199,7 @@ class EventDrivenWalkers:
         planner: Optional[DispatchPlanner] = None,
     ) -> None:
         if len(samplers) < 2:
-            raise WalkError("event-driven walking needs at least two samplers")
+            raise WalkError("parallel walking needs at least two samplers")
         api = samplers[0].api
         if any(s.api is not api for s in samplers):
             raise WalkError("all samplers must share one interface")
@@ -201,25 +209,22 @@ class EventDrivenWalkers:
         self._api = api
         self._max_lead = int(max_lead)
         self._overlay = shared_overlay_of(samplers)
-        # Chains whose overlay another chain also writes must never
-        # predict: the event interleaving can land a sharer's rewire
-        # between a replay and the predicted fetch, invalidating it (see
-        # MTOSampler.predict_next_fetch).  Private overlays are safe —
-        # only the owning chain writes them, and its own steps are
-        # exactly what the replay simulates.
-        overlay_writers: dict = {}
-        for s in self._samplers:
-            ov = getattr(s, "overlay", None)
-            if ov is not None:
-                overlay_writers[id(ov)] = overlay_writers.get(id(ov), 0) + 1
-        self._predict_ok = [
-            getattr(s, "overlay", None) is None
-            or overlay_writers[id(s.overlay)] == 1
-            for s in self._samplers
-        ]
+        # A chain may predict only when no other writer of its overlay can
+        # step between its prediction and its own step: a rewire landing
+        # there can invalidate the replay (see
+        # MTOSampler.predict_next_fetch).  Under the barrier those are the
+        # sharers earlier in the round; otherwise completion order
+        # interleaves every sharer.  A private overlay is written only by
+        # its own chain, whose steps are exactly what the replay simulates.
+        overlays = [getattr(s, "overlay", None) for s in self._samplers]
+        self._predict_ok = []
+        for i, ov in enumerate(overlays):
+            rivals = overlays[:i] if self._barrier else overlays[:i] + overlays[i + 1 :]
+            self._predict_ok.append(ov is None or all(r is not ov for r in rivals))
         if batch_window < 0:
             raise WalkError("batch_window must be non-negative")
-        self._fleet = find_fleet(api.provider)
+        # Lock-step waits on each chain's own response; it never coalesces.
+        self._fleet = None if self._barrier else find_fleet(api.provider)
         if batch_window > 0 and self._fleet is None:
             raise WalkError(
                 "batch_window needs a ShardedProvider in the interface's "
@@ -246,9 +251,7 @@ class EventDrivenWalkers:
         # every chain is active for the whole run and the books are pure
         # bookkeeping; with one, the roster drives collection scheduling.
         policy = planner.policy if planner is not None else None
-        self._roster: List[str] = (
-            policy.initial_roster(k) if policy is not None else [ROSTER_ACTIVE] * k
-        )
+        self._roster: List[str] = policy.initial_roster(k) if policy is not None else [ROSTER_ACTIVE] * k
         self._collect_steps = [0] * k
         self._timed_steps = [0] * k
         self._chain_latency = [0.0] * k
@@ -269,7 +272,6 @@ class EventDrivenWalkers:
         self._parked: Set[int] = set()
         self._next_check = 0
         self._r_hat: Optional[float] = None
-        self._converged = False
         self._merged: List[WalkSample] = []
         self._merged_chain: List[int] = []
         self._events = 0
@@ -299,7 +301,12 @@ class EventDrivenWalkers:
 
     @property
     def simulated_elapsed(self) -> float:
-        """Event-time makespan so far (concurrent, not serial, latency)."""
+        """Event-time makespan so far (concurrent, not serial, latency).
+
+        Under the lock-step barrier this is the sum of the rounds'
+        maximum latencies: one slow or throttled response stalls its
+        whole round.
+        """
         return self._sim_time
 
     @property
@@ -454,16 +461,17 @@ class EventDrivenWalkers:
     # checkpoint hook
     # ------------------------------------------------------------------
     def set_checkpoint(self, fn, every: int) -> None:
-        """Invoke ``fn(self)`` after every ``every``-th processed event.
+        """Invoke ``fn(self)`` after every ``every``-th commit point.
 
-        Events are the scheduler's commit points: the dispatched action
-        has landed and the queue already holds the chain's next event, so
-        the captured state (including the in-flight queue) resumes
-        bit-for-bit.
+        The scheduler's commit points are processed events: the
+        dispatched action has landed and the queue already holds the
+        chain's next event, so the captured state (including the
+        in-flight queue) resumes bit-for-bit.  Lock-step's are rounds
+        (see :class:`~repro.walks.parallel.ParallelWalkers`).
 
         Args:
-            fn: Callback receiving this :class:`EventDrivenWalkers`.
-            every: Positive event period.
+            fn: Callback receiving this group.
+            every: Positive period.
 
         Raises:
             ValueError: If ``every`` is not positive.
@@ -504,7 +512,6 @@ class EventDrivenWalkers:
             "parked": tuple(sorted(self._parked)),
             "next_check": self._next_check,
             "r_hat": self._r_hat,
-            "converged": self._converged,
             "merged": tuple(self._merged),
             "merged_chain": tuple(self._merged_chain),
             "events": self._events,
@@ -529,13 +536,7 @@ class EventDrivenWalkers:
         Raises:
             SnapshotError: If the chain count differs from this group's.
         """
-        chains = state["chains"]
-        if len(chains) != len(self._samplers):
-            raise SnapshotError(
-                f"snapshot holds {len(chains)} chains; this group has {len(self._samplers)}"
-            )
-        for sampler, chain_state in zip(self._samplers, chains):
-            sampler.load_state(chain_state)
+        self._load_chains(state["chains"])
         self._phase = str(state["phase"])
         self._heap = [tuple(entry) for entry in state["heap"]]
         heapify(self._heap)
@@ -547,7 +548,6 @@ class EventDrivenWalkers:
         self._parked = set(state["parked"])
         self._next_check = int(state["next_check"])
         self._r_hat = None if state["r_hat"] is None else float(state["r_hat"])
-        self._converged = bool(state["converged"])
         self._merged = list(state["merged"])
         self._merged_chain = [int(i) for i in state["merged_chain"]]
         self._events = int(state["events"])
@@ -569,8 +569,7 @@ class EventDrivenWalkers:
         self._roster = list(state["roster"])
         if len(self._roster) != k:
             raise SnapshotError(
-                f"snapshot tracks a roster of {len(self._roster)} chains; "
-                f"this group has {k}"
+                f"snapshot tracks a roster of {len(self._roster)} chains; " f"this group has {k}"
             )
         self._collect_steps = [int(c) for c in state["collect_steps"]]
         self._timed_steps = [int(c) for c in state["timed_steps"]]
@@ -589,6 +588,13 @@ class EventDrivenWalkers:
                 "snapshot carries dispatch-planner state; attach the same "
                 "planner configuration before resuming"
             )
+
+    def _load_chains(self, chains: Sequence[dict]) -> None:
+        """Restore every chain's walk state, in chain order."""
+        if len(chains) != len(self._samplers):
+            raise SnapshotError(f"snapshot holds {len(chains)} chains; this group has {len(self._samplers)}")
+        for sampler, chain_state in zip(self._samplers, chains):
+            sampler.load_state(chain_state)
 
     # ------------------------------------------------------------------
     # the event loop
@@ -610,16 +616,12 @@ class EventDrivenWalkers:
     ) -> EventDrivenRun:
         """Burn in until R̂ converges, then collect by completion time.
 
-        Semantics match :meth:`ParallelWalkers.run
-        <repro.walks.parallel.ParallelWalkers.run>` (and reproduce it
-        bit-for-bit on zero-latency providers); the difference is purely
-        *when* each chain acts: as soon as its previous response lands,
-        never at a round barrier.  Collection runs the same tick loop as
-        :meth:`begin_collect` + :meth:`collect_tick`.
-
-        Re-entrant after a checkpoint restore: a scheduler whose state was
+        Collection runs the same tick loop as :meth:`begin_collect` +
+        :meth:`collect_tick`.  Re-entrant: a scheduler whose state was
         loaded mid-flight continues from the restored phase when ``run``
-        is called again with the same arguments.
+        is called again with the same arguments, and a finished one
+        called with a larger ``num_samples`` re-opens collection the way
+        :meth:`begin_collect` does, keeping its samples so far first.
 
         Args:
             num_samples: Total samples across all chains.
@@ -641,13 +643,13 @@ class EventDrivenWalkers:
             # Tracing is scoped to the run so an api outliving this
             # scheduler never accumulates an undrained dispatch log.
             fleet.trace_dispatches(True)
-        if self._phase == PHASE_FRESH:
-            if monitor is not None:
-                self._phase = PHASE_BURNIN
-                for i in range(len(self._samplers)):
-                    self._push(i, self._ready[i])
-            else:
-                self._begin_collect(thinning)
+        if self._phase == PHASE_FRESH and monitor is not None:
+            self._phase = PHASE_BURNIN
+            # Every burn-in counts from round zero (lock-step runs restart fresh).
+            self._burn_rounds = [0] * len(self._samplers)
+            self._next_check = 0
+            for i in range(len(self._samplers)):
+                self._push(i, self._ready[i])
         if self._phase == PHASE_BURNIN:
             if monitor is None:
                 raise WalkError(
@@ -655,11 +657,10 @@ class EventDrivenWalkers:
                     "run() needs the same monitor the original run used"
                 )
             self._run_burnin(monitor, check_every, max_steps)
-            self._begin_collect(thinning)
+        self._open_collect(num_samples, thinning)
         if self._phase == PHASE_COLLECT:
             if fleet is not None:
                 fleet.drain_dispatches()
-            self._init_collect(num_samples, thinning)
             while len(self._merged) < num_samples:
                 self._collect_tick(num_samples)
             self._phase = PHASE_DONE
@@ -667,9 +668,7 @@ class EventDrivenWalkers:
             fleet.trace_dispatches(False)
         return self._result(monitor)
 
-    def _run_burnin(
-        self, monitor: GelmanRubinDiagnostic, check_every: int, max_steps: int
-    ) -> None:
+    def _run_burnin(self, monitor: GelmanRubinDiagnostic, check_every: int, max_steps: int) -> None:
         if self._fleet is not None:
             self._fleet.drain_dispatches()  # drop anything traced outside the loop
         burn_rounds = self._burn_rounds
@@ -677,47 +676,65 @@ class EventDrivenWalkers:
             rounds = min(burn_rounds)
             if rounds >= max_steps:
                 self._r_hat = monitor.r_hat([s.trace for s in self._samplers])
-                self._converged = False
                 return
             if rounds >= self._next_check:
                 traces = [s.trace for s in self._samplers]
                 if monitor.converged(traces):
                     self._r_hat = monitor.r_hat(traces)
-                    self._converged = True
                     if self._recorder is not None:
-                        self._recorder.metrics.series("walk.r_hat").observe(
-                            self._sim_time, self._r_hat
-                        )
+                        self._recorder.metrics.series("walk.r_hat").observe(self._sim_time, self._r_hat)
                     return
                 if self._recorder is not None:
-                    self._recorder.metrics.series("walk.r_hat").observe(
-                        self._sim_time, monitor.r_hat(traces)
-                    )
+                    self._recorder.metrics.series("walk.r_hat").observe(self._sim_time, monitor.r_hat(traces))
                 self._next_check = rounds + max(check_every, rounds // 5)
-            group = self._pop_tick()
-            when = group[-1][0]  # a held group departs together
-            if when > self._sim_time:
-                self._sim_time = when
-            tick = _Tick() if self._fleet is not None else None
-            pushes: List[int] = []
-            floor = rounds
-            for _when, _seq, chain in group:
-                self._step(chain, when, tick)
-                burn_rounds[chain] += 1
-                floor_before, floor = floor, min(burn_rounds)
-                if burn_rounds[chain] - floor >= self._max_lead:
-                    self._parked.add(chain)
-                else:
-                    pushes.append(chain)
-                if floor > floor_before and self._parked:
-                    # The slowest chain advanced: release parked chains
-                    # whose lead dropped back under the bound (index order
-                    # keeps the queue deterministic).
-                    for idx in sorted(self._parked):
-                        if burn_rounds[idx] - floor < self._max_lead:
-                            self._parked.discard(idx)
-                            pushes.append(idx)
-            self._finish_tick(when, tick, pushes, len(group))
+            self._burnin_tick(rounds)
+
+    def _burnin_tick(self, rounds: int) -> None:
+        """Step every chain of one tick; park any that ran too far ahead.
+
+        ``rounds`` is the burn-in round floor (the slowest chain's count).
+        """
+        group = self._pop_tick()
+        when = self._depart(group)
+        tick = _Tick() if self._fleet is not None else None
+        burn_rounds = self._burn_rounds
+        pushes: List[int] = []
+        floor = rounds
+        for _when, _seq, chain in group:
+            self._step(chain, when, tick)
+            burn_rounds[chain] += 1
+            floor_before, floor = floor, min(burn_rounds)
+            if burn_rounds[chain] - floor >= self._max_lead:
+                self._parked.add(chain)
+            else:
+                pushes.append(chain)
+            if floor > floor_before and self._parked:
+                # The slowest chain advanced: release parked chains
+                # whose lead dropped back under the bound (index order
+                # keeps the queue deterministic).
+                for idx in sorted(self._parked):
+                    if burn_rounds[idx] - floor < self._max_lead:
+                        self._parked.discard(idx)
+                        pushes.append(idx)
+        self._finish_tick(when, tick, pushes, len(group))
+
+    def _open_collect(self, num_samples: int, thinning: int) -> None:
+        """Enter, re-derive or re-open collection toward ``num_samples``.
+
+        A fresh or burned-in scheduler seeds its queue, a restored
+        mid-collection one re-derives its quota bookkeeping, and a
+        ``done`` one re-opens when the target exceeds what it already
+        collected: its samples so far stay first.
+        """
+        if self._phase in (PHASE_FRESH, PHASE_BURNIN):
+            self._begin_collect(thinning)
+        elif self._phase == PHASE_DONE and len(self._merged) < num_samples:
+            self._phase = PHASE_COLLECT
+        if self._phase == PHASE_COLLECT:
+            self._init_collect(num_samples, thinning)
+            # A re-opened scheduler's chains left the queue at the old
+            # quota; under-quota active chains resume at the current time.
+            self._requeue_missing(self._sim_time)
 
     def _begin_collect(self, thinning: int) -> None:
         """Switch to collection: discard burn-in events, re-seed the queue.
@@ -764,7 +781,7 @@ class EventDrivenWalkers:
 
     def _collect_tick(self, num_samples: int) -> None:
         """Advance collection by exactly one tick."""
-        if self._fleet is None:
+        if self._fleet is None and not self._barrier:
             # A one-event tick: nothing to coalesce, nothing to settle.
             when, _seq, chain = heappop(self._heap)
             if when > self._sim_time:
@@ -778,20 +795,19 @@ class EventDrivenWalkers:
             group = self._pop_tick_active(num_samples)
         else:
             group = self._pop_tick()
-        when = group[-1][0]  # a held group departs together
-        if when > self._sim_time:
-            self._sim_time = when
-        tick = _Tick()
+        when = self._depart(group)
+        tick = _Tick() if self._fleet is not None else None
         pushes: List[int] = []
         events = 0
+        merged, act = self._merged, self._collect_action
         for _when, _seq, chain in group:
-            if len(self._merged) >= num_samples:
+            if len(merged) >= num_samples:
                 # The quota filled mid-tick: requeue the unprocessed
                 # dispatches so the heap stays a faithful state cut.
                 self._push(chain, self._ready[chain])
                 continue
             events += 1
-            if self._collect_action(chain, when, tick):
+            if act(chain, when, tick):
                 pushes.append(chain)
         self._finish_tick(when, tick, pushes, events)
         if policy is not None:
@@ -848,16 +864,19 @@ class EventDrivenWalkers:
         dispatches = self._fleet.drain_dispatches()
         tick.fetches.append((chain, dispatches))
         if self._recorder is not None:
-            tick.step_events[chain] = self._record_step(
-                chain, when, sum(d.latency for d in dispatches)
-            )
+            tick.step_events[chain] = self._record_step(chain, when, sum(d.latency for d in dispatches))
         lands_at = self._observe_step(chain, dispatches)
         if lands_at is not None:
             tick.waits.append((chain, lands_at))
 
-    def _finish_tick(
-        self, when: float, tick: Optional[_Tick], pushes: List[int], events: int
-    ) -> None:
+    def _depart(self, group: List[Tuple[float, int, int]]) -> float:
+        """The tick's dispatch time: a held group departs together, at its latest member's ready time."""
+        when = group[-1][0]
+        if when > self._sim_time:
+            self._sim_time = when
+        return when
+
+    def _finish_tick(self, when: float, tick: Optional[_Tick], pushes: List[int], events: int) -> None:
         """Settle the tick's fetches (over a fleet), re-queue ``pushes``, commit."""
         if tick is not None:
             joined = self._settle_tick(when, tick.fetches)
@@ -867,8 +886,19 @@ class EventDrivenWalkers:
                 self._annotate_tick(tick.step_events, joined)
             if self._planner is not None:
                 self._plan_prefetches(when, tick.fetches)
+        ready = self._ready
+        if self._barrier:
+            # The round ends when its slowest response lands, and every
+            # chain waits for it: the lock-step per-round maximum.
+            end = max([ready[chain] for chain in pushes], default=when)
+            for chain in pushes:
+                ready[chain] = end
+            self._sim_time = end
+        heap, seq = self._heap, self._seq
         for chain in pushes:
-            self._push(chain, self._ready[chain])
+            heappush(heap, (ready[chain], seq, chain))
+            seq += 1
+        self._seq = seq
         self._tick_committed(events)
 
     # ------------------------------------------------------------------
@@ -877,15 +907,20 @@ class EventDrivenWalkers:
     def _pop_tick(self) -> List[Tuple[float, int, int]]:
         """Pop one tick: the earliest event plus everything within the window.
 
-        Without a fleet a tick is the earliest event alone.  Over a fleet
-        with ``batch_window == 0`` it is exactly the set of events tied
-        at the earliest timestamp, in FIFO order; a positive window also
-        sweeps in events up to that much later — the dispatcher holds the
-        early chains so the group departs together.  The tick's dispatch
-        time is the *latest* member's ready time (``group[-1][0]``; heap
-        pops are time-ordered).
+        Under the barrier a tick is the whole round: every queued chain,
+        in FIFO order.  Otherwise, without a fleet a tick is the earliest
+        event alone.  Over a fleet with ``batch_window == 0`` it is
+        exactly the set of events tied at the earliest timestamp, in FIFO
+        order; a positive window also sweeps in events up to that much
+        later — the dispatcher holds the early chains so the group departs
+        together.  The tick's dispatch time is the *latest* member's ready
+        time (``group[-1][0]``; heap pops are time-ordered).
         """
         heap = self._heap
+        if self._barrier:
+            group = sorted(heap)
+            heap.clear()
+            return group
         group = [heappop(heap)]
         if self._fleet is None:
             return group
@@ -948,23 +983,17 @@ class EventDrivenWalkers:
                             attrs = {"chain": chain, "shard": shard}
                             if tenant is not None:
                                 attrs["tenant"] = tenant
-                            recorder.record(
-                                EVENT_ADMISSION_WAIT, when, start - when, **attrs
-                            )
+                            recorder.record(EVENT_ADMISSION_WAIT, when, start - when, **attrs)
                         attrs = {"shard": shard, "chain": chain}
                         if tenant is not None:
                             attrs["tenant"] = tenant
-                        recorder.record(
-                            EVENT_BURST_DISPATCH, start, dispatch.latency, **attrs
-                        )
+                        recorder.record(EVENT_BURST_DISPATCH, start, dispatch.latency, **attrs)
                 else:
                     burst[1] = max(burst[1], dispatch.latency)
                     burst[2] += 1.0
                     fleet.record_burst_depth(shard, int(burst[2]))
                 if recorder is not None:
-                    recorder.metrics.series(f"shard.{shard}.in_flight").observe(
-                        when, burst[2]
-                    )
+                    recorder.metrics.series(f"shard.{shard}.in_flight").observe(when, burst[2])
                 joined.setdefault(chain, []).append((shard, burst, opened))
         if recorder is not None:
             recorder.metrics.gauge("walk.queue_depth").set(float(len(self._heap)))
@@ -988,8 +1017,7 @@ class EventDrivenWalkers:
             entries = joined.get(chain)
             if entries:
                 event.attrs["bursts"] = tuple(
-                    (shard, burst[0], burst[1], opened)
-                    for shard, burst, opened in entries
+                    (shard, burst[0], burst[1], opened) for shard, burst, opened in entries
                 )
             event.attrs["ready"] = self._ready[chain]
 
@@ -1013,9 +1041,7 @@ class EventDrivenWalkers:
         self._chain_latency[chain] += sum(d.latency for d in dispatches)
         if self._planner is None:
             return None
-        return self._planner.note_step(
-            chain, self._samplers[chain].current, free=not dispatches
-        )
+        return self._planner.note_step(chain, self._samplers[chain].current, free=not dispatches)
 
     def _apply_prefetch_waits(self, waits: List[Tuple[int, float]]) -> None:
         """Delay chains that outran their prefetched responses.
@@ -1040,9 +1066,7 @@ class EventDrivenWalkers:
             return 0
         return (self._thinning - self._since[chain]) + (need - 1) * self._thinning
 
-    def _plan_prefetches(
-        self, when: float, fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]]
-    ) -> None:
+    def _plan_prefetches(self, when: float, fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]]) -> None:
         """Fill open bursts' spare slots with the chains' predicted fetches.
 
         For every chain that stepped this tick (FIFO order — the
@@ -1138,9 +1162,7 @@ class EventDrivenWalkers:
                 land_attrs["tenant"] = self._obs_tenant
             self._recorder.record(EVENT_PREFETCH_ISSUE, when, **issue_attrs)
             self._recorder.record(EVENT_PREFETCH_LAND, lands_at, **land_attrs)
-            self._recorder.metrics.gauge("prefetch.outstanding").set(
-                float(self._planner.ledger.outstanding)
-            )
+            self._recorder.metrics.gauge("prefetch.outstanding").set(float(self._planner.ledger.outstanding))
         assert response.user == target
         return True
 
@@ -1155,11 +1177,7 @@ class EventDrivenWalkers:
         """
         while True:
             while self._heap:
-                group = [
-                    entry
-                    for entry in self._pop_tick()
-                    if self._roster[entry[2]] == ROSTER_ACTIVE
-                ]
+                group = [entry for entry in self._pop_tick() if self._roster[entry[2]] == ROSTER_ACTIVE]
                 if group:
                     return group
             self._recompute_quota(num_samples)
@@ -1202,9 +1220,7 @@ class EventDrivenWalkers:
         """
         policy = self._planner.policy
         working = [
-            i
-            for i, r in enumerate(self._roster)
-            if r == ROSTER_ACTIVE and self._collected[i] < self._quota
+            i for i, r in enumerate(self._roster) if r == ROSTER_ACTIVE and self._collected[i] < self._quota
         ]
         if not working:
             return
@@ -1279,15 +1295,7 @@ class EventDrivenWalkers:
         if self._fleet is not None:
             self._fleet.trace_dispatches(True)
             self._fleet.drain_dispatches()
-        if self._phase == PHASE_FRESH:
-            self._begin_collect(thinning)
-        elif self._phase == PHASE_DONE and len(self._merged) < num_samples:
-            self._phase = PHASE_COLLECT
-        if self._phase == PHASE_COLLECT:
-            self._init_collect(num_samples, thinning)
-            # A re-opened scheduler's chains left the queue at the old
-            # quota; under-quota active chains resume at the current time.
-            self._requeue_missing(self._sim_time)
+        self._open_collect(num_samples, thinning)
 
     def collect_tick(self, num_samples: int) -> bool:
         """Advance one tick toward ``num_samples``; ``True`` when reached.
@@ -1313,7 +1321,7 @@ class EventDrivenWalkers:
         """Build the run result from the current state (incremental driving)."""
         return self._result(None)
 
-    def _result(self, monitor: Optional[GelmanRubinDiagnostic]) -> EventDrivenRun:
+    def _result(self, monitor: Optional[GelmanRubinDiagnostic]) -> RunResult:
         per_chain_samples: List[List[WalkSample]] = [[] for _ in self._samplers]
         for sample, chain in zip(self._merged, self._merged_chain):
             per_chain_samples[chain].append(sample)
@@ -1329,17 +1337,22 @@ class EventDrivenWalkers:
             for i in range(len(self._samplers))
         ]
         telemetry = collect_telemetry(self._api)
-        return EventDrivenRun(
+        common = dict(
             samples=list(self._merged),
             per_chain=per_chain,
             r_hat_at_convergence=self._r_hat,
             queries=self._api.query_cost,
             sim_elapsed=self._sim_time,
-            events_processed=self._events,
             latency_spent=telemetry.latency_spent,
+            chain_steps=self.chain_steps,
+            telemetry=telemetry,
+        )
+        if self._barrier:
+            return ParallelRun(**common)
+        return EventDrivenRun(
+            **common,
+            events_processed=self._events,
             retries=telemetry.retries,
             shards=telemetry.shards,
-            chain_steps=self.chain_steps,
             planning=self.planning_summary(),
-            telemetry=telemetry,
         )

@@ -280,3 +280,35 @@ print(json.dumps({
     "weights_hex": [s.weight.hex() for s in run.samples],
 }))
 """
+
+
+class TestRerunWithLargerTarget:
+    """``run`` on a finished scheduler with a larger target re-opens collection.
+
+    It takes the path the service's ``begin_collect`` takes: the samples
+    already merged stay first, and the result holds the larger target.
+    """
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["no-fleet", "fleet"])
+    def test_rerun_collects_the_larger_target(self, network, fleet):
+        def build():
+            if fleet:
+                api = _skewed_fleet_api(network, cap=8)
+            else:
+                api = network.interface(latency_distribution="heavy_tailed", latency_seed=4)
+            return EventDrivenWalkers(_chains(network, api))
+
+        walkers = build()
+        first = walkers.run(num_samples=30)
+        again = walkers.run(num_samples=60)
+        assert walkers.phase == "done"
+        assert len(again.samples) == 60
+        assert again.samples[:30] == first.samples
+
+        incremental = build()
+        incremental.run(num_samples=30)
+        incremental.begin_collect(60)
+        while not incremental.collect_tick(60):
+            pass
+        assert again.samples == incremental.result().samples
+        assert again.sim_elapsed == incremental.result().sim_elapsed

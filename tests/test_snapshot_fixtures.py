@@ -1,6 +1,6 @@
 """Golden snapshot fixtures: files written by an older build still resume.
 
-The two JSON-lines files under ``tests/fixtures/`` were written by commit
+Two JSON-lines files under ``tests/fixtures/`` were written by commit
 ``6310e5c`` (snapshot layout version 2), each by a checkpoint hook in the
 middle of a run:
 
@@ -9,6 +9,17 @@ middle of a run:
   ``PlannerSpec(lookahead=4)``, saved mid-collection;
 * ``parallel_mto_prefetch.snapshot.jsonl``: three MTO chains sharing one
   overlay under ``ParallelWalkers(prefetch=True)``, saved mid-burn-in.
+
+Three more were written by commit ``6698fcc``:
+
+* ``service_three_tenants.snapshot.jsonl``: a
+  :meth:`~repro.service.SamplingService.save` of three tenants on a
+  two-shard fleet, one hibernated and one mid-request;
+* ``planner_run.history.jsonl``: a
+  :class:`~repro.datastore.history.HistoryStore` artifact of a planner
+  run, warm-started into a fresh stack;
+* ``fleet_run.trace.jsonl``: an :func:`~repro.obs.export_jsonl` trace of
+  a fleet run, attributed and reconciled after it is read back.
 
 Each test loads its file into freshly built objects, continues the run and
 compares the samples, the billed query log and the simulated clock with a
@@ -30,18 +41,28 @@ import pytest
 from repro.compose import FleetSpec, PlannerSpec, ProviderSpec, StackConfig, WalkSpec, build_stack
 from repro.core.mto import MTOSampler
 from repro.datasets import load
+from repro.datastore.history import HistoryStore
 from repro.datastore.snapshot import JsonLinesBackend, encode_value
-from repro.interface import SamplingSession
+from repro.interface import SamplingSession, collect_telemetry
+from repro.obs import TraceRecorder, attribute_run, export_jsonl, read_jsonl, reconcile_attribution
+from repro.service import STATE_ACTIVE, STATE_HIBERNATED, SamplingService
 from repro.walks.parallel import ParallelWalkers
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 FLEET_FIXTURE = FIXTURES / "fleet_srw_planner.snapshot.jsonl"
 PARALLEL_FIXTURE = FIXTURES / "parallel_mto_prefetch.snapshot.jsonl"
+SERVICE_FIXTURE = FIXTURES / "service_three_tenants.snapshot.jsonl"
+HISTORY_FIXTURE = FIXTURES / "planner_run.history.jsonl"
+TRACE_FIXTURE = FIXTURES / "fleet_run.trace.jsonl"
 
 #: sha256 of :func:`_digest` over each uninterrupted run at ``6310e5c``.
 FLEET_DIGEST = "92ee10cce0fd582a3e04b0da394e6436bff4b07c659424570f4ab72a424e5a38"
 PARALLEL_DIGEST = "4b0905a36984789fc3e579247102f75ddb23d3aa5877c49c092540cdf103ac65"
+#: sha256 of each continuation below at ``6698fcc``.
+SERVICE_DIGEST = "01deaae0e2ac648f31b1d944dfca6a16cf32e6ddade0360b07241b09f0ac84e5"
+HISTORY_DIGEST = "8f2f200066b3b8367d73ad83d7866eef4593a5610e28cef3c7316f41a48b1a5f"
+TRACE_DIGEST = "d5f9bf08ae03a80f15be0351830f0fc98ae5eec509ab0e93fb01d8980a07e507"
 
 FLEET_SAMPLES = 120
 PARALLEL_ROUNDS = 60
@@ -191,3 +212,123 @@ class TestParentFixtures:
                 api.load_state(sections["api"])
                 overlay.load_state(sections["overlay"])
                 group.load_state(sections["sampler"])
+
+
+# ----------------------------------------------------------------------
+# fixtures written at 6698fcc: a service, a history artifact, a trace
+# ----------------------------------------------------------------------
+SERVICE_FLEET = FleetSpec(
+    num_shards=2,
+    seed=3,
+    provider=ProviderSpec(latency_distribution="heavy_tailed", latency_scale=0.5),
+)
+
+
+def _service_before_save(network) -> SamplingService:
+    """Three tenants served once; ``bob`` hibernated, ``carol`` mid-request."""
+    service = SamplingService(network, fleet=SERVICE_FLEET)
+    service.register("alice", StackConfig(walk=WalkSpec(engine="srw", chains=2, seed=1)))
+    service.register("bob", StackConfig(walk=WalkSpec(engine="mhrw", chains=2, seed=2)))
+    service.register("carol", StackConfig(walk=WalkSpec(engine="nbrw", chains=3, seed=3)))
+    for tid in service.tenant_ids:
+        service.request(tid, 12)
+    service.run_pending()
+    service.hibernate("bob")
+    service.request("carol", 24)
+    service.run_pending(max_rounds=2)
+    return service
+
+
+def _service_continued(service: SamplingService) -> str:
+    """Wake ``bob`` with a new request, serve everything, digest every tenant."""
+    service.request("bob", 6)
+    service.run_pending()
+    payload = {"clock": service.clock.hex()}
+    for tid in service.tenant_ids:
+        stack = service.tenant(tid).stack
+        run = stack.walkers.result()
+        payload[tid] = _digest(run.samples, stack.api, run.sim_elapsed)
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _history_config(seed: int) -> StackConfig:
+    return StackConfig(
+        fleet=FleetSpec(
+            num_shards=2,
+            seed=5,
+            provider=ProviderSpec(latency_distribution="constant", latency_scale=0.5),
+        ),
+        walk=WalkSpec(engine="srw", chains=3, seed=seed),
+        planner=PlannerSpec(lookahead=2),
+    )
+
+
+def _warm_started_run(network, history: HistoryStore) -> str:
+    """A fresh planner stack warm-started from ``history``, then run."""
+    stack = build_stack(_history_config(8), network)
+    assert history.warm(stack.api, planner=stack.planner) > 0
+    run = stack.run(40)
+    return _digest(run.samples, stack.api, run.sim_elapsed)
+
+
+def _traced_run(network):
+    recorder = TraceRecorder()
+    stack = build_stack(_fleet_config(), network, recorder=recorder)
+    stack.run(24)
+    return recorder, stack
+
+
+def _attribution_digest(attribution) -> str:
+    payload = {
+        "wall_clock": attribution.wall_clock.hex(),
+        "segments": [
+            encode_value((seg.category, seg.start, seg.end, seg.shard, seg.chain))
+            for seg in attribution.segments
+        ],
+        "counts": encode_value(attribution.counts),
+        "latency_serial": attribution.latency_serial.hex(),
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def write_parent_fixtures(network, directory: Path) -> None:
+    """Write the service, history and trace fixtures (kept for provenance)."""
+    _service_before_save(network).save(JsonLinesBackend(directory / SERVICE_FIXTURE.name))
+    stack = build_stack(_history_config(7), network)
+    stack.run(40)
+    HistoryStore(JsonLinesBackend(directory / HISTORY_FIXTURE.name)).save(stack.api, planner=stack.planner)
+    recorder, _stack = _traced_run(network)
+    export_jsonl(recorder, directory / TRACE_FIXTURE.name)
+
+
+class TestServiceHistoryTraceFixtures:
+    def test_service_resumes_with_a_hibernated_and_a_mid_request_tenant(self, network):
+        service = SamplingService.resume(JsonLinesBackend(SERVICE_FIXTURE), network)
+        assert service.tenant_ids == ("alice", "bob", "carol")
+        assert service.tenant("bob").state == STATE_HIBERNATED
+        carol = service.tenant("carol")
+        assert carol.state == STATE_ACTIVE and 0 < carol.pending < 24
+        assert _service_continued(service) == SERVICE_DIGEST
+
+    def test_history_artifact_warm_starts_a_fresh_stack(self, network):
+        assert _warm_started_run(network, HistoryStore(JsonLinesBackend(HISTORY_FIXTURE))) == HISTORY_DIGEST
+
+    def test_trace_reads_back_and_reconciles(self, network):
+        events, metrics = read_jsonl(TRACE_FIXTURE)
+        assert metrics.state_dict()
+        attribution = attribute_run(events)
+        assert reconcile_attribution(attribution) == []
+        assert _attribution_digest(attribution) == TRACE_DIGEST
+
+    def test_uninterrupted_runs_match_the_pinned_digests(self, network, tmp_path):
+        assert _service_continued(_service_before_save(network)) == SERVICE_DIGEST
+        stack = build_stack(_history_config(7), network)
+        stack.run(40)
+        history = HistoryStore(JsonLinesBackend(tmp_path / "run.history.jsonl"))
+        history.save(stack.api, planner=stack.planner)
+        assert _warm_started_run(network, history) == HISTORY_DIGEST
+        recorder, stack = _traced_run(network)
+        attribution = attribute_run(recorder)
+        assert attribution.wall_clock == stack.walkers.simulated_elapsed
+        assert reconcile_attribution(attribution, telemetry=collect_telemetry(stack.api)) == []
+        assert _attribution_digest(attribution) == TRACE_DIGEST

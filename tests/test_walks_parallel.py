@@ -1,5 +1,7 @@
 """Tests for parallel walks and the Gelman–Rubin diagnostic."""
 
+import hashlib
+import json
 import math
 import random
 
@@ -9,6 +11,7 @@ from repro.convergence import GelmanRubinDiagnostic
 from repro.core import MTOSampler
 from repro.core.overlay import OverlayGraph
 from repro.datasets import load
+from repro.datastore.snapshot import encode_value
 from repro.errors import WalkError
 from repro.generators import complete_graph, paper_barbell
 from repro.interface import RestrictedSocialAPI
@@ -58,10 +61,7 @@ class TestParallelWalkers:
     def _walkers(self, k=3):
         g = paper_barbell()
         api = RestrictedSocialAPI(g)
-        samplers = [
-            SimpleRandomWalk(api, start=(0 if i % 2 == 0 else 11), seed=i)
-            for i in range(k)
-        ]
+        samplers = [SimpleRandomWalk(api, start=(0 if i % 2 == 0 else 11), seed=i) for i in range(k)]
         return api, ParallelWalkers(samplers)
 
     def test_requires_two_samplers(self):
@@ -92,9 +92,7 @@ class TestParallelWalkers:
 
     def test_run_with_monitor_reports_r_hat(self):
         _, walkers = self._walkers()
-        result = walkers.run(
-            num_samples=10, monitor=GelmanRubinDiagnostic(threshold=1.5)
-        )
+        result = walkers.run(num_samples=10, monitor=GelmanRubinDiagnostic(threshold=1.5))
         assert result.r_hat_at_convergence is not None
 
     def test_invalid_run_params(self):
@@ -118,10 +116,7 @@ class TestThinningBookkeeping:
     def test_per_chain_sample_spacing_is_exact(self, thinning):
         g = paper_barbell()
         api = RestrictedSocialAPI(g)
-        samplers = [
-            SimpleRandomWalk(api, start=(0 if i % 2 == 0 else 11), seed=i)
-            for i in range(3)
-        ]
+        samplers = [SimpleRandomWalk(api, start=(0 if i % 2 == 0 else 11), seed=i) for i in range(3)]
         result = ParallelWalkers(samplers).run(num_samples=30, thinning=thinning)
         for chain_run in result.per_chain:
             steps = [s.step for s in chain_run.samples]
@@ -131,10 +126,7 @@ class TestThinningBookkeeping:
     def test_no_steps_billed_after_final_sample(self):
         g = paper_barbell()
         api = RestrictedSocialAPI(g)
-        samplers = [
-            SimpleRandomWalk(api, start=(0 if i % 2 == 0 else 11), seed=i)
-            for i in range(3)
-        ]
+        samplers = [SimpleRandomWalk(api, start=(0 if i % 2 == 0 else 11), seed=i) for i in range(3)]
         walkers = ParallelWalkers(samplers)
         num_samples = 30  # divisible by 3 chains: quota fills at a round end
         result = walkers.run(num_samples=num_samples)
@@ -183,10 +175,7 @@ class TestSharedOverlayMTO:
         net = load("epinions_like", seed=0, scale=0.15)
         api = net.interface()
         overlay = OverlayGraph(api)
-        chains = [
-            MTOSampler(api, start=net.seed_node(i), seed=i, overlay=overlay)
-            for i in range(3)
-        ]
+        chains = [MTOSampler(api, start=net.seed_node(i), seed=i, overlay=overlay) for i in range(3)]
         walkers = ParallelWalkers(chains)
         for _ in range(150):
             walkers.step_all()
@@ -200,11 +189,68 @@ class TestSharedOverlayMTO:
         net = load("epinions_like", seed=0, scale=0.15)
         api = net.interface()
         overlay = OverlayGraph(api)
-        chains = [
-            MTOSampler(api, start=net.seed_node(i), seed=i, overlay=overlay)
-            for i in range(3)
-        ]
+        chains = [MTOSampler(api, start=net.seed_node(i), seed=i, overlay=overlay) for i in range(3)]
         result = ParallelWalkers(chains).run(num_samples=900)
         est = estimate(AggregateQuery.average_degree(), result.samples, api)
         truth = ground_truth(AggregateQuery.average_degree(), net.graph)
         assert abs(est.estimate - truth) / truth < 0.3
+
+
+def _lockstep_digest(samples, api, sim_elapsed: float, extra=()) -> str:
+    """sha256 over the samples, the billed log, the interface clock and ``sim_elapsed``."""
+    payload = {
+        "samples": [encode_value((s.node, s.weight, s.query_cost, s.step)) for s in samples],
+        "billed": [encode_value((r.user, r.timestamp)) for r in api.log if r.billed],
+        "clock": api.clock.now().hex(),
+        "sim_elapsed": float(sim_elapsed).hex(),
+        "extra": [encode_value(item) for item in extra],
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+class TestLockstepPins:
+    """Lock-step runs under latency, pinned bit for bit.
+
+    Each digest covers the merged samples, the billed query log, the
+    interface's serial clock and the group's simulated wall-clock (the sum
+    of per-round maxima), so any change to the round order, the prefetch
+    batch or the clock arithmetic shows here.
+    """
+
+    SRW_DIGEST = "22996921da39c0145efde88eb85cf6319f094bed3b4293cb0c5776c5c9121f5e"
+    MTO_DIGEST = "f6f7b76e07d4d00782b4e922ac0c934e60fbe53759c9f078da07fbc9f51455c8"
+
+    @pytest.fixture(scope="class")
+    def network(self):
+        return load("epinions_like", seed=0, scale=0.15)
+
+    def test_srw_heavy_tailed_burn_in_and_thinned_collection(self, network):
+        api = network.interface(latency_distribution="heavy_tailed", latency_seed=3)
+        walkers = ParallelWalkers(
+            [SimpleRandomWalk(api, start=network.seed_node(i), seed=i) for i in range(4)]
+        )
+        run = walkers.run(num_samples=103, thinning=2, monitor=GelmanRubinDiagnostic(threshold=1.3))
+        assert len(run.samples) == 103
+        assert run.sim_elapsed == walkers.simulated_elapsed
+        assert _lockstep_digest(run.samples, api, run.sim_elapsed) == self.SRW_DIGEST
+
+    def test_shared_overlay_mto_prefetch_rounds_and_checkpoints(self, network):
+        api = network.interface(latency_distribution="constant", latency_scale=2.0)
+        shared = None
+        chains = []
+        for i in range(3):
+            chain = MTOSampler(api, start=network.seed_node(i), seed=20 + i, overlay=shared)
+            shared = chain.overlay
+            chains.append(chain)
+        walkers = ParallelWalkers(chains, prefetch=True)
+        calls = []
+        walkers.set_checkpoint(
+            lambda w: calls.append((w.state_dict()["rounds"], w.simulated_elapsed, api.query_cost)), 7
+        )
+        for _ in range(20):
+            walkers.step_all()
+        run = walkers.run(45, monitor=GelmanRubinDiagnostic(threshold=1.3))
+        assert [rounds for rounds, _, _ in calls] == [7 * (i + 1) for i in range(10)]
+        assert api.query_cost == 105
+        assert run.sim_elapsed == walkers.simulated_elapsed == 178.0
+        assert _lockstep_digest(run.samples, api, run.sim_elapsed, calls) == self.MTO_DIGEST
