@@ -61,6 +61,19 @@ def _canonical(encoded: object) -> str:
     return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
 
 
+def canonical_key(user: object) -> str:
+    """Process-stable text of a snapshotable id: its canonical encoding.
+
+    Python's ``hash`` is salted per process for strings, so anything that
+    must map a user id to the same value on every run and machine (shard
+    routing, per-user latency streams) hashes this text instead.  A plain
+    ``int`` skips the codec; ``bool`` and every other type take it.
+    """
+    if type(user) is int:
+        return f'["i",{user}]'
+    return _canonical(encode_value(user))
+
+
 #: Registered extension codecs: exact type -> (tag, to-primitives function).
 _EXTENSION_ENCODERS: Dict[type, Tuple[str, Callable[[object], object]]] = {}
 #: Registered extension codecs: tag -> from-primitives function.
@@ -173,8 +186,9 @@ def _encode_items(values) -> list:
     """Encode a sequence's members; a run of plain ints or floats in bulk.
 
     Walker snapshots are dominated by such runs — every chain carries a
-    625-word Mersenne state and a float trace — and one pass building
-    the tagged pairs inline beats a dispatch per member.
+    float trace, and user-id sets and neighbor lists are int runs — and
+    one pass building the tagged pairs inline beats a dispatch per
+    member.
     """
     if len(values) >= _RUN_MIN:
         kinds = set(map(type, values))
@@ -282,7 +296,7 @@ def _decode_items(items) -> list:
     """Decode a sequence's members; all-scalar members without a call each.
 
     A sequence whose members are all ``[scalar tag, payload]`` pairs — a
-    Mersenne state, a trace, a log record, a sample's fields — converts
+    trace, a log record, a sample's fields — converts
     each payload in one comprehension, and a plain ``int`` payload is
     already its value.  Any other member (a container, an extension
     value, or malformed input) stops it, and the members are decoded one

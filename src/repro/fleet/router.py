@@ -25,7 +25,7 @@ import bisect
 import zlib
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.datastore.snapshot import _canonical, encode_value
+from repro.datastore.snapshot import canonical_key
 from repro.errors import SnapshotError
 
 Node = Hashable
@@ -80,9 +80,7 @@ class ShardRouter:
         else:
             weights = tuple(float(w) for w in weights)
             if len(weights) != num_shards:
-                raise ValueError(
-                    f"got {len(weights)} weights for {num_shards} shards"
-                )
+                raise ValueError(f"got {len(weights)} weights for {num_shards} shards")
             if any(w <= 0 for w in weights):
                 raise ValueError("shard weights must be positive")
         self._num_shards = int(num_shards)
@@ -120,7 +118,7 @@ class ShardRouter:
 
     def _hash_shard(self, user: Node) -> int:
         """Uncached :meth:`shard_of`: walk the ring from ``user``'s hash."""
-        h = _stable_hash(f"{self._seed}:user:{_canonical(encode_value(user))}")
+        h = _stable_hash(f"{self._seed}:user:{canonical_key(user)}")
         idx = bisect.bisect_left(self._points, h)
         if idx == len(self._points):  # wrap past the last ring point
             idx = 0
@@ -141,9 +139,7 @@ class ShardRouter:
         """Per-shard weights (uniform by default)."""
         return self._weights
 
-    def with_shards(
-        self, num_shards: int, weights: Optional[Sequence[float]] = None
-    ) -> "ShardRouter":
+    def with_shards(self, num_shards: int, weights: Optional[Sequence[float]] = None) -> "ShardRouter":
         """A rebalanced router: same seed and point density, new shard set.
 
         Consistent hashing keeps the surviving shards' ring points in

@@ -44,9 +44,10 @@ import zlib
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.datastore.documents import DocumentStore
-from repro.datastore.snapshot import _canonical, encode_value
+from repro.datastore.snapshot import canonical_key
 from repro.errors import PrivateUserError, ProviderTimeoutError, UnknownUserError
 from repro.graph.adjacency import Graph
+from repro.utils.rng import pack_state, unpack_state
 
 Node = Hashable
 
@@ -190,7 +191,7 @@ def _stable_user_seed(seed: int, user: Node) -> int:
     latency stream is anchored on the snapshot codec's canonical encoding
     instead — identical across runs and machines for any snapshotable id.
     """
-    key = f"{seed}:{_canonical(encode_value(user))}"
+    key = f"{seed}:{canonical_key(user)}"
     return zlib.crc32(key.encode("utf-8"))
 
 
@@ -231,8 +232,7 @@ class LatencyModelProvider(SocialProvider):
     ) -> None:
         if distribution not in LATENCY_DISTRIBUTIONS:
             raise ValueError(
-                f"unknown latency distribution {distribution!r}; "
-                f"expected one of {LATENCY_DISTRIBUTIONS}"
+                f"unknown latency distribution {distribution!r}; expected one of {LATENCY_DISTRIBUTIONS}"
             )
         if scale < 0:
             raise ValueError("scale must be non-negative")
@@ -411,7 +411,7 @@ class FlakyProvider(SocialProvider):
     def state_dict(self) -> dict:
         """RNG position + counters: a resumed run replays the same failures."""
         return {
-            "rng": self._rng.getstate(),
+            "rng": pack_state(self._rng.getstate()),
             "fetches": self._fetches,
             "attempts": self._attempts,
             "timeouts": self._timeouts,
@@ -421,7 +421,7 @@ class FlakyProvider(SocialProvider):
 
     def load_state(self, state: dict) -> None:
         """Restore the failure stream and counters captured by ``state_dict``."""
-        self._rng.setstate(state["rng"])
+        self._rng.setstate(unpack_state(state["rng"]))
         self._fetches = int(state["fetches"])
         self._attempts = int(state["attempts"])
         self._timeouts = int(state["timeouts"])

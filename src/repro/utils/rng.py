@@ -14,6 +14,9 @@ A walk chain that owns its randomness draws through a :class:`WordStream`:
 the same Mersenne stream, buffered as 32-bit words, so a
 :class:`StreamCursor` can read the chain's future draws ahead of it by
 index (the replay behind prefetch prediction) without a second generator.
+Snapshots carry a Mersenne state packed (:func:`pack_state`): its 625
+words as one ``bytes`` value, which the snapshot codec stores whole,
+instead of 625 ints it would tag one by one.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import random
 import struct
 from typing import Tuple, Union
+
+from repro.errors import SnapshotError
 
 RngLike = Union[None, int, random.Random]
 
@@ -68,6 +73,37 @@ _mt_random = _MT.random
 
 #: Words generated per buffer fill.
 _FILL = 512
+
+#: The Mersenne state's 625 words (624 key words and the position), packed.
+_PACKED = struct.Struct("<625I")
+
+
+def pack_state(state: tuple) -> tuple:
+    """Pack a :meth:`random.Random.getstate` value for a snapshot.
+
+    Returns ``(version, words, gauss_next)`` with the 625 Mersenne words
+    as one little-endian ``bytes`` value: the codec tags it once, not
+    word by word.  :func:`unpack_state` inverts it.
+    """
+    version, words, gauss_next = state
+    return version, _PACKED.pack(*words), gauss_next
+
+
+def unpack_state(state: tuple) -> tuple:
+    """The :meth:`random.Random.setstate` value of a snapshotted state.
+
+    Accepts :func:`pack_state`'s form and Random's own tuple layout
+    (which snapshots written before the packed form carry) unchanged.
+
+    Raises:
+        SnapshotError: If the packed words are not 625 32-bit words.
+    """
+    version, words, gauss_next = state
+    if isinstance(words, bytes):
+        if len(words) != _PACKED.size:
+            raise SnapshotError(f"packed Mersenne state has {len(words)} bytes, expected {_PACKED.size}")
+        words = _PACKED.unpack(words)
+    return version, words, gauss_next
 
 
 class WordStream(random.Random):

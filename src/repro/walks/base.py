@@ -19,7 +19,7 @@ from repro.convergence.monitors import ConvergenceMonitor
 from repro.datastore.snapshot import register_codec
 from repro.errors import DeadEndError, PrivateUserError
 from repro.interface.api import QueryResponse, RestrictedSocialAPI
-from repro.utils.rng import RngLike, StreamCursor, WordStream
+from repro.utils.rng import RngLike, StreamCursor, WordStream, pack_state, unpack_state
 
 Node = Hashable
 
@@ -317,7 +317,12 @@ class RandomWalkSampler(abc.ABC):
         Position, step count, attribute trace, and the full Mersenne
         Twister state — everything needed for a fresh process to continue
         with the *same draws* (and, with the interface state restored
-        alongside, the same §II-B billing).  Constructor configuration
+        alongside, the same §II-B billing).  The RNG entry is packed
+        (:func:`~repro.utils.rng.pack_state`): ``(version, words,
+        gauss_next)`` with the 625 Mersenne words as one ``bytes`` value,
+        so a hibernate encodes one value per chain instead of 625 tagged
+        ints.  :meth:`load_state` also accepts Random's tuple layout,
+        which older snapshots carry.  Constructor configuration
         (trace function, engine options) is not captured: the restoring
         process rebuilds the sampler with the same arguments and loads
         this state on top.  Subclasses with extra per-step state override
@@ -327,7 +332,7 @@ class RandomWalkSampler(abc.ABC):
             "current": self._current,
             "steps": self._steps,
             "trace": tuple(self._trace),
-            "rng": self._rng.getstate(),
+            "rng": pack_state(self._rng.getstate()),
         }
 
     def load_state(self, state: dict) -> None:
@@ -344,7 +349,7 @@ class RandomWalkSampler(abc.ABC):
         self._current = state["current"]
         self._steps = int(state["steps"])
         self._trace = [float(x) for x in state["trace"]]
-        self._rng.setstate(state["rng"])
+        self._rng.setstate(unpack_state(state["rng"]))
         self._current_resp = None
         self._current_seq = None
 

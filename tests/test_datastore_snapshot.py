@@ -10,6 +10,8 @@ from repro.datastore import KeyValueStore
 from repro.datastore.snapshot import (
     JsonLinesBackend,
     KeyValueBackend,
+    _canonical,
+    canonical_key,
     decode_value,
     encode_value,
 )
@@ -83,6 +85,20 @@ class TestCodecRoundTrip:
         for bad in (["?", 1], [], "raw", {"t": 1}):
             with pytest.raises(SnapshotError):
                 decode_value(bad)
+
+
+class TestCanonicalKey:
+    """Shard routing and per-user latency seeds hash this text, and the
+    committed benchmark digests pin both, so it must equal the codec's
+    canonical encoding on every id type (the ``int`` fast path included)."""
+
+    @pytest.mark.parametrize(
+        "user",
+        [0, -5, 2**70, True, False, 'say "hi" \\ caf\u00e9 \u65e5\u672c', ("u", 5, (1, "x"))],
+        ids=["zero", "negative", "big", "true", "false", "str", "tuple"],
+    )
+    def test_equals_the_canonical_encoding(self, user):
+        assert canonical_key(user) == _canonical(encode_value(user))
 
 
 class TestGoldenFormat:

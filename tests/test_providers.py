@@ -5,6 +5,8 @@ cache, and budget identically whether responses come from a bare graph,
 a latency model, or a flaky backend — only simulated *time* may differ.
 """
 
+import struct
+
 import pytest
 
 from repro.datasets import load
@@ -212,6 +214,24 @@ class TestFlakyProvider:
         resumed.load_state(captured)
         assert [resumed.fetch(u).attempts for u in range(4, 8)] == ref_tail
         assert resumed.retry_stats == reference.retry_stats
+
+    def test_rng_state_is_packed_and_tuple_layout_loads(self):
+        def build():
+            return FlakyProvider(complete_graph(8), failure_rate=0.4, seed=6)
+
+        reference = build()
+        for u in range(4):
+            reference.fetch(u)
+        captured = reference.state_dict()
+        version, words, gauss_next = captured["rng"]
+        assert (type(words), len(words)) == (bytes, 2500)
+        ref_tail = [reference.fetch(u).attempts for u in range(4, 8)]
+
+        # snapshots written before the packed form carry Random's tuple
+        legacy = dict(captured, rng=(version, struct.unpack("<625I", words), gauss_next))
+        resumed = build()
+        resumed.load_state(legacy)
+        assert [resumed.fetch(u).attempts for u in range(4, 8)] == ref_tail
 
 
 def _per_fetch_timeouts(rate, seed, fetches):

@@ -17,6 +17,8 @@ import pytest
 
 from repro.compose import FleetSpec, ProviderSpec, StackConfig, WalkSpec, build_stack
 from repro.datasets import load
+from repro.datastore import KeyValueStore
+from repro.datastore.snapshot import decode_value
 from repro.errors import ServiceError
 from repro.service import (
     STATE_ACTIVE,
@@ -136,9 +138,7 @@ class TestPerTenantBooks:
 class TestBudgetIsolation:
     def test_one_exhausted_tenant_does_not_stall_the_rest(self, network):
         service = SamplingService(network, fleet=FLEET)
-        tiny = StackConfig(
-            fleet=FLEET, walk=WalkSpec(chains=2, seed=3), query_budget=4
-        )
+        tiny = StackConfig(fleet=FLEET, walk=WalkSpec(chains=2, seed=3), query_budget=4)
         service.register("broke", tiny)
         service.register("solvent", _config(seed=6))
         service.request("broke", 200)
@@ -198,6 +198,55 @@ class TestHibernation:
         assert spilled.sim_elapsed == straight.sim_elapsed
 
     @pytest.mark.parametrize("engine", ["srw", "mhrw", "nbrw"])
+    def test_spill_contract(self, network, engine):
+        """A spill is ``decode_value``-readable with the tenant's books, and
+        every chain's RNG entry is the packed ``(version, bytes, gauss)``."""
+        fleet = FleetSpec(
+            num_shards=2,
+            seed=3,
+            provider=ProviderSpec(latency_distribution="constant", latency_scale=0.5, failure_rate=0.2),
+        )
+
+        def run(hibernate):
+            spill = KeyValueStore()
+            service = SamplingService(network, fleet=fleet, spill_store=spill)
+            service.register("t", _config(seed=7, chains=3, engine=engine))
+            service.request("t", 40)
+            service.run_pending()
+            stack = service.tenant("t").stack
+            books = {
+                "records": stack.api.log.state_dict()["records"],
+                "cache_hits": stack.api.cache_hits,
+                "cache_misses": stack.api.cache_misses,
+                "merged": list(stack.walkers.result().samples),
+                "events": stack.walkers.events_processed,
+            }
+            payload = None
+            if hibernate:
+                service.hibernate("t")
+                payload = decode_value(spill.get(("tenant", "t")))
+            service.request("t", 40)
+            service.run_pending()
+            return books, payload, service.tenant("t").stack
+
+        books, payload, woken = run(True)
+        api, walkers = payload["api"], payload["walkers"]
+        assert api["log"]["records"] == books["records"]
+        assert (api["cache_hits"], api["cache_misses"]) == (books["cache_hits"], books["cache_misses"])
+        assert list(walkers["merged"]) == books["merged"]
+        assert walkers["events"] == books["events"] > 0
+        assert len(walkers["chains"]) == 3
+        for chain in walkers["chains"]:
+            version, words, _ = chain["rng"]
+            assert (version, type(words), len(words)) == (3, bytes, 2500)
+        _, _, straight = run(False)
+        assert woken.walkers.result().samples == straight.walkers.result().samples
+        assert woken.walkers.result().queries == straight.walkers.result().queries
+        assert woken.walkers.result().sim_elapsed == straight.walkers.result().sim_elapsed
+        billed = [[r for r in stack.api.log.state_dict()["records"] if r[1]] for stack in (woken, straight)]
+        assert billed[0] == billed[1]
+
+    @pytest.mark.parametrize("engine", ["srw", "mhrw", "nbrw"])
     def test_wake_bills_no_bootstrap_queries(self, network, engine):
         service = SamplingService(network, fleet=FLEET)
         service.register("t", _config(seed=7, engine=engine))
@@ -217,9 +266,7 @@ class TestHibernation:
         fleet = FleetSpec(
             num_shards=3,
             seed=5,
-            provider=ProviderSpec(
-                latency_distribution="uniform", latency_scale=0.5, failure_rate=0.2
-            ),
+            provider=ProviderSpec(latency_distribution="uniform", latency_scale=0.5, failure_rate=0.2),
         )
         service = SamplingService(network, fleet=fleet, cache_ttl=100.0)
         for i, engine in enumerate(("srw", "mhrw", "nbrw")):

@@ -1,9 +1,13 @@
 """Unit tests for shared utilities (rng, stats, tables)."""
 
+import json
 import random
+import struct
 
 import pytest
 
+from repro.datastore.snapshot import decode_value, encode_value
+from repro.errors import SnapshotError
 from repro.utils import (
     OnlineMeanVar,
     confidence_interval,
@@ -15,7 +19,7 @@ from repro.utils import (
     spawn_rng,
     variance,
 )
-from repro.utils.rng import StreamCursor, WordStream
+from repro.utils.rng import StreamCursor, WordStream, pack_state, unpack_state
 
 
 class TestRng:
@@ -155,6 +159,61 @@ class TestWordStream:
         stream.randrange(100)
         version, internal, gauss_next = stream.getstate()
         assert (version, len(internal), gauss_next) == (random.Random.VERSION, 625, None)
+
+
+def _through_codec(value):
+    """``value`` after a spill: encoded, JSON text, decoded."""
+    return decode_value(json.loads(json.dumps(encode_value(value))))
+
+
+class TestPackedState:
+    """A snapshot carries a Mersenne state as one packed ``bytes`` value."""
+
+    def test_packed_mid_read_ahead_resumes_like_random(self):
+        plain, stream = random.Random(6), WordStream(6)
+        cursor = StreamCursor(stream)
+        for _ in range(700):  # buffered words the live draws have not reached
+            cursor.randrange(11)
+        for rng in (plain, stream):
+            for _ in range(150):
+                rng.randrange(11)
+        resumed = WordStream()
+        resumed.setstate(unpack_state(_through_codec(pack_state(stream.getstate()))))
+        expected = _mixed_draws(plain, random.Random(1), count=500)
+        assert _mixed_draws(resumed, random.Random(1), count=500) == expected
+        assert _mixed_draws(stream, random.Random(1), count=500) == expected
+
+    def test_float_gauss_next_survives(self):
+        plain = random.Random(8)
+        plain.gauss(0.0, 1.0)
+        packed = _through_codec(pack_state(plain.getstate()))
+        assert type(packed[2]) is float
+        resumed = WordStream()
+        resumed.setstate(unpack_state(packed))
+        assert resumed.gauss(0.0, 1.0) == plain.gauss(0.0, 1.0)
+        assert resumed.random() == plain.random()
+
+    def test_words_are_little_endian_uint32(self):
+        state = random.Random(3).getstate()
+        version, words, gauss_next = pack_state(state)
+        assert (version, gauss_next) == (state[0], state[2])
+        assert words == struct.pack("<625I", *state[1])
+        assert words[:4] == state[1][0].to_bytes(4, "little")
+        assert unpack_state((version, words, gauss_next)) == state
+
+    def test_tuple_layout_loads_unchanged(self):
+        plain = random.Random(12)
+        plain.random()
+        state = plain.getstate()
+        assert unpack_state(state) == state
+        resumed = WordStream()
+        resumed.setstate(unpack_state(_through_codec(state)))
+        assert [resumed.randrange(97) for _ in range(600)] == [plain.randrange(97) for _ in range(600)]
+
+    @pytest.mark.parametrize("size", [0, 2496, 2504])
+    def test_wrong_length_fails_loudly(self, size):
+        with pytest.raises(SnapshotError, match=f"has {size} bytes, expected 2500"):
+            unpack_state((3, bytes(size), None))
 
 
 class TestStats:
