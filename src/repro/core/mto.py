@@ -68,16 +68,6 @@ class MTOSampler(RandomWalkSampler):
         overlay: Existing overlay to share (parallel walks, §VI: rewirings
             discovered by one chain benefit every chain).  Must wrap the
             same ``api``; a private overlay is created when omitted.
-        prefetch_replacement: Materialize *all* replacement candidates of
-            an eligible degree-3 node through one batched interface call
-            (``ensure_known_many``) before choosing, instead of querying
-            the single chosen candidate.  A private candidate then no
-            longer cancels the replacement (the choice falls on the
-            accessible ones), and budget exhaustion degrades to skipping
-            the replacement — but the walk may bill a candidate it does
-            not pick, so query accounting differs from the paper's
-            single-fetch semantics.  Off by default to keep
-            cost-per-sample identical for identical seeds.
 
     Example:
         >>> from repro.generators import paper_barbell
@@ -101,7 +91,6 @@ class MTOSampler(RandomWalkSampler):
         lazy: bool = False,
         max_redraws: int = 10_000,
         overlay: OverlayGraph | None = None,
-        prefetch_replacement: bool = False,
     ) -> None:
         if not 0 <= replacement_probability <= 1:
             raise ValueError("replacement_probability must be in [0, 1]")
@@ -116,7 +105,6 @@ class MTOSampler(RandomWalkSampler):
         self._replacement_probability = replacement_probability
         self._lazy = lazy
         self._max_redraws = max_redraws
-        self._prefetch_replacement = prefetch_replacement
 
     @property
     def overlay(self) -> OverlayGraph:
@@ -160,17 +148,9 @@ class MTOSampler(RandomWalkSampler):
         others = [w for w in overlay.neighbors_seq(v) if w != u and not overlay.has_edge(u, w)]
         if not others:
             return None
-        if self._prefetch_replacement:
-            # One batched fetch for every candidate; private/unaffordable
-            # members drop out instead of cancelling the replacement.
-            overlay.ensure_known_many(others)
-            others = [w for w in others if overlay.is_known(w)]
-            if not others:
-                return None
-            return others[self._rng.randrange(len(others))]
         w = others[self._rng.randrange(len(others))]
         try:
-            self._overlay.ensure_known(w)
+            overlay.ensure_known(w)
         except PrivateUserError:
             return None
         return w
@@ -201,8 +181,8 @@ class MTOSampler(RandomWalkSampler):
                 if overlay.degree(u) > 1:
                     overlay.remove_edge(u, v)
                     continue
-                self._stay()
-                return self.current
+                self._stay(len(self._current_neighbor_seq()))
+                return self._current
 
             # --- removal branch (Theorem 3 / Theorem 5) -------------------
             if (
@@ -227,12 +207,9 @@ class MTOSampler(RandomWalkSampler):
 
             # --- lazy transition -------------------------------------------
             if not self._lazy or rng.random() < 0.5:
-                if self._uses_default_trace:
-                    # v was just materialized: its original degree is free
-                    # overlay knowledge, no response rebuild needed.
-                    self._advance_fast(v, overlay.original_degree(v))
-                else:
-                    self._advance(v, self._api.query(v))  # cached — free
+                # v was just materialized: its original degree is free
+                # overlay knowledge.
+                self._advance(v, overlay.original_degree(v))
                 return v
             # lazy hold: redraw a neighbor without committing a move
         raise WalkError(f"step at {u!r} exceeded {self._max_redraws} redraws")
@@ -261,9 +238,7 @@ class MTOSampler(RandomWalkSampler):
         or rewiring, by this chain or a sharer, restarts it at the live
         step, which costs no draw.
 
-        Returns ``None`` on networks with private users, in
-        ``prefetch_replacement`` mode once the replacement branch fires
-        (its batched fetch has no single-node prediction), at dead ends,
+        Returns ``None`` on networks with private users, at dead ends,
         and when the horizon resolves entirely inside G*.
         """
         if self._api.may_have_private:
@@ -302,8 +277,6 @@ class MTOSampler(RandomWalkSampler):
                 and replacement_allowed(overlay.degree(v))
                 and cursor.random() < self._replacement_probability
             ):
-                if self._prefetch_replacement:
-                    return UNRESOLVED  # batched candidate materialization
                 others = [w for w in overlay.neighbors_seq(v) if w != u and not overlay.has_edge(u, w)]
                 if others:
                     w = others[cursor.randrange(len(others))]

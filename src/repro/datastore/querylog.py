@@ -51,8 +51,9 @@ class QueryLog:
         """Hot-path append with an explicit billing decision.
 
         Identical accounting to :meth:`record` minus the derived-billing
-        branch and the record-object construction; the walk engines' fast
-        cached-step lane calls this once per step.
+        branch and the record-object construction;
+        :meth:`~repro.interface.api.RestrictedSocialAPI.fetch_seq` calls
+        this once per cache hit, which is once per cached walk step.
         """
         if billed:
             self._unique.add(user)

@@ -4,7 +4,7 @@ Two measurements ride one driver, both downstream of ISSUE 8's tentpole
 (universal prefetch prediction + persistent history):
 
 1. **Per-engine planned speedup at equal cost.**  Every registered walk
-   engine — SRW's single-draw fast lane, MHRW's acceptance-test replay,
+   engine — SRW's single-draw replay, MHRW's acceptance-test replay,
    NBRW's predecessor-exclusion replay, MTO's overlay-branch replay —
    now implements ``predict_next_fetch``, so the dispatch planner's
    predictive prefetch works for all of them.  For each engine the

@@ -246,11 +246,7 @@ class RestrictedSocialAPI:
         try:
             return self._billed_fetch(user)
         except PrivateUserError:
-            # The refusal consumes one billed request, then is cached.
-            self._log.record(user, timestamp=self._clock.now())
-            self._known_private.add(user)
-            if self._recorder is not None:
-                self._recorder.record(EVENT_REFUSAL, self._clock.now(), user=user, **self._obs_attrs)
+            self._bill_refusal(user)
             raise
 
     def fetch_seq(self, user: Node) -> Tuple[Node, ...]:
@@ -262,8 +258,8 @@ class RestrictedSocialAPI:
         cache hit skips the response rebuild entirely (no frozenset, no
         attribute copy, no :class:`QueryResponse`): one store read plus
         one log append, on every cache configuration — TTL'd and
-        capacity-bounded caches included.  This is what the walk engines'
-        fast cached-step lane runs on; everything that needs attributes
+        capacity-bounded caches included.  Every walk engine's step reads
+        its neighborhoods through it; everything that needs attributes
         or a full response keeps using :meth:`query`.  A miss falls back
         to :meth:`query`.
 
@@ -335,10 +331,7 @@ class RestrictedSocialAPI:
             try:
                 responses[user] = self._billed_fetch(user)
             except PrivateUserError:
-                self._log.record(user, timestamp=self._clock.now())
-                self._known_private.add(user)
-                if self._recorder is not None:
-                    self._recorder.record(EVENT_REFUSAL, self._clock.now(), user=user, **self._obs_attrs)
+                self._bill_refusal(user)
                 private.append(user)
         return BatchQueryResult(
             responses=responses,
@@ -384,6 +377,13 @@ class RestrictedSocialAPI:
             from_cache=True,
             neighbor_seq=seq,
         )
+
+    def _bill_refusal(self, user: Node) -> None:
+        """Book a provider's refusal: one billed request, then cached."""
+        self._log.record(user, timestamp=self._clock.now())
+        self._known_private.add(user)
+        if self._recorder is not None:
+            self._recorder.record(EVENT_REFUSAL, self._clock.now(), user=user, **self._obs_attrs)
 
     def _billed_fetch(self, user: Node) -> QueryResponse:
         """Bill one fetch: read the provider, wait out the limiter, cache, log.

@@ -142,9 +142,7 @@ class SamplingSession:
                 ``history`` store.
         """
         if self._history is None:
-            raise SnapshotError(
-                "this session has no history store; pass history=... at construction"
-            )
+            raise SnapshotError("this session has no history store; pass history=... at construction")
         return self._history.save(
             self._api,
             planner=getattr(self._sampler, "planner", None),
@@ -210,9 +208,7 @@ class SamplingSession:
         if SECTION_API not in sections or SECTION_SAMPLER not in sections:
             raise SnapshotError("snapshot is missing the api/sampler sections")
         if SECTION_OVERLAY in sections and self._overlay is None:
-            raise SnapshotError(
-                "snapshot carries an overlay but this session has none to restore into"
-            )
+            raise SnapshotError("snapshot carries an overlay but this session has none to restore into")
         self._api.load_state(sections[SECTION_API])
         if SECTION_OVERLAY in sections:
             self._overlay.load_state(sections[SECTION_OVERLAY])

@@ -1,11 +1,11 @@
 """Base machinery shared by all walk-based samplers.
 
 A sampler advances node-by-node through the restrictive interface,
-maintains the attribute trace the convergence monitor watches (degree by
-default), and collects weighted samples once converged.  Each collected
-:class:`WalkSample` records the billed query cost at collection time, so
-experiment drivers can compute estimate-vs-cost curves from a single run
-(the paper's Figures 7 and 11).
+maintains the degree trace the convergence monitor watches, and collects
+weighted samples once converged.  Each collected :class:`WalkSample`
+records the billed query cost at collection time, so experiment drivers
+can compute estimate-vs-cost curves from a single run (the paper's
+Figures 7 and 11).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Callable, Hashable, List, Optional, Sequence
 
 from repro.convergence.monitors import ConvergenceMonitor
 from repro.datastore.snapshot import register_codec
-from repro.errors import DeadEndError, PrivateUserError
-from repro.interface.api import QueryResponse, RestrictedSocialAPI
+from repro.errors import PrivateUserError
+from repro.interface.api import RestrictedSocialAPI
 from repro.utils.rng import RngLike, StreamCursor, WordStream, pack_state, unpack_state
 
 Node = Hashable
@@ -116,14 +116,14 @@ class RandomWalkSampler(abc.ABC):
         start: Start node.  The interface exposes no node list, so callers
             must supply one (the paper starts "from an arbitrary user").
         seed: Randomness.
-        trace_attribute: Per-node value watched by convergence monitors;
-            defaults to the node's (original-graph) degree, the attribute
-            the paper uses because it exists in every network.
         bootstrap: Query ``start`` now (billed like any first visit) and
-            record it as the trace's first entry.  ``False`` only sets
-            the fields up: the caller must :meth:`load_state` a captured
-            session on top before stepping — rebuilding a session that
-            already paid for its start node must not query it again.
+            record its degree as the trace's first entry.  The trace holds
+            each visited node's original-graph degree: the attribute the
+            paper's convergence monitors watch, because it exists in every
+            network.  ``False`` only sets the fields up: the caller must
+            :meth:`load_state` a captured session on top before stepping —
+            rebuilding a session that already paid for its start node must
+            not query it again.
     """
 
     def __init__(
@@ -131,7 +131,6 @@ class RandomWalkSampler(abc.ABC):
         api: RestrictedSocialAPI,
         start: Node,
         seed: RngLike = None,
-        trace_attribute: Optional[Callable[[QueryResponse], float]] = None,
         *,
         bootstrap: bool = True,
     ) -> None:
@@ -143,29 +142,22 @@ class RandomWalkSampler(abc.ABC):
             self._stream: Optional[WordStream] = None
         else:
             self._rng = self._stream = WordStream(seed)
-        self._uses_default_trace = trace_attribute is None
-        self._trace_fn = (
-            trace_attribute if trace_attribute is not None else (lambda resp: float(resp.degree))
-        )
         self._current = start
         self._steps = 0
         self._trace: List[float] = []
         self._checkpoint_fn: Optional[Callable[["RandomWalkSampler"], None]] = None
         self._checkpoint_every = 0
-        self._current_resp: Optional[QueryResponse] = None
-        # Seq memo for the fast cached-step lane: the current node's stable
-        # neighbor tuple, or None when it must be re-read through the
-        # interface (after load_state, or a commit that didn't carry it).
+        # The current node's stable neighbor tuple, or None when it must be
+        # re-read through the interface (after load_state, or a commit that
+        # didn't carry it).
         self._current_seq: Optional[tuple] = None
         if bootstrap:
             self._bootstrap()
 
     def _bootstrap(self) -> None:
-        """Query the start node and record it as the trace's first entry."""
-        resp = self._api.query(self._current)
-        self._current_resp = resp
-        self._current_seq = resp.neighbor_seq
-        self._record_trace(resp)
+        """Query the start node and record its degree as the trace's first entry."""
+        seq = self._current_seq = self._api.fetch_seq(self._current)
+        self._trace.append(float(len(seq)))
 
     # ------------------------------------------------------------------
     # subclass contract
@@ -175,8 +167,8 @@ class RandomWalkSampler(abc.ABC):
         """Advance one step; returns the new current node.
 
         Implementations must go through ``self._api`` for all topology
-        knowledge and call ``self._advance(node, response)`` to commit the
-        move.
+        knowledge and commit with ``self._advance(node, degree, seq)`` or
+        ``self._stay(degree)``.
         """
 
     @abc.abstractmethod
@@ -202,7 +194,7 @@ class RandomWalkSampler(abc.ABC):
 
     @property
     def trace(self) -> Sequence[float]:
-        """Attribute trace (one entry per visited node incl. the start)."""
+        """Degree trace (one entry per visited node incl. the start)."""
         return tuple(self._trace)
 
     @property
@@ -220,53 +212,26 @@ class RandomWalkSampler(abc.ABC):
         """The sampler's random stream (shared with subclasses)."""
         return self._rng
 
-    def _record_trace(self, response: QueryResponse) -> None:
-        self._trace.append(self._trace_fn(response))
-
-    def _advance(self, node: Node, response: QueryResponse) -> None:
-        """Commit a move to ``node`` whose query returned ``response``."""
-        self._current = node
-        self._current_resp = response
-        self._current_seq = response.neighbor_seq
-        self._steps += 1
-        self._record_trace(response)
-        self._after_commit()
-
-    def _advance_fast(self, node: Node, degree: int, seq: Optional[tuple] = None) -> None:
+    def _advance(self, node: Node, degree: int, seq: Optional[tuple] = None) -> None:
         """Commit a move using already-paid-for degree knowledge.
-
-        Skips rebuilding a cached :class:`QueryResponse` when only the
-        default degree trace is recorded — the walk engines' hot path.
-        Callers must only use it when ``self._uses_default_trace`` holds.
 
         Args:
             node: The node moved to.
             degree: Its (already paid for) degree, recorded in the trace.
             seq: Its stable neighbor tuple, when the caller already holds
-                it (the fast cached-step lane); keeps the seq memo warm so
-                the next step is draw-only.  Omitted → memo invalidated.
+                it; keeps the memo warm so the next step is draw-only.
+                Omitted → memo invalidated.
         """
         self._current = node
-        self._current_resp = None
         self._current_seq = seq
         self._steps += 1
         self._trace.append(float(degree))
         self._after_commit()
 
-    def _stay(self) -> None:
-        """Commit a self-transition (MH rejection / lazy hold)."""
-        resp = self._query_current()  # memoized or cached — free
-        self._steps += 1
-        self._record_trace(resp)
-        self._after_commit()
+    def _stay(self, degree: int) -> None:
+        """Commit a self-transition (MH rejection / hold) at ``degree``.
 
-    def _stay_fast(self, degree: int) -> None:
-        """Commit a self-transition with already-known degree.
-
-        The fast-lane twin of :meth:`_stay`: no response lookup, just the
-        trace append and commit bookkeeping.  Callers must only use it
-        when ``self._uses_default_trace`` holds and ``degree`` is the
-        current node's degree.
+        ``degree`` is the current node's degree, recorded in the trace.
         """
         self._steps += 1
         self._trace.append(float(degree))
@@ -278,7 +243,7 @@ class RandomWalkSampler(abc.ABC):
     def set_checkpoint(self, fn: Callable[["RandomWalkSampler"], None], every: int) -> None:
         """Invoke ``fn(self)`` after every ``every``-th committed step.
 
-        The hook fires at *commit points* — after a move, fast move, or
+        The hook fires at *commit points* — after a move or a
         self-transition lands — which in every walk engine is the last
         RNG-consuming action of a step.  Capturing state there (e.g.
         ``SamplingSession.save``) therefore snapshots a resumable
@@ -322,10 +287,9 @@ class RandomWalkSampler(abc.ABC):
         gauss_next)`` with the 625 Mersenne words as one ``bytes`` value,
         so a hibernate encodes one value per chain instead of 625 tagged
         ints.  :meth:`load_state` also accepts Random's tuple layout,
-        which older snapshots carry.  Constructor configuration
-        (trace function, engine options) is not captured: the restoring
-        process rebuilds the sampler with the same arguments and loads
-        this state on top.  Subclasses with extra per-step state override
+        which older snapshots carry.  Constructor configuration (engine
+        options) is not captured: the restoring process rebuilds the
+        sampler with the same arguments and loads this state on top.  Subclasses with extra per-step state override
         and extend this dict.
         """
         return {
@@ -338,10 +302,10 @@ class RandomWalkSampler(abc.ABC):
     def load_state(self, state: dict) -> None:
         """Restore position/steps/trace/RNG captured by :meth:`state_dict`.
 
-        The response memo is invalidated; the next ``step()`` re-reads the
-        current node from the (restored) cache, which is free.  The replay
-        cursor restarts at its next prediction: the restored stream's
-        words carry indices it never recorded.
+        The neighbor-tuple memo is invalidated; the next ``step()``
+        re-reads the current node from the (restored) cache, which is
+        free.  The replay cursor restarts at its next prediction: the
+        restored stream's words carry indices it never recorded.
 
         Args:
             state: Output of :meth:`state_dict`.
@@ -350,7 +314,6 @@ class RandomWalkSampler(abc.ABC):
         self._steps = int(state["steps"])
         self._trace = [float(x) for x in state["trace"]]
         self._rng.setstate(unpack_state(state["rng"]))
-        self._current_resp = None
         self._current_seq = None
 
     # ------------------------------------------------------------------
@@ -363,17 +326,14 @@ class RandomWalkSampler(abc.ABC):
     def _replay_seq_of(self, cache, node: Node) -> Optional[tuple]:
         """``node``'s stable neighbor tuple as a replay would see it.
 
-        Reads the shared cache, falling back to the step memos when the
+        Reads the shared cache, falling back to the step memo when the
         walk's own current node has been evicted from a bounded cache —
         the memo is what the real step will draw from.  Returns ``None``
         for genuinely unknown neighborhoods.
         """
         seq = cache.neighbor_seq(node)
         if seq is None and node == self._current:
-            if self._current_seq is not None:
-                return self._current_seq
-            if self._current_resp is not None:
-                return self._current_resp.neighbor_seq
+            return self._current_seq
         return seq
 
     def predict_next_fetch(self, max_steps: int = 64):
@@ -573,68 +533,44 @@ class RandomWalkSampler(abc.ABC):
     # ------------------------------------------------------------------
     # helpers for subclasses
     # ------------------------------------------------------------------
-    def _pick_uniform(self, items: Sequence[Node]) -> Node:
-        if not items:
-            raise DeadEndError(self._current)
-        return items[self._rng.randrange(len(items))]
-
-    def _query(self, node: Node) -> QueryResponse:
-        return self._api.query(node)
-
-    def _query_current(self) -> QueryResponse:
-        """The current node's response, memoized across the step boundary.
-
-        Every step starts by re-reading the node the walk already stands
-        on; the memo turns that from a (free but not costless) cache hit
-        into a field read.  The memo is validated against ``current`` so
-        any committed move refreshes it.
-        """
-        resp = self._current_resp
-        if resp is None or resp.user != self._current:
-            resp = self._api.query(self._current)
-            self._current_resp = resp
-        return resp
-
     def _current_neighbor_seq(self) -> tuple:
         """The current node's stable neighbor tuple, memoized.
 
-        The fast cached-step lane's opening read: a field access when the
-        memo is warm (every committed fast step re-warms it), otherwise
-        one re-read through the response memo — exactly what the slow
-        path's ``_query_current`` would have cost, so query-log parity
-        between the lanes is preserved.
+        Every step opens with this read: a field access when the memo is
+        warm (every commit that carries a tuple re-warms it), otherwise
+        one free re-read through :meth:`~repro.interface.api.
+        RestrictedSocialAPI.fetch_seq`.
         """
         seq = self._current_seq
         if seq is None:
-            seq = self._query_current().neighbor_seq
-            self._current_seq = seq
+            seq = self._current_seq = self._api.fetch_seq(self._current)
         return seq
 
     def _draw_accessible(self, neighbors: Sequence[Node]) -> Optional[tuple]:
-        """Uniformly draw an accessible neighbor and its query response.
+        """Uniformly draw an accessible neighbor and its neighbor tuple.
 
         On networks without private users (``api.may_have_private`` is
         false) this is a single O(1) index into the stable neighbor
-        sequence — the walk engines' hot path.  Otherwise private users
-        (our failure-injection surface — real crawls hit them constantly)
-        are redrawn around; the first refusal per user is billed by the
-        interface, later ones are cached.
+        sequence.  Otherwise private users (our failure-injection
+        surface — real crawls hit them constantly) are redrawn around;
+        the first refusal per user is billed by the interface, later ones
+        are cached.
 
         Returns:
-            ``(node, response)`` or ``None`` when every neighbor is
+            ``(node, neighbor_seq)`` or ``None`` when every neighbor is
             private.
         """
         if not neighbors:
             return None
-        if not self._api.may_have_private:
+        api = self._api
+        if not api.may_have_private:
             candidate = neighbors[self._rng.randrange(len(neighbors))]
-            return candidate, self._api.query(candidate)
-        pool = [v for v in neighbors if not self._api.is_known_private(v)]
+            return candidate, api.fetch_seq(candidate)
+        pool = [v for v in neighbors if not api.is_known_private(v)]
         while pool:
-            idx = self._rng.randrange(len(pool))
-            candidate = pool.pop(idx)
+            candidate = pool.pop(self._rng.randrange(len(pool)))
             try:
-                return candidate, self._api.query(candidate)
+                return candidate, api.fetch_seq(candidate)
             except PrivateUserError:
                 continue
         return None

@@ -13,7 +13,7 @@ read as what a naive crawler would report.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Hashable, Set
+from typing import Deque, Hashable, Optional, Set
 
 from repro.errors import DeadEndError, PrivateUserError
 from repro.interface.api import RestrictedSocialAPI
@@ -26,6 +26,9 @@ Node = Hashable
 class _CrawlerBase(RandomWalkSampler):
     """Shared frontier machinery for BFS/DFS/snowball crawlers."""
 
+    #: Neighbors kept per visited user; ``None`` keeps them all.
+    _k: Optional[int] = None
+
     def __init__(self, api: RestrictedSocialAPI, start: Node, seed: RngLike = None) -> None:
         super().__init__(api, start, seed=seed)
         self._visited: Set[Node] = {start}
@@ -33,11 +36,9 @@ class _CrawlerBase(RandomWalkSampler):
         self._push_neighbors(start)
 
     def _push_neighbors(self, node: Node) -> None:
-        resp = self._api.query(node)
-        fresh = [v for v in resp.neighbor_seq if v not in self._visited]
+        fresh = [v for v in self._api.fetch_seq(node) if v not in self._visited]
         self._rng.shuffle(fresh)
-        for v in fresh:
-            self._frontier.append(v)
+        self._frontier.extend(fresh[: self._k])
 
     def _pop(self) -> Node:
         raise NotImplementedError
@@ -54,12 +55,12 @@ class _CrawlerBase(RandomWalkSampler):
             if nxt in self._visited:
                 continue
             try:
-                resp = self._api.query(nxt)
+                seq = self._api.fetch_seq(nxt)
             except PrivateUserError:
                 self._visited.add(nxt)
                 continue
             self._visited.add(nxt)
-            self._advance(nxt, resp)
+            self._advance(nxt, len(seq), seq)
             self._push_neighbors(nxt)
             return nxt
         raise DeadEndError(self.current)
@@ -125,13 +126,6 @@ class SnowballCrawler(_CrawlerBase):
             raise ValueError("k must be at least 1")
         self._k = k
         super().__init__(api, start, seed=seed)
-
-    def _push_neighbors(self, node: Node) -> None:
-        resp = self._api.query(node)
-        fresh = [v for v in resp.neighbor_seq if v not in self._visited]
-        self._rng.shuffle(fresh)
-        for v in fresh[: self._k]:
-            self._frontier.append(v)
 
     def _pop(self) -> Node:
         return self._frontier.popleft()

@@ -25,39 +25,22 @@ class MetropolisHastingsWalk(RandomWalkSampler):
 
         A private proposal counts as a rejection (the walk holds), which
         preserves the uniform stationary distribution on the accessible
-        subgraph.
-
-        On private-free networks with the default degree trace the step
-        runs on the fast cached-step lane — same draws (one ``randrange``
-        then one ``random``), same acceptance arithmetic on the same
-        degrees, same query log and billing as the full path.
+        subgraph.  Each step draws one ``randrange`` and then one
+        ``random`` for the accept coin.
         """
-        if self._uses_default_trace and not self._api.may_have_private:
-            seq = self._current_neighbor_seq()
-            if not seq:
-                self._stay_fast(0)
-                return self._current
-            deg_u = len(seq)
-            proposal = seq[self._rng.randrange(deg_u)]
-            prop_seq = self._api.fetch_seq(proposal)
-            deg_v = len(prop_seq)
-            if self._rng.random() < min(1.0, deg_u / deg_v):
-                self._advance_fast(proposal, deg_v, seq=prop_seq)
-            else:
-                self._stay_fast(deg_u)
-            return self._current
-        resp = self._query_current()
-        drawn = self._draw_accessible(resp.neighbor_seq)
+        seq = self._current_neighbor_seq()
+        deg_u = len(seq)
+        drawn = self._draw_accessible(seq)
         if drawn is None:
-            self._stay()
-            return self.current
-        proposal, prop_resp = drawn
-        accept = min(1.0, resp.degree / prop_resp.degree)
-        if self._rng.random() < accept:
-            self._advance(proposal, prop_resp)
+            self._stay(deg_u)
+            return self._current
+        proposal, prop_seq = drawn
+        deg_v = len(prop_seq)
+        if self._rng.random() < min(1.0, deg_u / deg_v):
+            self._advance(proposal, deg_v, prop_seq)
         else:
-            self._stay()
-        return self.current
+            self._stay(deg_u)
+        return self._current
 
     def predict_next_fetch(self, max_steps: int = 64) -> Optional[Node]:
         """Replay proposal draws *and* acceptance tests to the next fetch.

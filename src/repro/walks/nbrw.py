@@ -31,40 +31,21 @@ class NonBacktrackingWalk(RandomWalkSampler):
     def step(self) -> Node:
         """Hop to a uniform accessible neighbor other than the predecessor.
 
-        On private-free networks with the default degree trace the step
-        runs on the fast cached-step lane — the same predecessor filter
-        over the same stable sequence, the same single ``randrange``, the
-        same query log and billing as the full path.
+        When every neighbor but the predecessor is private, the walk
+        backtracks rather than dying; when the whole neighborhood is
+        private it holds in place.
         """
-        if self._uses_default_trace and not self._api.may_have_private:
-            seq = self._current_neighbor_seq()
-            neighbors: Sequence[Node] = seq
-            if self._previous is not None and len(neighbors) > 1:
-                neighbors = [v for v in neighbors if v != self._previous]
-            if not neighbors:  # only possible when seq itself is empty
-                self._stay_fast(0)
-                return self._current
-            nxt = neighbors[self._rng.randrange(len(neighbors))]
-            nxt_seq = self._api.fetch_seq(nxt)
-            self._previous = self._current
-            self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
-            return nxt
-        resp = self._query_current()
-        neighbors: Sequence[Node] = resp.neighbor_seq
+        seq = self._current_neighbor_seq()
+        neighbors: Sequence[Node] = seq
         if self._previous is not None and len(neighbors) > 1:
             neighbors = [v for v in neighbors if v != self._previous]
-        drawn = self._draw_accessible(neighbors)
+        drawn = self._draw_accessible(neighbors) or self._draw_accessible(seq)
         if drawn is None:
-            # Everything (except possibly the predecessor) is private:
-            # allow the backtrack rather than dying.
-            fallback = self._draw_accessible(resp.neighbor_seq)
-            if fallback is None:
-                self._stay()
-                return self.current
-            drawn = fallback
-        nxt, nxt_resp = drawn
-        self._previous = self.current
-        self._advance(nxt, nxt_resp)
+            self._stay(len(seq))
+            return self._current
+        nxt, nxt_seq = drawn
+        self._previous = self._current
+        self._advance(nxt, len(nxt_seq), nxt_seq)
         return nxt
 
     def predict_next_fetch(self, max_steps: int = 64) -> Optional[Node]:
@@ -117,7 +98,7 @@ class NonBacktrackingWalk(RandomWalkSampler):
         """``1/k_node`` — the node marginal stays degree-proportional."""
         degree = self._api.cached_degree(node)
         if degree is None:  # pragma: no cover - visited nodes are cached
-            degree = self._query(node).degree
+            degree = self._api.query(node).degree
         return 1.0 / degree
 
     def state_dict(self) -> dict:

@@ -64,10 +64,10 @@ class RandomJumpWalk(MetropolisHastingsWalk):
         if self._rng.random() < self._jump_probability:
             target = self._id_space[self._rng.randrange(len(self._id_space))]
             try:
-                resp = self._query(target)
+                seq = self._api.fetch_seq(target)
             except PrivateUserError:
-                self._stay()
-                return self.current
-            self._advance(target, resp)
+                self._stay(len(self._current_neighbor_seq()))
+                return self._current
+            self._advance(target, len(seq), seq)
             return target
         return super().step()

@@ -348,12 +348,8 @@ class EventDrivenWalkers:
             {
                 "roster": tuple(self._roster),
                 "active_chains": sum(1 for r in self._roster if r == ROSTER_ACTIVE),
-                "retired_chains": tuple(
-                    i for i, r in enumerate(self._roster) if r == ROSTER_RETIRED
-                ),
-                "reserve_chains": tuple(
-                    i for i, r in enumerate(self._roster) if r == ROSTER_RESERVE
-                ),
+                "retired_chains": tuple(i for i, r in enumerate(self._roster) if r == ROSTER_RETIRED),
+                "reserve_chains": tuple(i for i, r in enumerate(self._roster) if r == ROSTER_RESERVE),
                 "chain_collect_steps": tuple(self._collect_steps),
             }
         )
@@ -516,9 +512,7 @@ class EventDrivenWalkers:
             "merged_chain": tuple(self._merged_chain),
             "events": self._events,
             "next_free": tuple(self._next_free),
-            "open_bursts": tuple(
-                None if burst is None else tuple(burst) for burst in self._open_bursts
-            ),
+            "open_bursts": tuple(None if burst is None else tuple(burst) for burst in self._open_bursts),
             "roster": tuple(self._roster),
             "collect_steps": tuple(self._collect_steps),
             "timed_steps": tuple(self._timed_steps),

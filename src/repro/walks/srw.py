@@ -31,30 +31,18 @@ class SimpleRandomWalk(RandomWalkSampler):
 
         Private neighbors are redrawn around; when the entire
         neighborhood is private the walk holds in place (a
-        self-transition) rather than dying.
-
-        On private-free networks with the default degree trace the step
-        runs on the fast cached-step lane: one ``randrange`` draw into
-        the memoized neighbor tuple plus one :meth:`~repro.interface.api.
-        RestrictedSocialAPI.fetch_seq` — same RNG consumption, same query
-        log, same billing as the full path, bit for bit.
+        self-transition) rather than dying.  On private-free networks the
+        step is one ``randrange`` draw into the memoized neighbor tuple
+        plus one :meth:`~repro.interface.api.RestrictedSocialAPI.
+        fetch_seq`.
         """
-        if self._uses_default_trace and not self._api.may_have_private:
-            seq = self._current_neighbor_seq()
-            if not seq:
-                self._stay_fast(0)
-                return self._current
-            nxt = seq[self._rng.randrange(len(seq))]
-            nxt_seq = self._api.fetch_seq(nxt)
-            self._advance_fast(nxt, len(nxt_seq), seq=nxt_seq)
-            return nxt
-        resp = self._query_current()
-        drawn = self._draw_accessible(resp.neighbor_seq)
+        seq = self._current_neighbor_seq()
+        drawn = self._draw_accessible(seq)
         if drawn is None:
-            self._stay()
-            return self.current
-        nxt, nxt_resp = drawn
-        self._advance(nxt, nxt_resp)
+            self._stay(len(seq))
+            return self._current
+        nxt, nxt_seq = drawn
+        self._advance(nxt, len(nxt_seq), nxt_seq)
         return nxt
 
     def predict_next_fetch(self, max_steps: int = 64) -> Optional[Node]:
@@ -108,5 +96,5 @@ class SimpleRandomWalk(RandomWalkSampler):
         """
         degree = self._api.cached_degree(node)
         if degree is None:  # pragma: no cover - visited nodes are cached
-            degree = self._query(node).degree
+            degree = self._api.query(node).degree
         return 1.0 / degree

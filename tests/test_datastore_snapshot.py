@@ -203,9 +203,7 @@ class TestJsonLinesBackend:
 
     def test_future_version_raises(self, tmp_path):
         path = tmp_path / "snap.jsonl"
-        path.write_text(
-            json.dumps({"format": "repro-snapshot", "version": 999, "sections": []}) + "\n"
-        )
+        path.write_text(json.dumps({"format": "repro-snapshot", "version": 999, "sections": []}) + "\n")
         with pytest.raises(SnapshotError):
             JsonLinesBackend(path).read()
 

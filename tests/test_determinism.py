@@ -7,11 +7,24 @@ sequences, identical overlay rewiring counts, and identical billed query
 costs, run after run.
 """
 
+import hashlib
+
+import pytest
+
 from repro.core import MTOSampler, build_overlay_fixpoint
+from repro.datasets import load
 from repro.generators import paper_barbell
 from repro.graph import Graph
 from repro.interface import RestrictedSocialAPI
-from repro.walks import SimpleRandomWalk
+from repro.walks import (
+    BFSCrawler,
+    DFSCrawler,
+    MetropolisHastingsWalk,
+    NonBacktrackingWalk,
+    RandomJumpWalk,
+    SimpleRandomWalk,
+    SnowballCrawler,
+)
 
 
 def replacement_rich_graph() -> Graph:
@@ -130,3 +143,86 @@ class TestFixpointDeterminism:
         a = build_overlay_fixpoint(paper_barbell(), use_replacement=True, seed=7)
         b = build_overlay_fixpoint(paper_barbell(), use_replacement=True, seed=7)
         assert a == b
+
+
+# Whole-log pins for every engine's step, open and with private users.
+# The digest covers the samples, the trace, every query-log record, the
+# clock and the cache hit/miss counters over a run that is resumed in
+# place halfway (``load_state(state_dict())``), so a change to how a step
+# reads its current node or a neighbor moves it.
+def _step_log_digest(engine: str, private: bool, seed: int = 3) -> str:
+    net = load("epinions_like", seed=0, scale=0.15)
+    nodes = sorted(net.graph.nodes())
+    hidden = frozenset(nodes[6::7]) if private else None
+    api = RestrictedSocialAPI(net.graph, inaccessible=hidden)
+    start = nodes[0]
+    build = {
+        "srw": lambda: SimpleRandomWalk(api, start=start, seed=seed),
+        "mhrw": lambda: MetropolisHastingsWalk(api, start=start, seed=seed),
+        "nbrw": lambda: NonBacktrackingWalk(api, start=start, seed=seed),
+        "rj": lambda: RandomJumpWalk(api, start=start, id_space=nodes, seed=seed),
+        "mto": lambda: MTOSampler(api, start=start, seed=seed),
+        "bfs": lambda: BFSCrawler(api, start=start, seed=seed),
+        "dfs": lambda: DFSCrawler(api, start=start, seed=seed),
+        "snowball": lambda: SnowballCrawler(api, start=start, seed=seed),
+    }
+    sampler = build[engine]()
+    run = sampler.run(60, thinning=2)
+    sampler.load_state(sampler.state_dict())
+    for _ in range(40):
+        sampler.step()
+    payload = (
+        [(s.node, s.weight, s.query_cost, s.step) for s in run.samples],
+        tuple(sampler.trace),
+        list(api.log.state_dict()["records"]),
+        api.clock.now(),
+        api.cache_hits,
+        api.cache_misses,
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
+
+
+# fmt: off
+PINNED_STEP_LOGS = {
+    ("srw", False): "0a1fc1c3844d245843b07d28e8c2c6cd3e1c4aef0765129c0064b0928abc76c2",
+    ("srw", True): "021b82d4f3412434c2aa406db512657d0e2fce7e0d2985a1aae2dc5660e19f51",
+    ("mhrw", False): "cc750cec4c83ccbb8873b62723b144e8c9b290b81ed276d255153b3813e653e1",
+    ("mhrw", True): "89701fa7fff3284f44615eb89ef304faffa0ec021dc9e0f149321a2681ba9192",
+    ("nbrw", False): "c286579232f847938ab0255c65de39eaf391ff91f15248b6976254c33f260f08",
+    ("nbrw", True): "ffbe1d8ff13ee05159e9c571f297a3992f83a8dde523d633590eafaf2dc4df59",
+    ("rj", False): "4d7da8e59c91385cd2e116941039b54243a423e4e3476c165b0af5911b3d6f2b",
+    ("rj", True): "22f36ada011fd5e9c9722fdc5927cc61da5bf3512f8e0eab48dcc93b1ed67fb1",
+    ("mto", False): "5c4883dfbe0e5f090d1c1e00346b633f3164538c3b1d439d5b9a92baa86b44b0",
+    ("mto", True): "cad182fe94bafafa84d7ad8a9ff1d963e0750e61578e3bb65c0a5fe955d63e1e",
+    ("bfs", False): "ff9eef8f2086e00c212f4daf2ff3bb6501647bcbd861a7e575e712c144946859",
+    ("bfs", True): "6455e478de6545da8963bd7f7eec67cabbb13fa74d206717c47e2a4e7051e861",
+    ("dfs", False): "677774173cda7fa4898778fe3112851c6ed9eea64f554ca25815aec0853cd2e4",
+    ("dfs", True): "8e001df1bae4184651b4a9eb238d884712967a5888ea4aab24e6b2430da6718f",
+    ("snowball", False): "f79a0351f0935e3672de6d8960981e7f2014ff8c7303a1f4cf0a18c59a9b6ae1",
+    ("snowball", True): "f28201941d1b9aec3f2d546cf9e5069aa9644865879dc0e474155e30c265e0be",
+}
+# fmt: on
+
+
+class TestStepLogPins:
+    @pytest.mark.parametrize("engine, private", sorted(PINNED_STEP_LOGS), ids=str)
+    def test_whole_log_pinned(self, engine, private):
+        assert _step_log_digest(engine, private) == PINNED_STEP_LOGS[engine, private]
+
+    def test_mto_private_hold_rereads_after_resume(self):
+        # The only neighbor is private, so every step holds.  The first
+        # hold reads the start node's memo; after a resume the memo is
+        # gone and the hold re-reads it once (free), then it is warm again.
+        api = RestrictedSocialAPI(Graph([(0, 1)]), inaccessible=frozenset({1}))
+        mto = MTOSampler(api, start=0, seed=1)
+        mto.step()
+        mto.load_state(mto.state_dict())
+        mto.step()
+        mto.step()
+        assert list(api.log.state_dict()["records"]) == [
+            (0, True, 1.0),
+            (0, False, 1.0),
+            (1, True, 1.0),
+            (0, False, 1.0),
+        ]
+        assert mto.trace == (1.0, 1.0, 1.0, 1.0)

@@ -153,28 +153,24 @@ class TestPrefetchingWalkers:
             if target is not None:
                 assert api.query(target).from_cache
 
-    def test_mto_prefetch_replacement_still_rewires(self):
-        def replacements(prefetch):
-            total = 0
-            for seed in range(8):
-                g = Graph(
-                    [
-                        ("u", "v"),
-                        ("v", "a"),
-                        ("v", "b"),
-                        ("u", "x"),
-                        ("a", "y"),
-                        ("b", "z"),
-                        ("x", "y"),
-                        ("y", "z"),
-                    ]
-                )
-                api = RestrictedSocialAPI(g)
-                mto = MTOSampler(api, start="u", seed=seed, prefetch_replacement=prefetch)
-                for _ in range(200):
-                    mto.step()
-                total += mto.overlay.replacement_count
-            return total
-
-        assert replacements(prefetch=False) > 0
-        assert replacements(prefetch=True) > 0
+    def test_mto_replacement_rewires(self):
+        total = 0
+        for seed in range(8):
+            g = Graph(
+                [
+                    ("u", "v"),
+                    ("v", "a"),
+                    ("v", "b"),
+                    ("u", "x"),
+                    ("a", "y"),
+                    ("b", "z"),
+                    ("x", "y"),
+                    ("y", "z"),
+                ]
+            )
+            api = RestrictedSocialAPI(g)
+            mto = MTOSampler(api, start="u", seed=seed)
+            for _ in range(200):
+                mto.step()
+            total += mto.overlay.replacement_count
+        assert total > 0

@@ -7,8 +7,8 @@ trace — every billed query, in order — is bit-for-bit identical to an
 uninterrupted run's.
 
 One counter is deliberately exempt from exactness: a resumed walk
-re-reads its current node once to rewarm the step memo
-(``_query_current``), a free cache hit the uninterrupted run never
+re-reads its current node once to rewarm the neighbor-tuple memo
+(``_current_neighbor_seq``), a free cache hit the uninterrupted run never
 performs.  Billing is untouched (§II-B hits cost nothing), so the
 tests pin the hit counter at exactly reference + 1 rather than hiding
 the rewarm behind a tolerance.

@@ -98,25 +98,17 @@ class TestResumeMatchesUninterrupted:
 
         # zero duplicate billed queries for already-known users
         continuation_records = list(resumed.api.log)[boundary:]
-        duplicate_billed = [
-            rec.user for rec in continuation_records if rec.billed and rec.user in paid_for
-        ]
+        duplicate_billed = [rec.user for rec in continuation_records if rec.billed and rec.user in paid_for]
         assert duplicate_billed == []
         assert resumed.api.query_cost - billed_before == len(
             {rec.user for rec in continuation_records if rec.billed}
         )
 
         # identical estimator output, exactly (same weights, same order)
-        res_estimate = estimate(
-            AggregateQuery.average_degree(), first_samples + resumed_samples, resumed.api
-        )
+        res_estimate = estimate(AggregateQuery.average_degree(), first_samples + resumed_samples, resumed.api)
         assert res_estimate.estimate == ref_estimate.estimate
-        assert [s.weight for s in first_samples + resumed_samples] == [
-            s.weight for s in ref_samples
-        ]
-        assert [s.query_cost for s in first_samples + resumed_samples] == [
-            s.query_cost for s in ref_samples
-        ]
+        assert [s.weight for s in first_samples + resumed_samples] == [s.weight for s in ref_samples]
+        assert [s.query_cost for s in first_samples + resumed_samples] == [s.query_cost for s in ref_samples]
 
 
 _CHILD_SCRIPT = """
@@ -167,9 +159,7 @@ class TestResumeInFreshProcess:
         ref_nodes, ref_samples = _walk(ref, self.CHECKPOINT + self.CONTINUATION)
         # the child estimates over its continuation samples; compare the
         # reference's estimator output over the same sample window
-        ref_estimate = estimate(
-            AggregateQuery.average_degree(), ref_samples[self.CHECKPOINT :], ref.api
-        )
+        ref_estimate = estimate(AggregateQuery.average_degree(), ref_samples[self.CHECKPOINT :], ref.api)
 
         # phase 1: walk to the checkpoint and snapshot to disk
         first = MTOSampler(network.interface(), start=start, seed=11)
@@ -194,9 +184,7 @@ class TestResumeInFreshProcess:
         assert first_nodes + child["nodes"] == ref_nodes
         assert child["query_cost"] == ref.api.query_cost
         assert child["estimate_hex"] == ref_estimate.estimate.hex()
-        assert child["weights_hex"] == [
-            s.weight.hex() for s in ref_samples[self.CHECKPOINT :]
-        ]
+        assert child["weights_hex"] == [s.weight.hex() for s in ref_samples[self.CHECKPOINT :]]
         assert child["removal_count"] == ref.overlay.removal_count
         assert child["replacement_count"] == ref.overlay.replacement_count
 
@@ -315,9 +303,7 @@ class TestSessionValidation:
         backend = KeyValueBackend()
         api = network.interface()
         sampler = SimpleRandomWalk(api, start=network.seed_node(1), seed=3)
-        session = SamplingSession(
-            api, sampler, backend, metadata={"experiment": "fig7", "scale": 0.2}
-        )
+        session = SamplingSession(api, sampler, backend, metadata={"experiment": "fig7", "scale": 0.2})
         session.save()
         meta = session.peek_meta()
         assert meta["experiment"] == "fig7"
@@ -331,9 +317,7 @@ class TestParallelResume:
             shared = None
             chains = []
             for i in range(3):
-                mto = MTOSampler(
-                    api, start=network.seed_node(i), seed=i, overlay=shared
-                )
+                mto = MTOSampler(api, start=network.seed_node(i), seed=i, overlay=shared)
                 shared = mto.overlay
                 chains.append(mto)
             return api, shared, ParallelWalkers(chains)
@@ -358,9 +342,7 @@ class TestParallelResume:
 
     def test_parallel_round_checkpoint_hook(self, network):
         api = network.interface()
-        chains = [
-            SimpleRandomWalk(api, start=network.seed_node(i), seed=i) for i in range(2)
-        ]
+        chains = [SimpleRandomWalk(api, start=network.seed_node(i), seed=i) for i in range(2)]
         group = ParallelWalkers(chains)
         backend = KeyValueBackend()
         session = SamplingSession(api, group, backend, checkpoint_every=7)
@@ -370,17 +352,13 @@ class TestParallelResume:
 
     def test_chain_count_mismatch_raises(self, network):
         api = network.interface()
-        chains = [
-            SimpleRandomWalk(api, start=network.seed_node(i), seed=i) for i in range(2)
-        ]
+        chains = [SimpleRandomWalk(api, start=network.seed_node(i), seed=i) for i in range(2)]
         group = ParallelWalkers(chains)
         backend = KeyValueBackend()
         SamplingSession(api, group, backend).save()
 
         api2 = network.interface()
-        chains3 = [
-            SimpleRandomWalk(api2, start=network.seed_node(i), seed=i) for i in range(3)
-        ]
+        chains3 = [SimpleRandomWalk(api2, start=network.seed_node(i), seed=i) for i in range(3)]
         group3 = ParallelWalkers(chains3)
         with pytest.raises(SnapshotError):
             SamplingSession(api2, group3, backend).resume()
@@ -425,9 +403,7 @@ class TestSchedulerResumeInFreshProcess:
         from repro.walks import EventDrivenWalkers
 
         api = network.interface(latency_distribution="heavy_tailed", latency_seed=7)
-        chains = [
-            SimpleRandomWalk(api, start=network.seed_node(i), seed=i) for i in range(4)
-        ]
+        chains = [SimpleRandomWalk(api, start=network.seed_node(i), seed=i) for i in range(4)]
         return api, EventDrivenWalkers(chains)
 
     def test_subprocess_resume_is_bit_for_bit(self, network, tmp_path):
@@ -484,8 +460,5 @@ class TestWarmStartScenario:
         assert result.identical_sequence
         assert result.identical_cost
         assert result.savings == result.cost_at_checkpoint
-        assert (
-            result.cost_at_checkpoint + result.resumed_continuation_cost
-            == result.uninterrupted_cost
-        )
+        assert result.cost_at_checkpoint + result.resumed_continuation_cost == result.uninterrupted_cost
         assert "queries saved" in str(result)
