@@ -25,7 +25,7 @@ in ``counts`` (``free_steps`` / ``samples``), never as segments.
 
 Exactness is structural, not summed: the scheduler annotates every
 batched ``walk_step`` with the burst tuples and final ready time its own
-settle loop computed (see ``EventDrivenWalkers._annotate_tick``), so the
+settle loop computed (see ``EventDrivenWalkers._tick``), so the
 profiler re-derives each boundary from the *same floats with the same
 operations* and the tiling reconciles bit-for-bit against the run clock
 — no float-summation slop, in the same spirit as

@@ -33,10 +33,11 @@ class _CrawlerBase(RandomWalkSampler):
         super().__init__(api, start, seed=seed)
         self._visited: Set[Node] = {start}
         self._frontier: Deque[Node] = deque()
-        self._push_neighbors(start)
+        self._push_neighbors(self._current_seq)
 
-    def _push_neighbors(self, node: Node) -> None:
-        fresh = [v for v in self._api.fetch_seq(node) if v not in self._visited]
+    def _push_neighbors(self, seq: tuple) -> None:
+        """Queue the unvisited users of a visited node's (already read) neighbor tuple."""
+        fresh = [v for v in seq if v not in self._visited]
         self._rng.shuffle(fresh)
         self._frontier.extend(fresh[: self._k])
 
@@ -61,7 +62,7 @@ class _CrawlerBase(RandomWalkSampler):
                 continue
             self._visited.add(nxt)
             self._advance(nxt, len(seq), seq)
-            self._push_neighbors(nxt)
+            self._push_neighbors(seq)
             return nxt
         raise DeadEndError(self.current)
 

@@ -113,7 +113,7 @@ class ParallelWalkers(EventDrivenWalkers):
         self._heap = []
         for i in range(len(self._samplers)):
             self._push(i, self._sim_time)
-        self._burnin_tick(min(self._burn_rounds))
+        self._tick(None)
         return [s.current for s in self._samplers]
 
     def _depart(self, group) -> float:

@@ -37,9 +37,11 @@ Two clocks, deliberately distinct:
   around each step) onto concurrent per-chain timelines;
   :attr:`EventDrivenWalkers.simulated_elapsed` is the resulting makespan.
 
-The loop advances one *tick* at a time.  Without a provider fleet a
-tick is the single earliest event and the stepped chain is ready at the
-event time plus the latency its step incurred.  When the interface's
+The loop advances one *tick* at a time, and one tick body serves
+burn-in and collection, with or without a fleet, barrier or not.
+Without a provider fleet a tick is the single earliest event and the
+stepped chain is ready at the event time plus the latency its step
+incurred.  When the interface's
 provider stack contains a :class:`~repro.fleet.provider.ShardedProvider`
 dispatch is batch-aware: a tick is every event at the earliest timestamp
 (plus ``batch_window``), and dispatches of one tick that head to the
@@ -114,20 +116,6 @@ PHASE_FRESH = "fresh"
 PHASE_BURNIN = "burnin"
 PHASE_COLLECT = "collect"
 PHASE_DONE = "done"
-
-
-class _Tick:
-    """One fleet tick's settle books (``None`` stands in without a fleet)."""
-
-    __slots__ = ("fetches", "waits", "step_events")
-
-    def __init__(self) -> None:
-        # (chain, dispatches) per stepped chain, in FIFO order
-        self.fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]] = []
-        # (chain, land time) for chains that reached a pending prefetch
-        self.waits: List[Tuple[int, float]] = []
-        # chain -> its walk_step event, when a recorder is attached
-        self.step_events: Dict[int, TraceEvent] = {}
 
 
 class EventDrivenWalkers:
@@ -250,7 +238,7 @@ class EventDrivenWalkers:
         # Chain roster and per-chain observation books.  Without a policy
         # every chain is active for the whole run and the books are pure
         # bookkeeping; with one, the roster drives collection scheduling.
-        policy = planner.policy if planner is not None else None
+        self._policy = policy = planner.policy if planner is not None else None
         self._roster: List[str] = policy.initial_roster(k) if policy is not None else [ROSTER_ACTIVE] * k
         self._collect_steps = [0] * k
         self._timed_steps = [0] * k
@@ -396,37 +384,11 @@ class EventDrivenWalkers:
         """
         self._watcher = watcher
 
-    def _record_step(self, chain: int, when: float, latency: float):
-        """Record one committed walk step (caller guards the recorder)."""
-        sampler = self._samplers[chain]
-        event = self._recorder.record(
-            EVENT_WALK_STEP,
-            when,
-            latency,
-            chain=chain,
-            engine=type(sampler).__name__,
-            node=sampler.current,
-        )
+    def _emit(self, name: str, when: float, dur: float = 0.0, **attrs) -> TraceEvent:
+        """Record one event, tenant label last (caller guards the recorder)."""
         if self._obs_tenant is not None:
-            event.attrs["tenant"] = self._obs_tenant
-        return event
-
-    def _record_sample(self, chain: int, when: float) -> None:
-        """Record one merged sample (caller guards the recorder).
-
-        Samples read local chain state — they cost no queries and no
-        simulated time — but they are *actions* on the causal timeline:
-        the critical path of a run ends at its last committed action,
-        which is usually a sample, not a step.
-        """
-        event = self._recorder.record(
-            EVENT_SAMPLE,
-            when,
-            chain=chain,
-            node=self._samplers[chain].current,
-        )
-        if self._obs_tenant is not None:
-            event.attrs["tenant"] = self._obs_tenant
+            attrs["tenant"] = self._obs_tenant
+        return self._recorder.record(name, when, dur, **attrs)
 
     # ------------------------------------------------------------------
     # event-queue plumbing
@@ -593,7 +555,7 @@ class EventDrivenWalkers:
     # ------------------------------------------------------------------
     # the event loop
     # ------------------------------------------------------------------
-    # Both phases advance one *tick* at a time (see the module docstring):
+    # Both phases run one tick body, _tick (see the module docstring):
     # every popped chain acts — steps, or during collection takes its
     # sample — and only then are the tick's fetches settled (over a
     # fleet) and the chains re-queued.  On a fleet whose every latency is
@@ -656,7 +618,7 @@ class EventDrivenWalkers:
             if fleet is not None:
                 fleet.drain_dispatches()
             while len(self._merged) < num_samples:
-                self._collect_tick(num_samples)
+                self._tick(num_samples)
             self._phase = PHASE_DONE
         if fleet is not None:
             fleet.trace_dispatches(False)
@@ -681,36 +643,7 @@ class EventDrivenWalkers:
                 if self._recorder is not None:
                     self._recorder.metrics.series("walk.r_hat").observe(self._sim_time, monitor.r_hat(traces))
                 self._next_check = rounds + max(check_every, rounds // 5)
-            self._burnin_tick(rounds)
-
-    def _burnin_tick(self, rounds: int) -> None:
-        """Step every chain of one tick; park any that ran too far ahead.
-
-        ``rounds`` is the burn-in round floor (the slowest chain's count).
-        """
-        group = self._pop_tick()
-        when = self._depart(group)
-        tick = _Tick() if self._fleet is not None else None
-        burn_rounds = self._burn_rounds
-        pushes: List[int] = []
-        floor = rounds
-        for _when, _seq, chain in group:
-            self._step(chain, when, tick)
-            burn_rounds[chain] += 1
-            floor_before, floor = floor, min(burn_rounds)
-            if burn_rounds[chain] - floor >= self._max_lead:
-                self._parked.add(chain)
-            else:
-                pushes.append(chain)
-            if floor > floor_before and self._parked:
-                # The slowest chain advanced: release parked chains
-                # whose lead dropped back under the bound (index order
-                # keeps the queue deterministic).
-                for idx in sorted(self._parked):
-                    if burn_rounds[idx] - floor < self._max_lead:
-                        self._parked.discard(idx)
-                        pushes.append(idx)
-        self._finish_tick(when, tick, pushes, len(group))
+            self._tick(None)
 
     def _open_collect(self, num_samples: int, thinning: int) -> None:
         """Enter, re-derive or re-open collection toward ``num_samples``.
@@ -743,7 +676,7 @@ class EventDrivenWalkers:
         self._heap = []
         self._parked = set()
         self._since = [thinning] * len(self._samplers)
-        policy = self._planner.policy if self._planner is not None else None
+        policy = self._policy
         if policy is not None:
             reserves = [i for i, r in enumerate(self._roster) if r == ROSTER_RESERVE]
             for chain in reserves[: policy.collect_spawn_count(len(reserves), self._r_hat)]:
@@ -763,61 +696,140 @@ class EventDrivenWalkers:
         same work as in a lock-step run, which is what makes query cost
         comparable at equal sample counts.
         """
-        policy = self._planner.policy if self._planner is not None else None
         self._thinning = thinning
         self._collected = [0] * len(self._samplers)
         for chain in self._merged_chain:
             self._collected[chain] += 1
-        if policy is not None:
+        if self._policy is not None:
             self._recompute_quota(num_samples)
         else:
             self._quota = -(-num_samples // len(self._samplers))  # ceil division
 
-    def _collect_tick(self, num_samples: int) -> None:
-        """Advance collection by exactly one tick."""
-        if self._fleet is None and not self._barrier:
-            # A one-event tick: nothing to coalesce, nothing to settle.
-            when, _seq, chain = heappop(self._heap)
-            if when > self._sim_time:
-                self._sim_time = when
-            if self._collect_action(chain, when, None):
-                self._push(chain, self._ready[chain])
-            self._tick_committed(1)
-            return
-        policy = self._planner.policy if self._planner is not None else None
-        if policy is not None:
-            group = self._pop_tick_active(num_samples)
-        else:
-            group = self._pop_tick()
+    def _tick(self, num_samples: Optional[int]) -> None:
+        """Advance one tick: burn-in when ``num_samples`` is ``None``, else collection.
+
+        Every chain of the tick acts at its dispatch time: in collection it
+        takes its sample when due and steps otherwise; in burn-in it steps
+        and is parked once it leads the slowest chain by ``max_lead``
+        rounds.  Over a fleet the tick's fetches then settle into bursts
+        and the planner fills their spare slots.  Last, the barrier's round
+        maximum applies and the chains that stay queued are pushed.
+        """
+        group = self._pop_tick(num_samples)
         when = self._depart(group)
-        tick = _Tick() if self._fleet is not None else None
+        fleet, recorder, ready = self._fleet, self._recorder, self._ready
+        burnin = num_samples is None
+        floor = min(self._burn_rounds) if burnin else 0
+        # Over a fleet: (chain, dispatches) per stepped chain, in FIFO
+        # order, and (chain, land time) per consumed prefetch.
+        fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]] = []
+        waits: List[Tuple[int, float]] = []
+        step_events: Dict[int, TraceEvent] = {}
         pushes: List[int] = []
         events = 0
-        merged, act = self._merged, self._collect_action
         for _when, _seq, chain in group:
-            if len(merged) >= num_samples:
+            if not burnin and len(self._merged) >= num_samples:
                 # The quota filled mid-tick: requeue the unprocessed
                 # dispatches so the heap stays a faithful state cut.
-                self._push(chain, self._ready[chain])
+                self._push(chain, ready[chain])
                 continue
             events += 1
-            if act(chain, when, tick):
+            if not burnin and self._since[chain] >= self._thinning:
+                if self._sample(chain, when):
+                    pushes.append(chain)
+                continue
+            sampler = self._samplers[chain]
+            if fleet is None:
+                before = self._api.latency_spent
+                sampler.step()
+                latency = self._api.latency_spent - before
+                ready[chain] = when + latency
+            else:
+                sampler.step()
+                dispatches = fleet.drain_dispatches()
+                fetches.append((chain, dispatches))
+                latency = sum(d.latency for d in dispatches)
+                self._timed_steps[chain] += 1
+                if not burnin:
+                    self._collect_steps[chain] += 1
+                self._chain_latency[chain] += latency
+                if self._planner is not None:
+                    lands_at = self._planner.note_step(chain, sampler.current, free=not dispatches)
+                    if lands_at is not None:
+                        waits.append((chain, lands_at))
+            if recorder is not None:
+                step_events[chain] = self._emit(
+                    EVENT_WALK_STEP,
+                    when,
+                    latency,
+                    chain=chain,
+                    engine=type(sampler).__name__,
+                    node=sampler.current,
+                )
+            if not burnin:
+                self._since[chain] += 1
                 pushes.append(chain)
-        self._finish_tick(when, tick, pushes, events)
-        if policy is not None:
+                continue
+            burn_rounds, parked, max_lead = self._burn_rounds, self._parked, self._max_lead
+            burn_rounds[chain] += 1
+            floor_before, floor = floor, min(burn_rounds)
+            if burn_rounds[chain] - floor >= max_lead:
+                parked.add(chain)
+            else:
+                pushes.append(chain)
+            if floor > floor_before and parked:
+                # The slowest chain advanced: release parked chains
+                # whose lead dropped back under the bound (index order
+                # keeps the queue deterministic).
+                for idx in sorted(parked):
+                    if burn_rounds[idx] - floor < max_lead:
+                        parked.discard(idx)
+                        pushes.append(idx)
+        if fleet is not None:
+            joined = self._settle_tick(when, fetches)
+            # Settling reset the ready times: a chain that reached a
+            # prefetched node before its round trip landed waits for it
+            # (prefetch responses are not available before they land).
+            for chain, lands_at in waits:
+                if lands_at > ready[chain]:
+                    ready[chain] = lands_at
+            # Stamp the settle outcome on each step event before prefetch
+            # planning mutates the open bursts in place: the captured
+            # (shard, start, latency, opened) tuples and the ready time are
+            # exactly the operands of the ready-time computation, so the
+            # causal profiler can replay the attribution from the trace.
+            for chain, event in step_events.items():
+                entries = joined.get(chain)
+                if entries:
+                    event.attrs["bursts"] = tuple(
+                        (shard, burst[0], burst[1], opened) for shard, burst, opened in entries
+                    )
+                event.attrs["ready"] = ready[chain]
+            if self._planner is not None:
+                self._plan_prefetches(when, fetches)
+        if self._barrier:
+            # The round ends when its slowest response lands, and every
+            # chain waits for it: the lock-step per-round maximum.
+            end = max([ready[chain] for chain in pushes], default=when)
+            for chain in pushes:
+                ready[chain] = end
+            self._sim_time = end
+        for chain in pushes:
+            heappush(self._heap, (ready[chain], self._seq, chain))
+            self._seq += 1
+        self._tick_committed(events)
+        if not burnin and self._policy is not None:
             self._maybe_review_roster(num_samples, when)
 
-    def _collect_action(self, chain: int, when: float, tick: Optional[_Tick]) -> bool:
-        """One chain's collection action: its sample when due, else a step.
+    def _sample(self, chain: int, when: float) -> bool:
+        """Merge ``chain``'s current node; returns whether the chain stays queued.
 
-        Returns whether the chain stays queued — ``False`` once it has
-        delivered its fair share (the quota).
+        A chain leaves the queue once it has delivered its fair share
+        (the quota).  Samples read local chain state — they cost no
+        queries and no simulated time — but they are *actions* on the
+        causal timeline: the critical path of a run ends at its last
+        committed action, which is usually a sample, not a step.
         """
-        since = self._since
-        if since[chain] < self._thinning:
-            self._step(chain, when, tick)
-            since[chain] += 1
-            return True
         sampler = self._samplers[chain]
         node = sampler.current
         self._merged.append(
@@ -830,38 +842,11 @@ class EventDrivenWalkers:
         )
         self._merged_chain.append(chain)
         self._collected[chain] += 1
-        since[chain] = 0
-        self._ready[chain] = when  # collection reads local state: free
+        self._since[chain] = 0
+        self._ready[chain] = when
         if self._recorder is not None:
-            self._record_sample(chain, when)
+            self._emit(EVENT_SAMPLE, when, chain=chain, node=node)
         return self._collected[chain] < self._quota
-
-    def _step(self, chain: int, when: float, tick: Optional[_Tick]) -> None:
-        """Step one chain at tick time ``when``.
-
-        Without a fleet (``tick`` is ``None``) the chain's ready time is
-        set here: ``when`` plus the latency the step added to the
-        interface.  Over a fleet the step's dispatches join the tick's
-        books for settling, and a consumed prefetch's land time joins its
-        waits.
-        """
-        sampler = self._samplers[chain]
-        if tick is None:
-            before = self._api.latency_spent
-            sampler.step()
-            latency = self._api.latency_spent - before
-            self._ready[chain] = when + latency
-            if self._recorder is not None:
-                self._record_step(chain, when, latency)
-            return
-        sampler.step()
-        dispatches = self._fleet.drain_dispatches()
-        tick.fetches.append((chain, dispatches))
-        if self._recorder is not None:
-            tick.step_events[chain] = self._record_step(chain, when, sum(d.latency for d in dispatches))
-        lands_at = self._observe_step(chain, dispatches)
-        if lands_at is not None:
-            tick.waits.append((chain, lands_at))
 
     def _depart(self, group: List[Tuple[float, int, int]]) -> float:
         """The tick's dispatch time: a held group departs together, at its latest member's ready time."""
@@ -870,35 +855,10 @@ class EventDrivenWalkers:
             self._sim_time = when
         return when
 
-    def _finish_tick(self, when: float, tick: Optional[_Tick], pushes: List[int], events: int) -> None:
-        """Settle the tick's fetches (over a fleet), re-queue ``pushes``, commit."""
-        if tick is not None:
-            joined = self._settle_tick(when, tick.fetches)
-            if self._planner is not None:
-                self._apply_prefetch_waits(tick.waits)
-            if tick.step_events:
-                self._annotate_tick(tick.step_events, joined)
-            if self._planner is not None:
-                self._plan_prefetches(when, tick.fetches)
-        ready = self._ready
-        if self._barrier:
-            # The round ends when its slowest response lands, and every
-            # chain waits for it: the lock-step per-round maximum.
-            end = max([ready[chain] for chain in pushes], default=when)
-            for chain in pushes:
-                ready[chain] = end
-            self._sim_time = end
-        heap, seq = self._heap, self._seq
-        for chain in pushes:
-            heappush(heap, (ready[chain], seq, chain))
-            seq += 1
-        self._seq = seq
-        self._tick_committed(events)
-
     # ------------------------------------------------------------------
     # fleet dispatch: ticks and bursts
     # ------------------------------------------------------------------
-    def _pop_tick(self) -> List[Tuple[float, int, int]]:
+    def _pop_tick(self, num_samples: Optional[int]) -> List[Tuple[float, int, int]]:
         """Pop one tick: the earliest event plus everything within the window.
 
         Under the barrier a tick is the whole round: every queued chain,
@@ -909,19 +869,38 @@ class EventDrivenWalkers:
         later — the dispatcher holds the early chains so the group departs
         together.  The tick's dispatch time is the *latest* member's ready
         time (``group[-1][0]``; heap pops are time-ordered).
+
+        Under an adaptive policy retirement deschedules lazily: a retired
+        chain's queued event stays in the heap and collection drops it
+        here.  When the heap drains with the global count short (the
+        roster shrank below what the old quotas could deliver), quotas are
+        raised and the under-quota active chains re-queued at the current
+        simulated time.
         """
         heap = self._heap
-        if self._barrier:
-            group = sorted(heap)
-            heap.clear()
-            return group
-        group = [heappop(heap)]
-        if self._fleet is None:
-            return group
-        horizon = group[0][0] + self._batch_window
-        while heap and heap[0][0] <= horizon:
-            group.append(heappop(heap))
-        return group
+        while True:
+            while heap:
+                if self._barrier:
+                    group = sorted(heap)
+                    heap.clear()
+                else:
+                    group = [heappop(heap)]
+                    if self._fleet is not None:
+                        horizon = group[0][0] + self._batch_window
+                        while heap and heap[0][0] <= horizon:
+                            group.append(heappop(heap))
+                if num_samples is None or self._policy is None:
+                    return group
+                group = [entry for entry in group if self._roster[entry[2]] == ROSTER_ACTIVE]
+                if group:
+                    return group
+            self._recompute_quota(num_samples)
+            self._requeue_missing(self._sim_time)
+            if not heap:
+                raise WalkError(
+                    "no active chain can make progress toward the sample count; "
+                    "the adaptive policy retired too much of the group"
+                )
 
     def _settle_tick(
         self, when: float, fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]]
@@ -953,19 +932,14 @@ class EventDrivenWalkers:
         """
         fleet = self._fleet
         recorder = self._recorder
-        tenant = self._obs_tenant
         # chain -> (shard, burst ref, opened-by-this-chain) joins
         joined: Dict[int, List[Tuple[int, List[float], bool]]] = {}
         for chain, dispatches in fetches:
             self._ready[chain] = when
             for dispatch in dispatches:
                 shard = dispatch.shard
-                burst = self._open_bursts[shard]
-                opened = (
-                    burst is None
-                    or burst[0] < when  # already departed
-                    or int(burst[2]) >= fleet.batch_cap(shard)
-                )
+                burst = self._burst_open(shard, when)
+                opened = burst is None
                 if opened:
                     start = max(when, self._next_free[shard])
                     self._next_free[shard] = start + fleet.admission_interval(shard)
@@ -974,18 +948,10 @@ class EventDrivenWalkers:
                     fleet.record_burst(shard, 1)
                     if recorder is not None:
                         if start > when:
-                            attrs = {"chain": chain, "shard": shard}
-                            if tenant is not None:
-                                attrs["tenant"] = tenant
-                            recorder.record(EVENT_ADMISSION_WAIT, when, start - when, **attrs)
-                        attrs = {"shard": shard, "chain": chain}
-                        if tenant is not None:
-                            attrs["tenant"] = tenant
-                        recorder.record(EVENT_BURST_DISPATCH, start, dispatch.latency, **attrs)
+                            self._emit(EVENT_ADMISSION_WAIT, when, start - when, chain=chain, shard=shard)
+                        self._emit(EVENT_BURST_DISPATCH, start, dispatch.latency, shard=shard, chain=chain)
                 else:
-                    burst[1] = max(burst[1], dispatch.latency)
-                    burst[2] += 1.0
-                    fleet.record_burst_depth(shard, int(burst[2]))
+                    self._join_burst(shard, burst, dispatch.latency)
                 if recorder is not None:
                     recorder.metrics.series(f"shard.{shard}.in_flight").observe(when, burst[2])
                 joined.setdefault(chain, []).append((shard, burst, opened))
@@ -997,57 +963,26 @@ class EventDrivenWalkers:
                 self._ready[chain] = done
         return joined
 
-    def _annotate_tick(self, step_events, joined) -> None:
-        """Stamp settle outcomes onto this tick's ``walk_step`` events.
+    def _burst_open(self, shard: int, when: float) -> Optional[List[float]]:
+        """The shard's burst a dispatch at ``when`` may join, or ``None``.
 
-        Called after burst settling and prefetch waits but *before*
-        prefetch planning (which mutates the open bursts in place): the
-        captured per-burst ``(shard, start, latency, opened)`` tuples and
-        the final ``ready`` time are exactly the operands the loop's own
-        ready-time computation used, so the causal profiler can replay
-        the attribution bit-for-bit from the trace alone.
+        A burst admits members until it departs (its admission time
+        passes) or fills the shard's batch cap.
         """
-        for chain, event in step_events.items():
-            entries = joined.get(chain)
-            if entries:
-                event.attrs["bursts"] = tuple(
-                    (shard, burst[0], burst[1], opened) for shard, burst, opened in entries
-                )
-            event.attrs["ready"] = self._ready[chain]
+        burst = self._open_bursts[shard]
+        if burst is None or burst[0] < when or int(burst[2]) >= self._fleet.batch_cap(shard):
+            return None
+        return burst
+
+    def _join_burst(self, shard: int, burst: List[float], latency: float) -> None:
+        """Add one member to ``burst``; its round trip is its slowest member's."""
+        burst[1] = max(burst[1], latency)
+        burst[2] += 1.0
+        self._fleet.record_burst_depth(shard, int(burst[2]))
 
     # ------------------------------------------------------------------
     # the planning hooks (all of them no-ops without a planner)
     # ------------------------------------------------------------------
-    def _observe_step(self, chain: int, dispatches: Tuple[FetchDispatch, ...]):
-        """Book one stepped action: latency observation + planner stats.
-
-        Returns:
-            The land time of a consumed prefetch when the planner has one
-            pending for the node the step reached, else ``None``.  The
-            loops apply it *after* burst settling: a chain that walks
-            onto a prefetched node before its round trip completed waits
-            out the difference (prefetch responses are not available
-            before they land).
-        """
-        self._timed_steps[chain] += 1
-        if self._phase == PHASE_COLLECT:
-            self._collect_steps[chain] += 1
-        self._chain_latency[chain] += sum(d.latency for d in dispatches)
-        if self._planner is None:
-            return None
-        return self._planner.note_step(chain, self._samplers[chain].current, free=not dispatches)
-
-    def _apply_prefetch_waits(self, waits: List[Tuple[int, float]]) -> None:
-        """Delay chains that outran their prefetched responses.
-
-        Applied after burst settling (which resets ready times) so the
-        delay survives: a chain that stepped onto a prefetched node whose
-        round trip lands later becomes ready only when it does.
-        """
-        for chain, lands_at in waits:
-            if lands_at > self._ready[chain]:
-                self._ready[chain] = lands_at
-
     def _remaining_steps(self, chain: int) -> int:
         """Stepped actions this chain will still take before its quota fills.
 
@@ -1117,8 +1052,8 @@ class EventDrivenWalkers:
         """
         fleet = self._fleet
         shard = fleet.shard_of(target)
-        burst = self._open_bursts[shard]
-        if burst is None or burst[0] < when or int(burst[2]) >= fleet.batch_cap(shard):
+        burst = self._burst_open(shard, when)
+        if burst is None:
             return False
         try:
             response = self._api.query(target)  # billed now; cached for the walk
@@ -1133,9 +1068,7 @@ class EventDrivenWalkers:
         if not dispatched:  # pragma: no cover - target raced into the cache
             return True
         for dispatch in dispatched:
-            burst[1] = max(burst[1], dispatch.latency)
-            burst[2] += 1.0
-            fleet.record_burst_depth(shard, int(burst[2]))
+            self._join_burst(shard, burst, dispatch.latency)
             fleet.record_prefetch(shard)
         # The chain does not wait here: it only pays if it *reaches* the
         # prefetched node before this round trip lands (the consumption
@@ -1143,44 +1076,12 @@ class EventDrivenWalkers:
         lands_at = burst[0] + burst[1]
         self._planner.ledger.record_issue(target, chain, lands_at)
         if self._recorder is not None:
-            issue_attrs = {
-                "chain": chain,
-                "user": target,
-                "shard": shard,
-                "lands_at": lands_at,
-                "fetches": len(dispatched),
-            }
-            land_attrs = {"chain": chain, "user": target, "shard": shard}
-            if self._obs_tenant is not None:
-                issue_attrs["tenant"] = self._obs_tenant
-                land_attrs["tenant"] = self._obs_tenant
-            self._recorder.record(EVENT_PREFETCH_ISSUE, when, **issue_attrs)
-            self._recorder.record(EVENT_PREFETCH_LAND, lands_at, **land_attrs)
+            attrs = dict(chain=chain, user=target, shard=shard)
+            self._emit(EVENT_PREFETCH_ISSUE, when, **attrs, lands_at=lands_at, fetches=len(dispatched))
+            self._emit(EVENT_PREFETCH_LAND, lands_at, **attrs)
             self._recorder.metrics.gauge("prefetch.outstanding").set(float(self._planner.ledger.outstanding))
         assert response.user == target
         return True
-
-    def _pop_tick_active(self, num_samples: int) -> List[Tuple[float, int, int]]:
-        """Pop one tick of *active* chains, dropping retired chains' events.
-
-        Retirement deschedules lazily: the retired chain's queued event
-        stays in the heap and is discarded here.  When the heap drains
-        with the global count short (the roster shrank below what the
-        old quotas could deliver), quotas are raised and the under-quota
-        active chains re-queued at the current simulated time.
-        """
-        while True:
-            while self._heap:
-                group = [entry for entry in self._pop_tick() if self._roster[entry[2]] == ROSTER_ACTIVE]
-                if group:
-                    return group
-            self._recompute_quota(num_samples)
-            self._requeue_missing(self._sim_time)
-            if not self._heap:
-                raise WalkError(
-                    "no active chain can make progress toward the sample count; "
-                    "the adaptive policy retired too much of the group"
-                )
 
     def _recompute_quota(self, num_samples: int) -> None:
         """Smallest per-chain quota the active roster can fill the run with."""
@@ -1212,7 +1113,7 @@ class EventDrivenWalkers:
         burn-in round floor — so reviews happen when *every* working
         chain has contributed fresh observations since the last one.
         """
-        policy = self._planner.policy
+        policy = self._policy
         working = [
             i for i, r in enumerate(self._roster) if r == ROSTER_ACTIVE and self._collected[i] < self._quota
         ]
@@ -1251,9 +1152,8 @@ class EventDrivenWalkers:
     # The service layer interleaves many tenants' schedulers over one
     # shared fleet: instead of run()'s closed loop, each tenant advances
     # tick by tick under the service's admission policy.  collect_tick
-    # runs the same _collect_tick that run() loops over, with or without
-    # a fleet — the single-tenant equivalence suite pins the two byte for
-    # byte.
+    # runs the same _tick that run() loops over, with or without a fleet
+    # — the single-tenant equivalence suite pins the two byte for byte.
 
     @property
     def samples_collected(self) -> int:
@@ -1305,7 +1205,7 @@ class EventDrivenWalkers:
         if self._phase != PHASE_COLLECT:
             raise WalkError("begin_collect must run before collect_tick")
         if len(self._merged) < num_samples:
-            self._collect_tick(num_samples)
+            self._tick(num_samples)
         if len(self._merged) >= num_samples:
             self._phase = PHASE_DONE
             return True

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     cheeger_bounds,
@@ -77,6 +79,32 @@ class TestMinConductanceExact:
             for side in itertools.combinations(nodes, r):
                 best = min(best, cut_conductance(g, set(side)))
         assert min_conductance_exact(g).conductance == pytest.approx(best)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_all_subsets_reference(self, data):
+        # Random connected graphs of up to 12 nodes: a spanning tree plus
+        # random extra edges.
+        n = data.draw(st.integers(2, 12))
+        g = Graph()
+        g.add_nodes(range(n))
+        for v in range(1, n):
+            g.add_edge(data.draw(st.integers(0, v - 1)), v)
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        g.add_edges(data.draw(st.lists(pairs, max_size=3 * n)))
+        # Every cut with node 0 outside S, scored by cut_conductance in the
+        # same Gray-code order, the first strict minimum kept.
+        nodes = list(g.nodes())
+        best, best_side = math.inf, None
+        for code in range(1, 1 << (n - 1)):
+            gray = code ^ (code >> 1)
+            side = frozenset(nodes[i + 1] for i in range(n - 1) if (gray >> i) & 1)
+            phi = cut_conductance(g, side)
+            if phi < best:
+                best, best_side = phi, side
+        result = min_conductance_exact(g)
+        assert result.conductance == best
+        assert result.side == best_side
 
     def test_too_large_rejected(self):
         g = complete_graph(23)

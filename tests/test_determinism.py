@@ -194,12 +194,12 @@ PINNED_STEP_LOGS = {
     ("rj", True): "22f36ada011fd5e9c9722fdc5927cc61da5bf3512f8e0eab48dcc93b1ed67fb1",
     ("mto", False): "5c4883dfbe0e5f090d1c1e00346b633f3164538c3b1d439d5b9a92baa86b44b0",
     ("mto", True): "cad182fe94bafafa84d7ad8a9ff1d963e0750e61578e3bb65c0a5fe955d63e1e",
-    ("bfs", False): "ff9eef8f2086e00c212f4daf2ff3bb6501647bcbd861a7e575e712c144946859",
-    ("bfs", True): "6455e478de6545da8963bd7f7eec67cabbb13fa74d206717c47e2a4e7051e861",
-    ("dfs", False): "677774173cda7fa4898778fe3112851c6ed9eea64f554ca25815aec0853cd2e4",
-    ("dfs", True): "8e001df1bae4184651b4a9eb238d884712967a5888ea4aab24e6b2430da6718f",
-    ("snowball", False): "f79a0351f0935e3672de6d8960981e7f2014ff8c7303a1f4cf0a18c59a9b6ae1",
-    ("snowball", True): "f28201941d1b9aec3f2d546cf9e5069aa9644865879dc0e474155e30c265e0be",
+    ("bfs", False): "65a366bebd70a37fc805bc3eb140ce1decd93298d1f0d08a016798b6e34b68d4",
+    ("bfs", True): "6f5c69ef3a7528bb7f693ef8d526d74977a17d5fec87c306bbc4a5c9ca1b9639",
+    ("dfs", False): "352514e4bc3d6e4f10ac81d81ea65754d5a202e40c72af70e9cb220bb1e38bab",
+    ("dfs", True): "6323b3c4123eb4ba39cd5d60e26cc1378fb42e03530c82b517b170da47eead90",
+    ("snowball", False): "726c495b75647ab33ed6cccd347cb94c06cc9b256048b68c9289c92480af7479",
+    ("snowball", True): "aecece9523dc6c2fe81e7c1845ca27694318b7eecae986884b8e049a9aadc088",
 }
 # fmt: on
 

@@ -143,3 +143,16 @@ class TestCrawlers:
                 break
         assert 2 not in seen
         assert seen == {1, 3, 4}
+
+    @pytest.mark.parametrize("crawler_cls", [BFSCrawler, DFSCrawler, SnowballCrawler])
+    def test_crawl_logs_one_record_per_visit(self, crawler_cls):
+        # Each visit reads the node once: the start's bootstrap read feeds
+        # the first frontier, and a step's fetch feeds the next one.
+        net = load("epinions_like", seed=0, scale=0.15)
+        api = net.interface()
+        crawler = crawler_cls(api, start=net.seed_node(0), seed=3)
+        visits = [crawler.step() for _ in range(100)]
+        records = list(api.log)
+        assert [r.user for r in records] == [net.seed_node(0), *visits]
+        assert all(r.billed for r in records)
+        assert api.query_cost == 101

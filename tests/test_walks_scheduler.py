@@ -9,8 +9,11 @@ Two acceptance bars (ISSUE 3):
   at identical query cost while spending far less simulated wall-clock.
 """
 
+import hashlib
+
 import pytest
 
+from repro.compose import FleetSpec, ProviderSpec, build_fleet
 from repro.convergence.gelman_rubin import GelmanRubinDiagnostic
 from repro.core import MTOSampler
 from repro.core.overlay import OverlayGraph, shared_overlay_of
@@ -19,6 +22,8 @@ from repro.datastore.snapshot import KeyValueBackend
 from repro.errors import SnapshotError, WalkError
 from repro.interface import RestrictedSocialAPI, SamplingSession
 from repro.generators import complete_graph
+from repro.obs.trace import TraceRecorder
+from repro.planning import AdaptiveChainPolicy, DispatchPlanner
 from repro.walks import EventDrivenWalkers, ParallelWalkers, SimpleRandomWalk
 
 
@@ -33,9 +38,7 @@ def _srw_chains(network, api, k=4):
 
 def _mto_chains(network, api, k=3):
     overlay = OverlayGraph(api)
-    return [
-        MTOSampler(api, start=network.seed_node(i), seed=i, overlay=overlay) for i in range(k)
-    ]
+    return [MTOSampler(api, start=network.seed_node(i), seed=i, overlay=overlay) for i in range(k)]
 
 
 class TestValidation:
@@ -117,9 +120,7 @@ class TestZeroLatencyEquivalence:
 
     def test_per_chain_runs_match(self, network):
         lock_run = ParallelWalkers(_srw_chains(network, network.interface())).run(num_samples=30)
-        event_run = EventDrivenWalkers(_srw_chains(network, network.interface())).run(
-            num_samples=30
-        )
+        event_run = EventDrivenWalkers(_srw_chains(network, network.interface())).run(num_samples=30)
         for a, b in zip(event_run.per_chain, lock_run.per_chain):
             assert a.samples == b.samples
             assert a.total_steps == b.total_steps
@@ -136,9 +137,7 @@ class TestLatencyAwareScheduling:
 
         # Balanced per-chain quotas: the same walk work, the same bill.
         assert event_run.queries == lock_run.queries
-        assert sorted(s.node for s in event_run.samples) == sorted(
-            s.node for s in lock_run.samples
-        )
+        assert sorted(s.node for s in event_run.samples) == sorted(s.node for s in lock_run.samples)
         # Lock-step pays each round's maximum latency; event-driven chains
         # never wait for each other.
         assert event_run.sim_elapsed < lock_run.sim_elapsed
@@ -149,9 +148,7 @@ class TestLatencyAwareScheduling:
         """begin_collect + collect_tick is run()'s collection loop, fleet or not."""
         k, n = 8, 400
         api_run = network.interface(latency_distribution="heavy_tailed", latency_seed=3)
-        ran = EventDrivenWalkers(_srw_chains(network, api_run, k)).run(
-            num_samples=n, thinning=thinning
-        )
+        ran = EventDrivenWalkers(_srw_chains(network, api_run, k)).run(num_samples=n, thinning=thinning)
         api_tick = network.interface(latency_distribution="heavy_tailed", latency_seed=3)
         walkers = EventDrivenWalkers(_srw_chains(network, api_tick, k))
         assert walkers.fleet is None
@@ -357,3 +354,79 @@ class TestSharedOverlayHelper:
         api = network.interface()
         chains = _mto_chains(network, api)
         assert ParallelWalkers(chains).overlay is chains[0].overlay
+
+
+def _pin_digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+class TestEventDrivenPins:
+    """Event-driven runs under latency, pinned bit for bit.
+
+    The zero-latency suites compare the scheduler with lock-step and the
+    adaptive lifecycle with itself; these pins fix what a latency-bearing
+    run actually produces, so a restructured tick loop must reproduce the
+    samples, the whole query log, both clocks, the event count and (over
+    a fleet) every trace event exactly.
+    """
+
+    NO_FLEET_DIGEST = "cdf6bf780fdbb0d3d7bf3411331a1c3a74f6072d2c489044df234e6ae694b23b"
+    ADAPTIVE_FLEET_DIGEST = "3e65ff4a1f4195d8fcb9eb1bebd9aa17bffdab37f1206d099dfede5c1eb1b62a"
+
+    def test_no_fleet_parked_burn_in_thinned_collection_and_checkpoints(self, network):
+        # max_lead=3 under heavy-tailed latency parks fast chains during
+        # burn-in; the 37-event checkpoint period crosses tick boundaries
+        # in both phases.
+        api = network.interface(latency_distribution="heavy_tailed", latency_seed=3)
+        walkers = EventDrivenWalkers(_srw_chains(network, api), max_lead=3)
+        calls = []
+        walkers.set_checkpoint(
+            lambda w: calls.append((w.events_processed, w.simulated_elapsed, api.query_cost)), 37
+        )
+        run = walkers.run(103, thinning=2, monitor=GelmanRubinDiagnostic(threshold=1.3))
+        assert walkers.fleet is None
+        assert len(run.samples) == 103
+        assert run.events_processed == walkers.events_processed
+        assert [events // 37 for events, _, _ in calls] == list(range(1, len(calls) + 1))
+        digest = _pin_digest(
+            [(s.node, s.weight, s.query_cost, s.step) for s in run.samples],
+            list(api.log.state_dict()["records"]),
+            api.clock.now(),
+            run.sim_elapsed,
+            run.events_processed,
+            calls,
+        )
+        assert digest == self.NO_FLEET_DIGEST
+
+    def test_adaptive_fleet_trace(self, network):
+        spec = FleetSpec(
+            num_shards=3,
+            seed=11,
+            provider=ProviderSpec(latency_distribution="heavy_tailed", latency_scale=0.5),
+            shard_latency_spread=4.0,
+            admission_interval=1.0,
+            latency_quantum=0.5,
+            batch_cap=16,
+        )
+        api = RestrictedSocialAPI(build_fleet(spec, network.graph, profiles=network.profiles))
+        policy = AdaptiveChainPolicy(
+            start_chains=6, min_chains=3, evaluate_every=8, min_observations=4, spawn_r_hat_above=1.0
+        )
+        walkers = EventDrivenWalkers(
+            _srw_chains(network, api, 8), planner=DispatchPlanner(lookahead=3, policy=policy)
+        )
+        recorder = TraceRecorder()
+        walkers.set_recorder(recorder, tenant="t0")
+        run = walkers.run(160, monitor=GelmanRubinDiagnostic(threshold=1.3))
+        assert len(run.samples) == 160
+        assert walkers.roster[7] == "retired"
+        assert all(event.attrs["tenant"] == "t0" for event in recorder.events)
+        digest = _pin_digest(
+            [(s.node, s.weight, s.query_cost, s.step) for s in run.samples],
+            walkers.roster,
+            run.chain_steps,
+            run.sim_elapsed,
+            list(api.log.state_dict()["records"]),
+            [(e.name, e.ts, e.dur, e.attrs) for e in recorder.events],
+        )
+        assert digest == self.ADAPTIVE_FLEET_DIGEST
