@@ -28,6 +28,19 @@ the full qualifying set blindly would lose that dominance for odd common
 counts, where dropping a degree-3 member costs a full ceil increment but
 only refunds ½.
 
+**Theorem 5 from two integers, then two counts.**  Each term ``½(4 − k_w)``
+is at most 1 and ``ceil(x/2) ≤ x``, so the left-hand side is at most
+``c + 1`` for ``c = |N(u) ∩ N(v)|``, and ``c ≤ min(k_u, k_v) − 1``.  So
+no ``N*`` certifies the edge when ``2·min(k_u, k_v) ≤ max(k_u, k_v)`` or
+``2·(c + 1) ≤ max(k_u, k_v)``.  Otherwise only the counts ``c2``, ``c3``
+of cached common neighbors of degree 2 and 3 matter: a degree-2 member
+gains 1 for a ceil cost of at most 1, so the best ``N*`` takes them all,
+and one degree-3 member then gains ½ at no ceil cost exactly when
+``c − c2`` is even (more net nothing).  Doubled, the best left-hand side
+is the integer
+
+    2·ceil((c − c2)/2) + 2 + 2·c2 + [c3 > 0 and c − c2 even].
+
 **Theorem 4 (replacement).**  If ``k_v = 3`` and ``u, w ∈ N(v)``, then
 replacing ``e_uv`` by ``e_uw`` never decreases conductance (and may
 increase it).  Corollary 2 shows ``k_v = 3`` is the *only* safe degree.
@@ -36,7 +49,7 @@ increase it).  Corollary 2 shows ``k_v = 3`` is the *only* safe degree.
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Hashable, Mapping, Optional
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, Optional
 
 Node = Hashable
 
@@ -70,6 +83,9 @@ def extension_criterion(
     known_common_degrees: Mapping[Node, int],
 ) -> bool:
     """Theorem 5's inequality, using cached common-neighbor degrees.
+
+    This is the reference form, subset scan and all; the samplers decide
+    the same inequality with :func:`counts_criterion`.
 
     Only cached degrees in {2, 3} qualify (the paper's ``N*``); larger
     cached degrees are ignored, exactly as the theorem prescribes.  The
@@ -115,19 +131,36 @@ def extension_criterion(
     return best > max(ku, kv) / 2
 
 
-class NeighborhoodView:
-    """Minimal protocol the criteria need: neighborhoods and degrees.
+def counts_criterion(common_neighbors: int, c2: int, c3: int, kmax: int) -> bool:
+    """Theorem 5 at its best ``N*``, in integers (see the module docstring).
 
-    Both :class:`repro.graph.adjacency.Graph` and
-    :class:`repro.core.overlay.OverlayGraph` satisfy it structurally
-    (``neighbors(node)`` returning a set and ``degree(node)``).
+    Equals :func:`extension_criterion` (:func:`removal_criterion` at
+    ``c2 = c3 = 0``) whenever ``c2 + c3 ≤ common_neighbors``, with ``kmax =
+    max(k_u, k_v)``.  Inputs are not validated: it runs on every draw.
     """
+    rest = common_neighbors - c2
+    return 2 * ((rest + 1) // 2) + 2 + 2 * c2 + (c3 > 0 and rest % 2 == 0) > kmax
 
-    def neighbors(self, node: Node) -> AbstractSet[Node]:  # pragma: no cover
-        raise NotImplementedError
 
-    def degree(self, node: Node) -> int:  # pragma: no cover
-        raise NotImplementedError
+def neighborhoods_removable(
+    nu: AbstractSet[Node], nv: AbstractSet[Node], degree_of: Optional[Callable[[Node], Optional[int]]] = None
+) -> bool:
+    """Theorem 3 / Theorem 5 for edge ``(u, v)`` from ``N(u)`` and ``N(v)``.
+
+    Settles from the two degrees when it can, then from the common count,
+    and only then counts the common neighbors ``degree_of`` (a cached
+    degree or ``None``; omitted for Theorem 3) puts at degree 2 and 3.
+    """
+    ku, kv = len(nu), len(nv)
+    kmin, kmax = (ku, kv) if ku < kv else (kv, ku)
+    if 2 * kmin <= kmax:
+        return False
+    common = nu & nv
+    c = len(common)
+    if 2 * (c + 1) <= kmax:
+        return False
+    degrees = [degree_of(w) for w in common] if degree_of is not None else []
+    return counts_criterion(c, degrees.count(2), degrees.count(3), kmax)
 
 
 def is_removable(
@@ -139,8 +172,9 @@ def is_removable(
     """Whether edge ``(u, v)`` is removable under Theorem 3 / Theorem 5.
 
     Args:
-        view: Any object with ``neighbors(node)`` and ``degree(node)`` —
-            the overlay during a walk, or a plain graph offline.
+        view: Any object whose ``neighbors_view(node)`` or
+            ``neighbors(node)`` returns a set — the overlay during a walk,
+            or a plain graph offline.
         u: One endpoint.
         v: The other endpoint.
         cached_degrees: Optional ``w -> k_w`` cache enabling the Theorem 5
@@ -155,26 +189,12 @@ def is_removable(
         ValueError: If ``(u, v)`` is not an edge of ``view``.
     """
     # Prefer copy-free views when the substrate offers them (Graph and
-    # OverlayGraph both do) — this check runs once per candidate step.
-    view_fn = getattr(view, "neighbors_view", None)
-    if view_fn is not None:
-        nu = view_fn(u)
-        nv = view_fn(v)
-    else:
-        nu = view.neighbors(u)
-        nv = view.neighbors(v)
+    # OverlayGraph both do).
+    neighbors = getattr(view, "neighbors_view", None) or view.neighbors
+    nu = neighbors(u)
     if v not in nu:
         raise ValueError(f"({u!r}, {v!r}) is not an edge")
-    try:
-        common = nu & nv
-    except TypeError:
-        common = set(nu) & set(nv)
-    ku = len(nu)
-    kv = len(nv)
-    if cached_degrees:
-        known = {w: cached_degrees[w] for w in common if w in cached_degrees}
-        return extension_criterion(len(common), ku, kv, known)
-    return removal_criterion(len(common), ku, kv)
+    return neighborhoods_removable(nu, neighbors(v), cached_degrees.get if cached_degrees else None)
 
 
 def replacement_allowed(kv: int) -> bool:
@@ -186,3 +206,13 @@ def replacement_allowed(kv: int) -> bool:
     if kv < 1:
         raise ValueError("degree must be positive")
     return kv == 3
+
+
+def replacement_target(u: Node, nu: AbstractSet[Node], nv: Iterable[Node], rng) -> Optional[Node]:
+    """Theorem 4's draw: a uniform ``w ∈ N(v)`` with ``w ≠ u`` and ``w ∉ N(u)``.
+
+    Consumes one ``rng.randrange`` over the candidates in ``nv``'s order;
+    returns ``None`` without drawing when there are none.
+    """
+    others = [w for w in nv if w != u and w not in nu]
+    return others[rng.randrange(len(others))] if others else None

@@ -20,18 +20,20 @@ whose stationary distribution is ``τ*(u) = k*_u / 2|E*|`` (eq. 10), so
 uniform-target importance weights are ``1 / k*_u`` with the overlay degree
 read from the sampler's own bookkeeping — no extra queries.
 
-The hot path is draw-dominated, so every step works on the overlay's
-indexed neighborhoods: a uniform draw is one O(1) tuple index (no sorting,
-no neighborhood copies), and the removal criterion intersects copy-free
-set views.  Determinism under a fixed seed comes from the overlay's stable
-insertion ordering, not from re-sorting per step.
+The hot path is draw-dominated: a draw is one O(1) tuple index and
+reads each endpoint's overlay row once, and the removal test — mostly a
+"no" — settles from the two degrees, then the common count, before it
+counts cached degree-2/3 common neighbors for Theorem 5's integer closed
+form (:func:`~repro.core.criteria.neighborhoods_removable`).
+Determinism under a fixed seed comes from the overlay's stable insertion
+ordering, not from re-sorting per step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
+from typing import AbstractSet, Hashable
 
-from repro.core.criteria import extension_criterion, removal_criterion, replacement_allowed
+from repro.core.criteria import neighborhoods_removable, replacement_allowed, replacement_target
 from repro.core.overlay import OverlayGraph
 from repro.errors import DeadEndError, PrivateUserError, WalkError
 from repro.interface.api import RestrictedSocialAPI
@@ -112,45 +114,18 @@ class MTOSampler(RandomWalkSampler):
         return self._overlay
 
     # ------------------------------------------------------------------
-    def _cached_degrees_for(self, common) -> Dict[Node, int]:
-        """Overlay degrees of common neighbors already materialized.
+    def _removable(self, nu: AbstractSet[Node], nv: AbstractSet[Node]) -> bool:
+        # Theorem 5 reads cached degrees "without issuing extra web requests".
+        degree_of = self._overlay.known_degree if self._use_degree_cache else None
+        return neighborhoods_removable(nu, nv, degree_of)
 
-        This is the Theorem 5 side channel: "when the random walk reaches
-        the nodes we have accessed before, we can use their degree
-        information without issuing extra web requests" (§III-D).
-        """
-        out: Dict[Node, int] = {}
-        known_degree = self._overlay.known_degree
-        for w in common:
-            k = known_degree(w)
-            if k is not None:
-                out[w] = k
-        return out
-
-    def _removable(self, u: Node, v: Node) -> bool:
-        # Copy-free intersection of the already-materialized endpoint
-        # neighborhoods; the edge (u, v) exists by construction here, so
-        # the criteria are applied directly.
-        nu = self._overlay.neighbors_view(u)
-        nv = self._overlay.neighbors_view(v)
-        common = nu & nv
-        ku = len(nu)
-        kv = len(nv)
-        if self._use_degree_cache:
-            cached = self._cached_degrees_for(common)
-            if cached:
-                return extension_criterion(len(common), ku, kv, cached)
-        return removal_criterion(len(common), ku, kv)
-
-    def _choose_replacement(self, u: Node, v: Node) -> Node | None:
+    def _choose_replacement(self, u: Node, nu: AbstractSet[Node], nv: AbstractSet[Node]) -> Node | None:
         """Pick and materialize a Theorem 4 target ``w``, or ``None``."""
-        overlay = self._overlay
-        others = [w for w in overlay.neighbors_seq(v) if w != u and not overlay.has_edge(u, w)]
-        if not others:
+        w = replacement_target(u, nu, nv, self._rng)
+        if w is None:
             return None
-        w = others[self._rng.randrange(len(others))]
         try:
-            overlay.ensure_known(w)
+            self._overlay.ensure_known(w)
         except PrivateUserError:
             return None
         return w
@@ -167,40 +142,41 @@ class MTOSampler(RandomWalkSampler):
         u = self.current
         overlay = self._overlay
         rng = self._rng
-        overlay.ensure_known(u)
+        nu = overlay._row(u)
+        if nu is None:
+            overlay.ensure_known(u)
+            nu = overlay._row(u)
         for _ in range(self._max_redraws):
             v = overlay.random_neighbor(u, rng)
             if v is None:
                 raise DeadEndError(u)
-            try:
-                overlay.ensure_known(v)  # the step's (potential) query
-            except PrivateUserError:
-                # Private neighbor: never traversable, so drop the overlay
-                # edge (the walk lives on the accessible subgraph) and
-                # redraw.  One billed refusal, cached afterwards.
-                if overlay.degree(u) > 1:
-                    overlay.remove_edge(u, v)
-                    continue
-                self._stay(len(self._current_neighbor_seq()))
-                return self._current
+            nv = overlay._row(v)
+            if nv is None:
+                try:
+                    overlay.ensure_known(v)  # the step's (potential) query
+                except PrivateUserError:
+                    # Private neighbor: never traversable, so drop the overlay
+                    # edge (the walk lives on the accessible subgraph) and
+                    # redraw.  One billed refusal, cached afterwards.
+                    if len(nu) > 1:
+                        overlay.remove_edge(u, v)
+                        continue
+                    self._stay(len(self._current_neighbor_seq()))
+                    return self._current
+                nv = overlay._row(v)
 
             # --- removal branch (Theorem 3 / Theorem 5) -------------------
-            if (
-                self._enable_removal
-                and overlay.degree(u) > 1
-                and overlay.degree(v) > 1
-                and self._removable(u, v)
-            ):
+            if self._enable_removal and len(nu) > 1 and len(nv) > 1 and self._removable(nu, nv):
                 overlay.remove_edge(u, v)
                 continue  # redraw from the shrunken neighborhood
 
             # --- replacement branch (Theorem 4) ---------------------------
             if (
                 self._enable_replacement
-                and replacement_allowed(overlay.degree(v))
+                and replacement_allowed(len(nv))
                 and rng.random() < self._replacement_probability
             ):
-                w = self._choose_replacement(u, v)
+                w = self._choose_replacement(u, nu, nv)
                 if w is not None:
                     overlay.replace_edge(u, v, w)
                     v = w  # the walk's candidate follows the moved edge
@@ -258,28 +234,24 @@ class MTOSampler(RandomWalkSampler):
             return cursor.pause
         overlay = self._overlay
         u = cursor.path[-1]
+        nu = overlay._row(u)  # path nodes are materialized: the token pins G*
         for _ in range(self._max_redraws):
             v = overlay.random_neighbor(u, cursor)
             if v is None:
                 return UNRESOLVED  # live step dead-ends
-            if not overlay.is_known(v):
+            nv = overlay._row(v)
+            if nv is None:
                 cursor.pause = v  # ensure_known(v) is the step's query
                 return v
-            if (
-                self._enable_removal
-                and overlay.degree(u) > 1
-                and overlay.degree(v) > 1
-                and self._removable(u, v)
-            ):
+            if self._enable_removal and len(nu) > 1 and len(nv) > 1 and self._removable(nu, nv):
                 return UNRESOLVED  # removal mutates G*, then redraws
             if (
                 self._enable_replacement
-                and replacement_allowed(overlay.degree(v))
+                and replacement_allowed(len(nv))
                 and cursor.random() < self._replacement_probability
             ):
-                others = [w for w in overlay.neighbors_seq(v) if w != u and not overlay.has_edge(u, w)]
-                if others:
-                    w = others[cursor.randrange(len(others))]
+                w = replacement_target(u, nu, nv, cursor)
+                if w is not None:
                     if not overlay.is_known(w):
                         cursor.pause = w  # _choose_replacement's query
                         return w

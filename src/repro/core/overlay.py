@@ -15,7 +15,8 @@ row changes), so the walk's uniform draw is O(1) and deterministic under a
 fixed seed without any sorting.
 The ordering follows the interface's stable ``neighbor_seq`` (removal
 filters preserve it; replacements append), which is itself deterministic
-for deterministically built networks.
+for deterministically built networks.  The sampler reads a row once per
+draw through the private ``_row`` view, which iterates in that order too.
 
 :func:`build_overlay_fixpoint` is the offline analogue used by the running
 example (Fig. 1): apply Theorem 3 removals to a fully known graph until no
@@ -28,7 +29,7 @@ from __future__ import annotations
 import random
 from typing import AbstractSet, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.core.criteria import is_removable, replacement_allowed
+from repro.core.criteria import is_removable, replacement_allowed, replacement_target
 from repro.errors import EdgeNotFoundError, SelfLoopError, WalkError
 from repro.graph.adjacency import Graph
 from repro.interface.api import BatchQueryResult, QueryResponse, RestrictedSocialAPI
@@ -156,34 +157,37 @@ class OverlayGraph:
         Raises:
             WalkError: If the node has not been materialized.
         """
-        try:
-            return frozenset(self._known[node])
-        except KeyError:
-            raise WalkError(f"node {node!r} not materialized in overlay") from None
+        return frozenset(self._materialized(node))
 
     def neighbors_view(self, node: Node) -> AbstractSet[Node]:
         """Set-like view of a materialized neighborhood — no copy.
 
-        For hot loops (the removal criterion's intersections).  Callers
-        must not mutate the overlay while holding the view.
+        For hot loops (the offline removal criterion's intersections).
+        Callers must not mutate the overlay while holding the view.
 
         Raises:
             WalkError: If the node has not been materialized.
         """
-        try:
-            return self._known[node].keys()
-        except KeyError:
-            raise WalkError(f"node {node!r} not materialized in overlay") from None
+        return self._materialized(node).keys()
+
+    def _materialized(self, node: Node) -> Dict[Node, None]:
+        row = self._known.get(node)
+        if row is None:
+            raise WalkError(f"node {node!r} not materialized in overlay")
+        return row
+
+    def _row(self, node: Node) -> Optional[AbstractSet[Node]]:
+        # The sampler's per-draw read: degree, membership and draw order
+        # from one lookup; ``None`` before materialization (never queries).
+        row = self._known.get(node)
+        return None if row is None else row.keys()
 
     def _seq(self, node: Node) -> Tuple[Node, ...]:
         # The cached row tuple; the overlay's own hot paths call this
         # rather than the public ``neighbors_seq``.
         seq = self._seqs.get(node)
         if seq is None:
-            try:
-                seq = self._seqs[node] = tuple(self._known[node])
-            except KeyError:
-                raise WalkError(f"node {node!r} not materialized in overlay") from None
+            seq = self._seqs[node] = tuple(self._materialized(node))
         return seq
 
     def neighbors_seq(self, node: Node) -> Tuple[Node, ...]:
@@ -230,10 +234,7 @@ class OverlayGraph:
         Raises:
             WalkError: If the node has not been materialized.
         """
-        try:
-            return len(self._known[node])
-        except KeyError:
-            raise WalkError(f"node {node!r} not materialized in overlay") from None
+        return len(self._materialized(node))
 
     def known_degree(self, node: Node) -> Optional[int]:
         """Overlay degree if materialized, else ``None`` (never queries)."""
@@ -255,9 +256,7 @@ class OverlayGraph:
         Raises:
             WalkError: If ``u`` has not been materialized.
         """
-        if u not in self._known:
-            raise WalkError(f"node {u!r} not materialized in overlay")
-        return v in self._known[u]
+        return v in self._materialized(u)
 
     # ------------------------------------------------------------------
     # modifications
@@ -464,10 +463,9 @@ def build_overlay_fixpoint(
                 continue
             nbrs = overlay.neighbors_seq(v)
             u = nbrs[rng.randrange(len(nbrs))]
-            others = [w for w in nbrs if w != u and not overlay.has_edge(u, w)]
-            if not others:
+            w = replacement_target(u, overlay.neighbors_view(u), nbrs, rng)
+            if w is None:
                 continue
-            w = others[rng.randrange(len(others))]
             overlay.remove_edge(u, v)
             overlay.add_edge(u, w)
         while removal_pass():

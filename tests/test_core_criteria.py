@@ -8,6 +8,7 @@ from repro.core import (
     removal_criterion,
     replacement_allowed,
 )
+from repro.core.criteria import counts_criterion, neighborhoods_removable
 from repro.generators import complete_graph, paper_barbell
 from repro.graph import Graph
 
@@ -53,9 +54,7 @@ class TestRemovalCriterion:
 class TestExtensionCriterion:
     def test_reduces_to_theorem3_with_empty_cache(self):
         for common, ku, kv in [(5, 7, 7), (0, 11, 11), (9, 10, 10), (3, 8, 9)]:
-            assert extension_criterion(common, ku, kv, {}) == removal_criterion(
-                common, ku, kv
-            )
+            assert extension_criterion(common, ku, kv, {}) == removal_criterion(common, ku, kv)
 
     def test_fig5_style_unlock(self):
         # §III-D: extra degree knowledge about common neighbors certifies
@@ -83,6 +82,83 @@ class TestExtensionCriterion:
             extension_criterion(0, 0, 3, {})
         with pytest.raises(ValueError):
             extension_criterion(1, 5, 5, {"a": 2, "b": 3})  # |N*| > common
+
+
+class TestCountsCriterion:
+    def test_matches_the_reference_exhaustively(self):
+        # Every c ≤ 16, k_u, k_v ≤ 17 and (c2, c3) with c2 + c3 ≤ c; the
+        # reference is Theorem 3 itself when nothing is cached.
+        checked = 0
+        for c in range(17):
+            for c2 in range(c + 1):
+                for c3 in range(c - c2 + 1):
+                    cache = {("deg2", i): 2 for i in range(c2)}
+                    cache.update({("deg3", i): 3 for i in range(c3)})
+                    for ku in range(1, 18):
+                        for kv in range(1, 18):
+                            if cache:
+                                expected = extension_criterion(c, ku, kv, cache)
+                            else:
+                                expected = removal_criterion(c, ku, kv)
+                            got = counts_criterion(c, c2, c3, max(ku, kv))
+                            assert got == expected, (c, c2, c3, ku, kv)
+                            checked += 1
+        assert checked == 280_041
+
+
+class _RecordingSet(set):
+    """A neighborhood that notes whether the criterion intersected it."""
+
+    intersected = False
+
+    def __and__(self, other):
+        self.intersected = True
+        return set.__and__(self, other)
+
+
+class TestNeighborhoodsRemovable:
+    def test_matches_the_reference_and_bounds_fire_exactly_where_no_cache_can_certify(self):
+        # Every k_u, k_v ≤ 17, every common count the degrees allow and
+        # every split of the common neighbors into cached degree 2, cached
+        # degree 3 and the rest (cached at 4, or unknown).  The degree
+        # bound must skip the intersection, and the count bound the degree
+        # lookups, exactly when even an all-degree-2 cache could not
+        # certify the edge.
+        for ku in range(1, 18):
+            for kv in range(1, 18):
+                kmin, kmax = min(ku, kv), max(ku, kv)
+                for c in range(kmin):
+                    common = [("w", i) for i in range(c)]
+                    counted = 2 * kmin > kmax and 2 * (c + 1) > kmax
+                    for c2 in range(c + 1):
+                        for c3 in range(c - c2 + 1):
+                            degrees = [2] * c2 + [3] * c3 + [4, None] * c
+                            cache = dict(zip(common, degrees))
+                            nu = _RecordingSet(["v", *common, *(("u-only", i) for i in range(ku - 1 - c))])
+                            nv = _RecordingSet(["u", *common, *(("v-only", i) for i in range(kv - 1 - c))])
+                            looked_up = []
+
+                            def degree_of(w):
+                                looked_up.append(w)
+                                return cache[w]
+
+                            got = neighborhoods_removable(nu, nv, degree_of)
+                            known = {w: k for w, k in cache.items() if k is not None}
+                            assert got == extension_criterion(c, ku, kv, known), (ku, kv, c, c2, c3)
+                            assert nu.intersected == (2 * kmin > kmax), (ku, kv, c)
+                            assert len(looked_up) == (c if counted else 0), (ku, kv, c)
+                            if c2 == c:
+                                assert got == counted
+
+    def test_uncached_degrees_count_for_nothing(self):
+        nu = {"v", "a", "b", "x"}
+        nv = {"u", "a", "b", "y"}
+        # k = 4 / 4, common {a, b}: Theorem 3 says no; one degree-2 or
+        # degree-3 member says yes; other degrees count for nothing.
+        assert neighborhoods_removable(nu, nv) is False
+        assert neighborhoods_removable(nu, nv, {"a": 2}.get) is True
+        assert neighborhoods_removable(nu, nv, {"a": 3}.get) is True
+        assert neighborhoods_removable(nu, nv, {"a": 4, "b": 1}.get) is False
 
 
 class TestIsRemovable:

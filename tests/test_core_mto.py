@@ -1,10 +1,13 @@
 """Unit tests for the MTO-Sampler (Algorithm 1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import min_conductance_exact
 from repro.convergence import FixedLengthMonitor
-from repro.core import MTOSampler
+from repro.core import MTOSampler, OverlayGraph, extension_criterion, removal_criterion
+from repro.errors import EdgeNotFoundError
 from repro.generators import complete_graph, cycle_graph, paper_barbell
 from repro.graph import Graph, is_connected
 from repro.interface import RestrictedSocialAPI
@@ -12,6 +15,43 @@ from repro.interface import RestrictedSocialAPI
 
 def sampler_on(graph: Graph, start=0, seed=0, **kw) -> MTOSampler:
     return MTOSampler(RestrictedSocialAPI(graph), start=start, seed=seed, **kw)
+
+
+@st.composite
+def partial_overlays(draw):
+    """A random graph on at most 14 nodes under a partly materialized overlay.
+
+    "Page" nodes hang off both ends of an edge, so common neighbors of
+    degree 2 and 3 are frequent; removals interleave with
+    materializations, so some land on known rows and some wait as lazy
+    deltas.
+    """
+    n = draw(st.integers(3, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph()
+    g.add_nodes(range(n))
+    for (a, b), kept in zip(pairs, keep):
+        if kept:
+            g.add_edge(a, b)
+    base = st.integers(0, n - 1)
+    for page, (a, b) in enumerate(draw(st.lists(st.tuples(base, base), max_size=14 - n)), start=n):
+        g.add_edge(page, a)
+        if b != a:
+            g.add_edge(page, b)
+            g.add_edge(a, b)
+    api = RestrictedSocialAPI(g)
+    overlay = OverlayGraph(api)
+    nodes = st.integers(0, g.num_nodes - 1)
+    for op, a, b in draw(st.lists(st.tuples(st.integers(0, 2), nodes, nodes), max_size=3 * g.num_nodes)):
+        if op:  # two materializations per removal
+            overlay.ensure_known(a)
+        elif a != b:
+            try:
+                overlay.remove_edge(a, b)
+            except EdgeNotFoundError:
+                pass
+    return api, overlay
 
 
 class TestStepMechanics:
@@ -78,9 +118,9 @@ class TestOverlayConsistency:
         if sub.num_nodes == 22:  # fully explored
             assert is_connected(sub)
 
-    def test_conductance_never_decreases_on_barbell(self):
+    def test_conductance_never_decreases_on_barbell(self, paper_barbell_phi):
         g = paper_barbell()
-        phi0 = min_conductance_exact(g).conductance
+        phi0 = paper_barbell_phi
         mto = sampler_on(g, seed=6)
         for _ in range(600):
             mto.step()
@@ -102,6 +142,29 @@ class TestOverlayConsistency:
         mto = sampler_on(paper_barbell(), seed=0)
         with pytest.raises(WalkError):
             mto.weight(21)  # far side, not yet visited
+
+
+class TestRemovalTestOnLiveOverlays:
+    @settings(max_examples=60, deadline=None)
+    @given(partial_overlays(), st.booleans())
+    def test_early_exits_never_change_an_answer(self, api_overlay, use_cache):
+        api, overlay = api_overlay
+        known = list(overlay.known_nodes())
+        if not known:
+            return
+        mto = MTOSampler(api, start=known[0], overlay=overlay, use_degree_cache=use_cache)
+        for u in known:
+            for v in overlay.neighbors_seq(u):
+                if not overlay.is_known(v) or overlay.degree(u) < 2 or overlay.degree(v) < 2:
+                    continue
+                nu, nv = overlay.neighbors_view(u), overlay.neighbors_view(v)
+                common = nu & nv
+                if use_cache:
+                    cached = {w: overlay.known_degree(w) for w in common if overlay.is_known(w)}
+                    expected = extension_criterion(len(common), len(nu), len(nv), cached)
+                else:
+                    expected = removal_criterion(len(common), len(nu), len(nv))
+                assert mto._removable(nu, nv) == expected, (u, v)
 
 
 class TestSamplingRun:

@@ -192,9 +192,9 @@ class TestKnownSubgraph:
 
 
 class TestFixpoint:
-    def test_barbell_conductance_never_decreases(self):
+    def test_barbell_conductance_never_decreases(self, paper_barbell_phi):
         g = paper_barbell()
-        phi0 = min_conductance_exact(g).conductance
+        phi0 = paper_barbell_phi
         gstar = build_overlay_fixpoint(g, seed=1)
         assert is_connected(gstar)
         phi1 = min_conductance_exact(gstar).conductance
