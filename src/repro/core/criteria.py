@@ -49,7 +49,7 @@ increase it).  Corollary 2 shows ``k_v = 3`` is the *only* safe degree.
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, Optional
+from typing import AbstractSet, Callable, Hashable, Iterable, Mapping, Optional, Tuple
 
 Node = Hashable
 
@@ -151,16 +151,21 @@ def neighborhoods_removable(
     and only then counts the common neighbors ``degree_of`` (a cached
     degree or ``None``; omitted for Theorem 3) puts at degree 2 and 3.
     """
+    common, kmax = undecided_common(nu, nv)
+    if common is None:
+        return False
+    degrees = [degree_of(w) for w in common] if degree_of is not None else []
+    return counts_criterion(len(common), degrees.count(2), degrees.count(3), kmax)
+
+
+def undecided_common(nu: AbstractSet[Node], nv: AbstractSet[Node]) -> Tuple[Optional[AbstractSet[Node]], int]:
+    """``(N(u) ∩ N(v), max(k_u, k_v))``; the set is ``None`` when the two bounds already say "no"."""
     ku, kv = len(nu), len(nv)
     kmin, kmax = (ku, kv) if ku < kv else (kv, ku)
     if 2 * kmin <= kmax:
-        return False
+        return None, kmax
     common = nu & nv
-    c = len(common)
-    if 2 * (c + 1) <= kmax:
-        return False
-    degrees = [degree_of(w) for w in common] if degree_of is not None else []
-    return counts_criterion(c, degrees.count(2), degrees.count(3), kmax)
+    return (common if 2 * (len(common) + 1) > kmax else None), kmax
 
 
 def is_removable(

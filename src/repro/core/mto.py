@@ -24,7 +24,7 @@ The hot path is draw-dominated: a draw is one O(1) tuple index and
 reads each endpoint's overlay row once, and the removal test — mostly a
 "no" — settles from the two degrees, then the common count, before it
 counts cached degree-2/3 common neighbors for Theorem 5's integer closed
-form (:func:`~repro.core.criteria.neighborhoods_removable`).
+form (:func:`~repro.core.criteria.counts_criterion`).
 Determinism under a fixed seed comes from the overlay's stable insertion
 ordering, not from re-sorting per step.
 """
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Hashable
 
-from repro.core.criteria import neighborhoods_removable, replacement_allowed, replacement_target
+from repro.core.criteria import counts_criterion, replacement_allowed, replacement_target, undecided_common
 from repro.core.overlay import OverlayGraph
 from repro.errors import DeadEndError, PrivateUserError, WalkError
 from repro.interface.api import RestrictedSocialAPI
@@ -115,9 +115,14 @@ class MTOSampler(RandomWalkSampler):
 
     # ------------------------------------------------------------------
     def _removable(self, nu: AbstractSet[Node], nv: AbstractSet[Node]) -> bool:
-        # Theorem 5 reads cached degrees "without issuing extra web requests".
-        degree_of = self._overlay.known_degree if self._use_degree_cache else None
-        return neighborhoods_removable(nu, nv, degree_of)
+        # Theorem 5 reads cached degrees "without issuing extra web requests":
+        # the common neighbors' overlay rows, read in place.
+        common, kmax = undecided_common(nu, nv)
+        if common is None:
+            return False
+        rows = self._overlay._known if self._use_degree_cache else {}
+        degrees = [len(rows[w]) for w in common if w in rows]
+        return counts_criterion(len(common), degrees.count(2), degrees.count(3), kmax)
 
     def _choose_replacement(self, u: Node, nu: AbstractSet[Node], nv: AbstractSet[Node]) -> Node | None:
         """Pick and materialize a Theorem 4 target ``w``, or ``None``."""

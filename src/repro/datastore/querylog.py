@@ -52,16 +52,15 @@ class QueryLog:
 
         Identical accounting to :meth:`record` minus the derived-billing
         branch and the record-object construction;
-        :meth:`~repro.interface.api.RestrictedSocialAPI.fetch_seq` calls
-        this once per cache hit, which is once per cached walk step.
+        :class:`~repro.interface.api.RestrictedSocialAPI` appends every
+        logical query through it (a billed fetch or refusal passes
+        ``not was_queried(user)``, the rule :meth:`record` derives).
         """
         if billed:
             self._unique.add(user)
         self._records.append((user, billed, timestamp))
 
-    def record(
-        self, user: Hashable, timestamp: float = 0.0, billed: Optional[bool] = None
-    ) -> QueryRecord:
+    def record(self, user: Hashable, timestamp: float = 0.0, billed: Optional[bool] = None) -> QueryRecord:
         """Append a query for ``user``; returns the created record.
 
         Args:
@@ -78,9 +77,7 @@ class QueryLog:
         if billed is None:
             billed = user not in self._unique
         self.note(user, billed, timestamp)
-        return QueryRecord(
-            index=len(self._records) - 1, user=user, billed=billed, timestamp=timestamp
-        )
+        return QueryRecord(index=len(self._records) - 1, user=user, billed=billed, timestamp=timestamp)
 
     @property
     def total_queries(self) -> int:
@@ -137,14 +134,10 @@ class QueryLog:
         Args:
             state: Output of :meth:`state_dict`.
         """
-        self._records = [
-            (user, bool(billed), float(ts)) for user, billed, ts in state["records"]
-        ]
+        self._records = [(user, bool(billed), float(ts)) for user, billed, ts in state["records"]]
         self._unique = {user for user, billed, _ in self._records if billed}
 
-    def billed_between(
-        self, start: Optional[float] = None, end: Optional[float] = None
-    ) -> int:
+    def billed_between(self, start: Optional[float] = None, end: Optional[float] = None) -> int:
         """Billed queries with ``start <= timestamp < end`` (for rate audits)."""
         count = 0
         for _, billed, timestamp in self._records:

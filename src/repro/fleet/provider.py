@@ -162,21 +162,15 @@ class ShardedProvider(SocialProvider):
         if len(shards) < 1:
             raise ValueError("a fleet needs at least one shard")
         if router.num_shards != len(shards):
-            raise ValueError(
-                f"router addresses {router.num_shards} shards, got {len(shards)} stacks"
-            )
+            raise ValueError(f"router addresses {router.num_shards} shards, got {len(shards)} stacks")
         if disruptions is not None and len(disruptions) != len(shards):
-            raise ValueError(
-                f"got {len(disruptions)} disruption schedules for {len(shards)} shards"
-            )
+            raise ValueError(f"got {len(disruptions)} disruption schedules for {len(shards)} shards")
         self._shards = list(shards)
         self._router = router
         self._disruptions: Tuple[Optional[DisruptionSchedule], ...] = (
             tuple(disruptions) if disruptions is not None else (None,) * len(shards)
         )
-        self._batch_caps = tuple(
-            int(c) for c in _per_shard(batch_cap, len(shards), "batch_cap")
-        )
+        self._batch_caps = tuple(int(c) for c in _per_shard(batch_cap, len(shards), "batch_cap"))
         if any(c < 1 for c in self._batch_caps):
             raise ValueError("batch caps must be positive")
         self._intervals = tuple(
@@ -192,6 +186,8 @@ class ShardedProvider(SocialProvider):
         self._dispatch_log: List[FetchDispatch] = []
         self._active_tenant: Optional[str] = None
         self._recorder: Optional[TraceRecorder] = None
+        # Read on every walk step (``api.may_have_private``); the shards are fixed.
+        self._may_refuse = any(s.may_refuse for s in self._shards)
 
     # ------------------------------------------------------------------
     # fleet introspection
@@ -342,9 +338,7 @@ class ShardedProvider(SocialProvider):
         if self._active_tenant is not None:
             stats.book_tenant(self._active_tenant, latency)
         if self._trace_dispatches:
-            self._dispatch_log.append(
-                FetchDispatch(shard=shard, user=user, latency=latency)
-            )
+            self._dispatch_log.append(FetchDispatch(shard=shard, user=user, latency=latency))
         recorder = self._recorder
         if recorder is not None:
             issued = recorder.hinted_clock
@@ -383,7 +377,7 @@ class ShardedProvider(SocialProvider):
 
     @property
     def may_refuse(self) -> bool:
-        return any(s.may_refuse for s in self._shards)
+        return self._may_refuse
 
     # ------------------------------------------------------------------
     # snapshot support

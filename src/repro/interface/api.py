@@ -105,6 +105,21 @@ class QueryResponse:
         return len(self.neighbors)
 
 
+def _response(user, neighbors, attributes, from_cache, seq, latency=0.0) -> QueryResponse:
+    # The interface's own QueryResponse, filled in place: it already holds
+    # every field, so the frozen __init__ and __post_init__ are skipped.
+    response = object.__new__(QueryResponse)
+    response.__dict__.update(
+        user=user,
+        neighbors=neighbors,
+        attributes=attributes,
+        from_cache=from_cache,
+        neighbor_seq=seq,
+        latency=latency,
+    )
+    return response
+
+
 @dataclasses.dataclass(frozen=True)
 class BatchQueryResult:
     """Outcome of one :meth:`RestrictedSocialAPI.query_many` call.
@@ -238,16 +253,7 @@ class RestrictedSocialAPI:
         cached = self._serve_cached(user)
         if cached is not None:
             return cached
-
-        if not self._provider.has_user(user):
-            raise UnknownUserError(user)
-        if self._budget is not None and self._log.unique_queries >= self._budget:
-            raise QueryBudgetExhaustedError(self._budget)
-        try:
-            return self._billed_fetch(user)
-        except PrivateUserError:
-            self._bill_refusal(user)
-            raise
+        return self._query_uncached(user)
 
     def fetch_seq(self, user: Node) -> Tuple[Node, ...]:
         """Hot-path ``q(user)``: the stable neighbor sequence only.
@@ -256,30 +262,31 @@ class RestrictedSocialAPI:
         :meth:`query` — every call logs one logical query, cache hits are
         free, the first contact with an uncached user is billed — but a
         cache hit skips the response rebuild entirely (no frozenset, no
-        attribute copy, no :class:`QueryResponse`): one store read plus
-        one log append, on every cache configuration — TTL'd and
+        attribute copy, no :class:`QueryResponse`): one ``hot_seq`` read
+        plus one log append, on every cache configuration — TTL'd and
         capacity-bounded caches included.  Every walk engine's step reads
         its neighborhoods through it; everything that needs attributes
-        or a full response keeps using :meth:`query`.  A miss falls back
-        to :meth:`query`.
+        or a full response keeps using :meth:`query`.  A miss goes
+        straight to the billed path, without probing the cache again.
 
         Raises:
             Exactly what :meth:`query` raises, under the same conditions.
         """
-        if user not in self._known_private:
-            seq = self._cache.hot_seq(user)
-            if seq is not None:
-                self._cache_hits += 1
-                if user in self._warm_users:
-                    self._warm_hits += 1
-                counter = self._obs_hit_counter
-                if counter is not None:
-                    # Counter-only on a cached step: no event allocation,
-                    # so recorder-on overhead stays within the CI budget.
-                    counter.value += 1
-                self._log.note(user, False, self._clock.now())
-                return seq
-        return self.query(user).neighbor_seq
+        if user in self._known_private:
+            raise PrivateUserError(user)  # cached refusal — free
+        seq = self._cache.hot_seq(user)
+        if seq is None:
+            return self._query_uncached(user).neighbor_seq
+        self._cache_hits += 1
+        if user in self._warm_users:
+            self._warm_hits += 1
+        counter = self._obs_hit_counter
+        if counter is not None:
+            # Counter-only on a cached step: no event allocation,
+            # so recorder-on overhead stays within the CI budget.
+            counter.value += 1
+        self._log.note(user, False, self._clock.now())
+        return seq
 
     def query_many(self, users: Iterable[Node]) -> BatchQueryResult:
         """Issue ``q(u)`` for a batch of users.
@@ -346,41 +353,46 @@ class RestrictedSocialAPI:
     def _serve_cached(self, user: Node) -> Optional[QueryResponse]:
         """Build a free response from the cache, or ``None`` on a miss.
 
-        Logged with an explicit ``billed=False``: under a *shared* cache
-        (the service layer hands many tenant interfaces one
-        ``NeighborhoodCache``) the hit may serve knowledge another
-        tenant's budget paid for, and auto-derived billing would charge
-        this tenant's unique set for a fetch it never issued.  For a
-        private cache the explicit flag is identical to the derived one —
-        a cached user is always already in this log's unique set.
+        Logged as unbilled: under a *shared* cache (the service layer
+        hands many tenant interfaces one ``NeighborhoodCache``) the hit
+        may serve knowledge another tenant's budget paid for, and
+        derived billing would charge this tenant's unique set for a fetch
+        it never issued.  For a private cache the flag is identical to
+        the derived one — a cached user is always already in this log's
+        unique set.
 
-        The cache holds each response as one record, so once the
-        neighbor read hits, the sequence and attribute reads of the same
-        record hit too: a hit never serves a neighbor set without its
-        billed attributes.
+        One ``neighbors`` read decides hit or miss; on a hit, the
+        sequence and a fresh copy of the attributes come from one more
+        read of the same record, so a hit never serves a neighbor set
+        without its billed attributes.
         """
         cached = self._cache.neighbors(user)
         if cached is None:
             return None
-        seq = self._cache.neighbor_seq(user)
-        attrs = self._cache.attributes(user)
+        seq, _, attrs = self._cache._record(user)
         self._cache_hits += 1
         if user in self._warm_users:
             self._warm_hits += 1
         if self._obs_hit_counter is not None:
             self._obs_hit_counter.value += 1
-        self._log.record(user, timestamp=self._clock.now(), billed=False)
-        return QueryResponse(
-            user=user,
-            neighbors=cached,
-            attributes=attrs,
-            from_cache=True,
-            neighbor_seq=seq,
-        )
+        self._log.note(user, False, self._clock.now())
+        return _response(user, cached, dict(attrs), True, seq)
+
+    def _query_uncached(self, user: Node) -> QueryResponse:
+        """``q(user)`` past the cache: check the user and the budget, then bill."""
+        if not self._provider.has_user(user):
+            raise UnknownUserError(user)
+        if self._budget is not None and self._log.unique_queries >= self._budget:
+            raise QueryBudgetExhaustedError(self._budget)
+        try:
+            return self._billed_fetch(user)
+        except PrivateUserError:
+            self._bill_refusal(user)
+            raise
 
     def _bill_refusal(self, user: Node) -> None:
         """Book a provider's refusal: one billed request, then cached."""
-        self._log.record(user, timestamp=self._clock.now())
+        self._log.note(user, not self._log.was_queried(user), self._clock.now())
         self._known_private.add(user)
         if self._recorder is not None:
             self._recorder.record(EVENT_REFUSAL, self._clock.now(), user=user, **self._obs_attrs)
@@ -431,15 +443,8 @@ class RestrictedSocialAPI:
         neighbors = frozenset(seq)
         attrs = fetched.attributes
         self._cache.put(user, neighbors, attrs, seq=seq)
-        self._log.record(user, timestamp=self._clock.now())
-        return QueryResponse(
-            user=user,
-            neighbors=neighbors,
-            attributes=attrs,
-            from_cache=False,
-            neighbor_seq=seq,
-            latency=fetched.latency,
-        )
+        self._log.note(user, not self._log.was_queried(user), self._clock.now())
+        return _response(user, neighbors, attrs, False, seq, fetched.latency)
 
     # ------------------------------------------------------------------
     # cost accounting and cached knowledge (all local, never billed)

@@ -96,6 +96,11 @@ class NeighborhoodCache:
         record = self._store.get((_RESP, user))
         return None if record is None else record[0]
 
+    def _record(self, user: Node) -> Optional[Tuple[Tuple[Node, ...], FrozenSet[Node], Dict]]:
+        # The whole ``(seq, neighbors, attrs)`` record, uncopied: the
+        # interface's full-response read after ``neighbors`` answered.
+        return self._store.get((_RESP, user))
+
     #: The cached-step read behind ``RestrictedSocialAPI.fetch_seq``: one
     #: store read, no response rebuild.  Its own name keeps those lookups
     #: apart from other sequence reads in profiles.

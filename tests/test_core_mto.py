@@ -166,6 +166,25 @@ class TestRemovalTestOnLiveOverlays:
                     expected = removal_criterion(len(common), len(nu), len(nv))
                 assert mto._removable(nu, nv) == expected, (u, v)
 
+    def test_theorem_5_reads_the_overlay_degree(self):
+        # k_u = k_v = 4 with common {a, b}: Theorem 3 says no.  Once a is
+        # materialized and its overlay row is cut to {u, v}, its overlay
+        # degree 2 (not its original degree 4) certifies the edge.
+        g = Graph([("u", "v"), ("u", "a"), ("a", "v"), ("u", "b"), ("b", "v"), ("u", "x"), ("v", "y")])
+        g.add_edges([("a", "p"), ("a", "q")])
+        api = RestrictedSocialAPI(g)
+        overlay = OverlayGraph(api)
+        overlay.ensure_known("v")
+        mto = MTOSampler(api, start="u", overlay=overlay)
+        blind = MTOSampler(api, start="u", overlay=overlay, use_degree_cache=False)
+        nu, nv = overlay.neighbors_view("u"), overlay.neighbors_view("v")
+        overlay.ensure_known("a")
+        assert mto._removable(nu, nv) is False  # a's overlay degree is 4
+        overlay.remove_edge("a", "p")
+        overlay.remove_edge("a", "q")
+        assert mto._removable(nu, nv) is True
+        assert blind._removable(nu, nv) is False
+
 
 class TestSamplingRun:
     def test_run_with_monitor(self):

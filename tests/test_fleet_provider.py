@@ -120,6 +120,20 @@ class TestRoutingAndBilling:
         assert api.query_cost == 1
         assert fleet.stats[fleet.shard_of(private_user)].queries == 1
 
+    def test_may_refuse_is_fixed_by_the_shards(self, network):
+        # One shard with a private user makes the whole fleet refusable;
+        # a fleet without one never is, and a restored state changes neither.
+        private = frozenset([network.seed_node(4)])
+        refusing = FlakyProvider(InMemoryGraphProvider(network.graph, inaccessible=private), seed=3)
+        mixed = ShardedProvider([InMemoryGraphProvider(network.graph), refusing], ShardRouter(2, seed=1))
+        open_shards = [InMemoryGraphProvider(network.graph) for _ in range(2)]
+        plain = ShardedProvider(open_shards, ShardRouter(2, seed=1))
+        assert RestrictedSocialAPI(mixed).may_have_private is True
+        assert RestrictedSocialAPI(plain).may_have_private is False
+        for fleet, expected in ((mixed, True), (plain, False)):
+            fleet.load_state(fleet.state_dict())
+            assert fleet.may_refuse is expected
+
 
 class TestLatencyAndDisruption:
     def test_per_shard_latency_is_deterministic(self, network):

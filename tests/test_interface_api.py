@@ -1,13 +1,17 @@
 """Unit tests for the restrictive q(v) interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.datastore import DocumentStore, KeyValueStore
-from repro.errors import QueryBudgetExhaustedError, UnknownUserError
+from repro.errors import PrivateUserError, QueryBudgetExhaustedError, UnknownUserError
 from repro.graph import Graph
 from repro.interface import (
     FixedWindowRateLimiter,
+    LatencyModelProvider,
     NeighborhoodCache,
+    QueryResponse,
     RestrictedSocialAPI,
 )
 
@@ -163,3 +167,122 @@ class TestNeighborhoodCache:
         assert resp.attributes == {"age": 10}
         assert resp.neighbors == frozenset({2, 7})
         assert set(resp.neighbor_seq) == resp.neighbors
+
+
+def _records(api):
+    return api.log.state_dict()["records"]
+
+
+class _CountingCache(NeighborhoodCache):
+    """Counts the reads that answer, the reads that miss, and the puts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.answered = 0
+        self.missed = 0
+
+    def _count(self, found):
+        if found is None:
+            self.missed += 1
+        else:
+            self.answered += 1
+        return found
+
+    def neighbors(self, user):
+        return self._count(super().neighbors(user))
+
+    def hot_seq(self, user):
+        return self._count(super().hot_seq(user))
+
+    def put(self, *args, **kwargs):
+        super().put(*args, **kwargs)
+        self.answered += 1
+
+
+class TestQueryContract:
+    def test_one_record_per_logical_query(self):
+        api = RestrictedSocialAPI(small_net(), inaccessible=frozenset({4}))
+        api.query(1)
+        api.query(1)
+        api.fetch_seq(2)
+        api.fetch_seq(2)
+        api.fetch_seq(1)
+        batch = api.query_many([1, 3, 4, 99, 3])
+        assert (batch.private, batch.unknown) == ((4,), (99,))
+        with pytest.raises(PrivateUserError):
+            api.fetch_seq(4)  # a cached refusal logs nothing
+        assert _records(api) == [
+            (1, True, 1.0),
+            (1, False, 1.0),
+            (2, True, 2.0),
+            (2, False, 2.0),
+            (1, False, 2.0),
+            (1, False, 2.0),
+            (3, True, 3.0),
+            (4, True, 3.0),
+        ]
+        assert (api.total_queries, api.query_cost) == (8, 4)
+
+    def test_lru_refetch_is_logged_unbilled(self):
+        api = RestrictedSocialAPI(small_net(), cache=NeighborhoodCache(KeyValueStore(capacity=1)))
+        api.query(1)
+        api.query(2)  # evicts user 1
+        assert api.query(1).from_cache is False
+        assert api.fetch_seq(2) == api.query(2).neighbor_seq  # evicted again, then a hit
+        assert [(user, billed) for user, billed, _ in _records(api)] == [
+            (1, True),
+            (2, True),
+            (1, False),
+            (2, False),
+            (2, False),
+        ]
+        assert (api.query_cost, api.cache_misses, api.cache_hits) == (2, 4, 1)
+
+    def test_attributes_handed_out_are_copies(self):
+        profiles = DocumentStore()
+        profiles.insert(1, {"age": 30})
+        api = RestrictedSocialAPI(small_net(), profiles=profiles)
+        api.query(1).attributes["age"] = 0  # the billed response
+        api.query(1).attributes["age"] = 1  # a hit
+        assert api.query(1).attributes == {"age": 30}
+        assert api.query_many([1]).responses[1].attributes == {"age": 30}
+
+    def test_responses_are_frozen(self):
+        api = RestrictedSocialAPI(small_net())
+        for response in (api.query(1), api.query(1), api.query_many([2]).responses[2]):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                response.user = 9
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                response.neighbor_seq = ()
+
+    def test_responses_equal_the_public_constructor(self):
+        provider = LatencyModelProvider(small_net(), distribution="uniform", scale=2.0, seed=1)
+        api = RestrictedSocialAPI(provider)
+        miss = api.query(3)
+        hit = api.query(3)
+        seq = miss.neighbor_seq
+        assert miss.latency > 0
+        assert miss == QueryResponse(3, frozenset({1, 2, 4}), {}, False, seq, miss.latency)
+        assert hit == QueryResponse(3, frozenset({1, 2, 4}), {}, True, seq)
+        assert hit.neighbor_seq is seq and hit.latency == 0.0 and hit.degree == 3
+        # A hand-built response still derives its sequence.
+        derived = QueryResponse(user=3, neighbors=frozenset({1, 2, 4}), attributes={}, from_cache=True)
+        assert derived.neighbor_seq == tuple(frozenset({1, 2, 4}))
+
+    def test_one_answered_cache_call_per_logical_query(self):
+        cache = _CountingCache()
+        api = RestrictedSocialAPI(small_net(), cache=cache)
+        calls = [
+            lambda: api.query(1),  # miss: one put
+            lambda: api.query(1),  # hit: one neighbors read
+            lambda: api.fetch_seq(2),  # miss: one put, after a single probe
+            lambda: api.fetch_seq(2),  # hit: one hot_seq read
+            lambda: api.fetch_seq(1),
+            lambda: api.query_many([1, 3, 4]),  # one hit, two puts
+        ]
+        for call in calls:
+            answered, logged = cache.answered, api.total_queries
+            call()
+            assert cache.answered - answered == api.total_queries - logged
+        assert (cache.answered, api.total_queries) == (8, 8)
+        assert cache.missed == 4  # query(1), fetch_seq(2), query_many's 3 and 4: one probe each
