@@ -68,9 +68,28 @@ from repro.walks import (
 from repro.walks.parallel import ParallelWalkers
 
 
+#: The dataset every test here runs on, as ``load`` takes it.
+_DATASET = {"name": "epinions_like", "seed": 0, "scale": 0.3}
+
+
 @pytest.fixture(scope="module")
 def network():
-    return load("epinions_like", seed=0, scale=0.3)
+    return load(**_DATASET)
+
+
+def _write_profile(report):
+    """Write ``report`` as ``BENCH_<benchmark>.json`` and return the path.
+
+    The path is overridable via ``BENCH_<BENCHMARK>_OUT``; every profile
+    also records the dataset and the Python version it was measured on.
+    """
+    name = report["benchmark"]
+    out_path = os.environ.get(f"BENCH_{name.upper()}_OUT", f"BENCH_{name}.json")
+    python = ".".join(str(p) for p in sys.version_info[:3])
+    with open(out_path, "w") as fh:
+        json.dump({"dataset": _DATASET, "python": python, **report}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return out_path
 
 
 def test_srw_step(benchmark, network):
@@ -234,8 +253,6 @@ def test_walk_engine_profile(network, figure_report):
     """
     report = {
         "benchmark": "walk_engine",
-        "dataset": {"name": "epinions_like", "seed": 0, "scale": 0.3},
-        "python": ".".join(str(p) for p in sys.version_info[:3]),
         "timed_steps": _TIMED_STEPS,
         "engines": {
             name: _engine_profile(network, lambda api, f=factory: f(network, api))
@@ -267,10 +284,7 @@ def test_walk_engine_profile(network, figure_report):
         # Draw-aware prefetch bills only nodes the chains fetch anyway.
         assert rows["prefetch_on"]["query_cost"] <= rows["prefetch_off"]["query_cost"], name
 
-    out_path = os.environ.get("BENCH_WALK_ENGINE_OUT", "BENCH_walk_engine.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_profile(report)
 
     lines = [f"walk engine profile  ->  {out_path}"]
     for name, engine in report["engines"].items():
@@ -339,8 +353,6 @@ def test_scheduler_profile(network, figure_report):
 
     report = {
         "benchmark": "scheduler",
-        "dataset": {"name": "epinions_like", "seed": 0, "scale": 0.3},
-        "python": ".".join(str(p) for p in sys.version_info[:3]),
         "chains": _SCHED_CHAINS,
         "num_samples": sweep.num_samples,
         "latency_seed": _SCHED_SEED,
@@ -357,10 +369,7 @@ def test_scheduler_profile(network, figure_report):
         },
     }
 
-    out_path = os.environ.get("BENCH_SCHEDULER_OUT", "BENCH_scheduler.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_profile(report)
 
     lines = [f"scheduler profile  ->  {out_path}"]
     for name, row in rows.items():
@@ -437,8 +446,6 @@ def test_fleet_profile(network, figure_report):
 
     report = {
         "benchmark": "fleet",
-        "dataset": {"name": "epinions_like", "seed": 0, "scale": 0.3},
-        "python": ".".join(str(p) for p in sys.version_info[:3]),
         "chains": _FLEET_CHAINS,
         "num_samples": sweep.num_samples,
         "num_shards": _FLEET_SHARDS,
@@ -457,10 +464,7 @@ def test_fleet_profile(network, figure_report):
         },
     }
 
-    out_path = os.environ.get("BENCH_FLEET_OUT", "BENCH_fleet.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_profile(report)
 
     lines = [f"fleet profile  ->  {out_path}"]
     for cap, row in sorted(by_cap.items()):
@@ -491,46 +495,7 @@ _PLAN_ADMISSION = 2.0
 _PLAN_LOOKAHEAD = 4
 _PLAN_SEED = 0
 
-# The per-engine prediction profile (ISSUE 8): every walk engine planned
-# at the same lookahead over the same skewed fleet, plus the cross-run
-# warm-start comparison.  Shared between the planning and history
-# profiles so CI pays for the sweep once.
-_HIST_SEED = 2
-
-
-@pytest.fixture(scope="module")
-def warm_history(network):
-    return run_warm_history(
-        network,
-        chains=_PLAN_CHAINS,
-        num_samples=_PLAN_SAMPLES,
-        lookahead=_PLAN_LOOKAHEAD,
-        num_shards=_PLAN_SHARDS,
-        skew=_PLAN_SKEW,
-        batch_cap=_PLAN_CAP,
-        admission_interval=_PLAN_ADMISSION,
-        seed=_HIST_SEED,
-    )
-
-
-def _engine_cells(result):
-    return {
-        row.engine: {
-            "query_cost": row.query_cost,
-            "baseline_wall": round(row.baseline_wall, 6),
-            "planned_wall": round(row.planned_wall, 6),
-            "speedup": round(row.speedup, 4),
-            "prefetch_issued": row.prefetch_issued,
-            "prefetch_used": row.prefetch_used,
-            "prediction_hits": row.prediction_hits,
-            "prediction_misses": row.prediction_misses,
-            "cost_parity": True,  # run_warm_history raises on any mismatch
-        }
-        for row in result.rows
-    }
-
-
-def test_planning_profile(network, figure_report, warm_history):
+def test_planning_profile(network, figure_report):
     """Emit ``BENCH_planning.json``: the history-aware planning profile.
 
     The acceptance metric (ISSUE 5): over the seeded skewed fleet the
@@ -586,8 +551,6 @@ def test_planning_profile(network, figure_report, warm_history):
 
     report = {
         "benchmark": "planning",
-        "dataset": {"name": "epinions_like", "seed": 0, "scale": 0.3},
-        "python": ".".join(str(p) for p in sys.version_info[:3]),
         "chains": _PLAN_CHAINS,
         "num_samples": sweep.num_samples,
         "num_shards": _PLAN_SHARDS,
@@ -597,7 +560,6 @@ def test_planning_profile(network, figure_report, warm_history):
         "lookahead": _PLAN_LOOKAHEAD,
         "seed": _PLAN_SEED,
         "zero_knob_bit_for_bit": bit_for_bit,
-        "engines": _engine_cells(warm_history),
         "cells": {
             name: {
                 "query_cost": row.query_cost,
@@ -613,10 +575,7 @@ def test_planning_profile(network, figure_report, warm_history):
         },
     }
 
-    out_path = os.environ.get("BENCH_PLANNING_OUT", "BENCH_planning.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_profile(report)
 
     lines = [f"planning profile  ->  {out_path}"]
     for name, row in cells.items():
@@ -630,19 +589,6 @@ def test_planning_profile(network, figure_report, warm_history):
                 row.cache_first_rate,
             )
         )
-    for name, cell in report["engines"].items():
-        lines.append(
-            "  engine {:>4}: {} queries ({:.2f}x planned, "
-            "prefetch {}/{}, predict {}/{})".format(
-                name,
-                cell["query_cost"],
-                cell["speedup"],
-                cell["prefetch_issued"],
-                cell["prefetch_used"],
-                cell["prediction_hits"],
-                cell["prediction_misses"],
-            )
-        )
     lines.append(f"  zero-knob bit-for-bit: {bit_for_bit}")
     figure_report("\n".join(lines))
 
@@ -651,11 +597,12 @@ def test_planning_profile(network, figure_report, warm_history):
 # cross-run warm-start history profile (machine-readable artifact)
 # ----------------------------------------------------------------------
 
+_HIST_SEED = 2
 _HIST_PROBE_SAMPLES = 200
 _HIST_MIN_SPEEDUP = 1.5
 
 
-def test_history_profile(network, figure_report, warm_history):
+def test_history_profile(network, figure_report):
     """Emit ``BENCH_history.json``: per-engine prediction + warm starts.
 
     The acceptance metrics (ISSUE 8): every walk engine planned at
@@ -669,6 +616,17 @@ def test_history_profile(network, figure_report, warm_history):
     along: a planner with every knob at zero over a trivial fleet must
     reproduce lock-step rounds exactly for all four engines.
     """
+    warm_history = run_warm_history(
+        network,
+        chains=_PLAN_CHAINS,
+        num_samples=_PLAN_SAMPLES,
+        lookahead=_PLAN_LOOKAHEAD,
+        num_shards=_PLAN_SHARDS,
+        skew=_PLAN_SKEW,
+        batch_cap=_PLAN_CAP,
+        admission_interval=_PLAN_ADMISSION,
+        seed=_HIST_SEED,
+    )
     rows = {row.engine: row for row in warm_history.rows}
     for name in ("mhrw", "nbrw"):
         assert rows[name].speedup >= _HIST_MIN_SPEEDUP, (
@@ -704,8 +662,6 @@ def test_history_profile(network, figure_report, warm_history):
 
     report = {
         "benchmark": "history",
-        "dataset": {"name": "epinions_like", "seed": 0, "scale": 0.3},
-        "python": ".".join(str(p) for p in sys.version_info[:3]),
         "chains": _PLAN_CHAINS,
         "num_samples": warm_history.num_samples,
         "num_shards": _PLAN_SHARDS,
@@ -715,7 +671,20 @@ def test_history_profile(network, figure_report, warm_history):
         "lookahead": _PLAN_LOOKAHEAD,
         "seed": _HIST_SEED,
         "zero_knob_bit_for_bit": zero_knob,
-        "engines": _engine_cells(warm_history),
+        "engines": {
+            name: {
+                "query_cost": row.query_cost,
+                "baseline_wall": round(row.baseline_wall, 6),
+                "planned_wall": round(row.planned_wall, 6),
+                "speedup": round(row.speedup, 4),
+                "prefetch_issued": row.prefetch_issued,
+                "prefetch_used": row.prefetch_used,
+                "prediction_hits": row.prediction_hits,
+                "prediction_misses": row.prediction_misses,
+                "cost_parity": True,  # run_warm_history raises on any mismatch
+            }
+            for name, row in rows.items()
+        },
         "warm_start": {
             "recorded_users": warm.recorded_users,
             "cold_cost": warm.cold_cost,
@@ -727,10 +696,7 @@ def test_history_profile(network, figure_report, warm_history):
         },
     }
 
-    out_path = os.environ.get("BENCH_HISTORY_OUT", "BENCH_history.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_profile(report)
 
     lines = [f"history profile  ->  {out_path}"]
     for name, cell in report["engines"].items():
@@ -804,8 +770,6 @@ def test_snapshot_profile(network, figure_report, tmp_path):
     snapshot_bytes = os.path.getsize(jsonl_path)
     report = {
         "benchmark": "snapshot",
-        "dataset": {"name": "epinions_like", "seed": 0, "scale": 0.3},
-        "python": ".".join(str(p) for p in sys.version_info[:3]),
         "walk_steps": _SNAPSHOT_WALK_STEPS,
         "state": {
             "known_nodes": sum(1 for _ in mto.overlay.known_nodes()),
@@ -824,10 +788,7 @@ def test_snapshot_profile(network, figure_report, tmp_path):
     for ops in report["ops_per_second"].values():
         assert ops > 0
 
-    out_path = os.environ.get("BENCH_SNAPSHOT_OUT", "BENCH_snapshot.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_profile(report)
 
     lines = [f"snapshot profile  ->  {out_path}"]
     lines.append(
@@ -931,8 +892,6 @@ def test_service_profile(network, figure_report):
 
     report = {
         "benchmark": "service",
-        "dataset": {"name": "epinions_like", "seed": 0, "scale": 0.3},
-        "python": ".".join(str(p) for p in sys.version_info[:3]),
         "tenants": _SERVICE_TENANTS,
         "skew": _SERVICE_SKEW,
         "num_samples": sweep.num_samples,
@@ -954,10 +913,7 @@ def test_service_profile(network, figure_report):
         },
     }
 
-    out_path = os.environ.get("BENCH_SERVICE_OUT", "BENCH_service.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_profile(report)
 
     lines = [f"service profile  ->  {out_path}"]
     for label in ("drr", "fcfs"):
@@ -1054,8 +1010,6 @@ def test_obs_profile(network, figure_report):
 
     report = {
         "benchmark": "obs",
-        "dataset": {"name": "epinions_like", "seed": 0, "scale": 0.3},
-        "python": ".".join(str(p) for p in sys.version_info[:3]),
         "num_samples": _OBS_SAMPLES,
         "recorder_on_bit_for_bit": recorder_on_bit_for_bit,
         "reconciled": not problems,
@@ -1067,10 +1021,7 @@ def test_obs_profile(network, figure_report):
         "overhead_ratio": round(overhead_ratio, 4),
     }
 
-    out_path = os.environ.get("BENCH_OBS_OUT", "BENCH_obs.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_profile(report)
 
     figure_report(
         "obs profile  ->  {}\n"
@@ -1199,8 +1150,6 @@ def test_obs_causality_profile(network, figure_report):
 
     report = {
         "benchmark": "obs_causality",
-        "dataset": {"name": "epinions_like", "seed": 0, "scale": 0.3},
-        "python": ".".join(str(p) for p in sys.version_info[:3]),
         "num_samples": _OBS_SAMPLES,
         "attribution_reconciles": attribution_reconciles,
         "wall_clock": attribution.wall_clock,
@@ -1214,10 +1163,7 @@ def test_obs_causality_profile(network, figure_report):
         "watcher_overhead_ratio": round(watcher_overhead_ratio, 4),
     }
 
-    out_path = os.environ.get("BENCH_OBS_CAUSALITY_OUT", "BENCH_obs_causality.json")
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out_path = _write_profile(report)
 
     figure_report(
         "causality profile  ->  {}\n"

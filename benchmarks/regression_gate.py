@@ -1,45 +1,49 @@
 """Benchmark-regression gate: fresh ``BENCH_*.json`` vs committed baselines.
 
 CI regenerates the machine-readable benchmark profiles on every run; this
-script compares them against the baselines committed under
-``benchmarks/baselines/`` and exits non-zero on regression, so a PR that
-slows a hot path or erodes the scheduler's latency win fails its build.
+script compares each against its baseline under ``benchmarks/baselines/``
+and exits non-zero on any failure, so a PR that slows a hot path or erodes
+one of the measured claims fails its build.
 
-Two kinds of metrics, two kinds of tolerance:
+Each ``check_*`` function is a short list of five kinds of check:
 
-* **wall-time metrics** (steps/s) vary with CI hardware — the gate only
-  fails when a fresh value drops below ``1 - throughput_tolerance``
-  (default 50%) of baseline, a band wide enough for runner jitter but
-  narrow enough to catch an accidental O(k log k) hot path;
-* **simulated metrics** (queries/sample, scheduler wall-clock per sample,
-  speedup) are seeded and hardware-independent — they are gated inside a
-  tight ``simulated_tolerance`` band (default 2%), the scheduler speedup
-  additionally has the ISSUE 3 hard floor of 2x, the fleet
-  batch-coalescing speedup the ISSUE 4 hard floor of 1.5x, the
-  history-aware planning speedup the ISSUE 5 hard floor of 1.5x at
-  equal-or-lower §II-B cost, the multi-tenant service profile the
-  ISSUE 6 hard ceiling of 3x fair share on the worst tenant's p95
-  per-sample pace at equal-or-lower §II-B cost than FCFS, the
-  walk-engine parallel rows the ISSUE 7 requirement that prefetch-on is
-  equal-or-faster than prefetch-off (same-run comparison, slim jitter
-  band) at equal-or-lower §II-B cost, and the history profile the
-  ISSUE 8 requirements: per-engine §II-B cost parity under cost-neutral
-  planning, a 1.5x prediction-speedup floor for MHRW/NBRW, per-engine
-  zero-knob bit-for-bit probes, and strictly positive warm-start
-  savings with per-chain bit-for-bit warm determinism; the
-  observability profile carries the ISSUE 9 requirements: attaching a
-  trace recorder must leave a seeded fleet run bit-for-bit identical,
-  replaying its trace must reproduce the §II-B bill exactly, and the
-  recorder-on serial microbench may cost at most 10% over recorder-off
-  (a same-run ratio, so it is hardware-independent enough to gate); the
-  causal-profiler profile carries the ISSUE 10 requirements: the
-  critical-path attribution must tile the simulated wall-clock exactly
-  against the telemetry books, the planner-on/off reference diff must
-  blame planner prefetching, and an attached SLO watcher must be
-  bit-for-bit invisible at no more than 10% wall-time overhead.  When a
-  planning/service/obs check fails with both causality traces on disk,
-  the gate appends a one-paragraph critical-path diff explaining which
-  category moved.
+* **drift** (:func:`_drift`, the one comparison): a metric fails when it
+  moves past ``tolerance * |baseline|``.  Wall-time metrics (steps/s)
+  vary with CI hardware and get ``throughput_tolerance`` (default 50%);
+  seeded simulated metrics (§II-B cost, simulated wall-clock, speedups)
+  are hardware-independent and get ``simulated_tolerance`` (default 2%).
+  A metric with a better direction fails only when it moves the worse
+  way ("regressed"); a count with none fails either way ("drifted").
+  The per-profile drift tables (``_SCHEDULER_DRIFT`` ...) name each
+  row metric's worse direction.
+* **rows** (:func:`_rows`): every row the baseline records must be in the
+  fresh profile.
+* **probes** (:func:`_probes`): the bit-for-bit equivalence booleans hold.
+* **floors and ceilings** (:func:`_floor`, :func:`_ceiling`): hard bounds
+  from the measured claims, independent of the baseline.
+* **bill** (:func:`_bill`): a same-run §II-B comparison; the faster
+  configuration bills no more than (fleet: exactly) its reference.
+
+The hard bounds and bills, per profile:
+
+* ``walk_engine``: parallel prefetch-on bills no more than prefetch-off;
+  MTO prefetch-on keeps 0.7x of the same run's prefetch-off throughput.
+* ``scheduler``: heavy-tailed event-driven speedup of at least 2x.
+* ``fleet``: coalescing bills exactly the uncoalesced cost, at a speedup
+  of at least 1.5x.
+* ``planning``: prefetch bills no more than plain dispatch, its ledger
+  balances, and the speedup is at least 1.5x.
+* ``history``: every engine keeps §II-B cost parity, MHRW and NBRW
+  predict for at least 1.5x, and a warm start saves queries.
+* ``service``: deficit round robin bills no more than FCFS and keeps the
+  worst tenant's p95 pace within 3x of fair share.
+* ``obs``: the trace recorder costs at most 1.10x.
+* ``obs_causality``: the SLO watcher costs at most 1.10x, and planner
+  prefetch is the planner-on/off diff's dominant driver.
+
+When a planning/service/obs check fails with both causality traces on
+disk, the gate appends a one-paragraph critical-path diff explaining
+which category moved.
 
 Usage::
 
@@ -52,7 +56,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List
+from typing import Dict, Iterator, List, Tuple
 
 #: Hard floor on the heavy-tailed scheduler speedup (ISSUE 3 acceptance).
 MIN_SCHEDULER_SPEEDUP = 2.0
@@ -110,9 +114,91 @@ MIN_PREFETCH_THROUGHPUT_PARITY = 0.7
 PREFETCH_PARITY_ENGINES = ("mto",)
 
 
+#: Which way a seeded metric may not move: cost and wall-clock may not
+#: rise, speedups and savings may not fall, coverage counts may not move.
+RISE, FALL, EITHER = 1, -1, 0
+
+_ZERO_LATENCY_BROKEN = "zero-latency bit-for-bit equivalence no longer holds"
+
+_SCHEDULER_DRIFT = {"event_wall_per_sample": RISE, "speedup": FALL, "query_cost": RISE}
+_FLEET_DRIFT = {"wall_per_sample": RISE, "speedup_vs_uncoalesced": FALL, "query_cost": RISE}
+_PLANNING_DRIFT = {"wall_per_sample": RISE, "speedup_vs_plain": FALL, "query_cost": RISE}
+_ENGINE_DRIFT = {"query_cost": RISE, "speedup": FALL}
+_SERVICE_DRIFT = {"total_query_cost": RISE, "clock": RISE}
+
+
 def _load(path: Path) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def _drift(
+    label: str, fresh: float, base: float, tolerance: float, worse: int = EITHER, kind: str = "simulated"
+) -> List[str]:
+    """``label`` fails when ``fresh`` moves the ``worse`` way past ``tolerance * |base|``."""
+    moved = abs(fresh - base) if worse == EITHER else worse * (fresh - base)
+    if moved <= tolerance * abs(base):
+        return []
+    verb = "drifted" if worse == EITHER else "regressed"
+    return [f"{label} {verb}: {fresh} vs baseline {base} ({kind} metric, tolerance {tolerance:.0%})"]
+
+
+def _drifts(label: str, row: dict, base: dict, table: Dict[str, int], tolerance: float) -> List[str]:
+    """:func:`_drift` for every ``{metric: worse}`` entry of a drift table."""
+    failures: List[str] = []
+    for metric, worse in table.items():
+        failures += _drift(f"{label} {metric}", row[metric], base[metric], tolerance, worse)
+    return failures
+
+
+def _rows(failures: List[str], name: str, fresh: dict, baseline: dict) -> Iterator[Tuple[str, dict, dict]]:
+    """``(key, fresh_row, base_row)`` per baseline row, in baseline order.
+
+    A row the fresh profile lacks is appended to ``failures`` as
+    ``name.format(key)`` missing from the fresh profile.
+    """
+    for key, base_row in baseline.items():
+        fresh_row = fresh.get(key)
+        if fresh_row is None:
+            failures.append(f"{name.format(key)} missing from fresh profile")
+        else:
+            yield key, fresh_row, base_row
+
+
+def _scalars(
+    profile: str, fresh: dict, baseline: dict, metrics: Tuple[str, ...], tolerance: float
+) -> List[str]:
+    """Two-sided drift of the seeded top-level ``metrics`` the baseline records."""
+    failures: List[str] = []
+    recorded = {metric: baseline[metric] for metric in metrics if baseline.get(metric) is not None}
+    for metric, value, base in _rows(failures, profile + ": {}", fresh, recorded):
+        failures += _drift(f"{profile}: {metric}", value, base, tolerance)
+    return failures
+
+
+def _probes(profile: str, fresh: dict, probes: Dict[str, str]) -> List[str]:
+    """One failure per ``{key: what broke}`` probe that is not true in ``fresh``."""
+    return [f"{profile}: {broke}" for key, broke in probes.items() if not fresh.get(key, False)]
+
+
+def _floor(profile: str, what: str, value: float, floor: float) -> List[str]:
+    """A hard floor on ``value``, independent of the baseline."""
+    return [f"{profile}: {what} {value:.2f}x below the {floor:.1f}x floor"] if value < floor else []
+
+
+def _ceiling(profile: str, what: str, row: dict, key: str, ceiling: float) -> List[str]:
+    """A hard ceiling on ``row[key]``, independent of the baseline; a missing key fails."""
+    value = row.get(key)
+    if value is None:
+        return [f"{profile}: {key} missing from fresh profile"]
+    return [f"{profile}: {what} {value:.2f}x, above the {ceiling:.2f}x ceiling"] if value > ceiling else []
+
+
+def _bill(who: str, cost: int, reference: int, than: str, exact: bool = False) -> List[str]:
+    """``who`` may bill no more §II-B queries than (``exact``: exactly) ``reference``."""
+    if cost > reference or (exact and cost != reference):
+        return [f"{who} {'changed' if exact else 'raised'} the §II-B bill: {cost} vs {reference} {than}"]
+    return []
 
 
 def check_walk_engine(
@@ -122,86 +208,45 @@ def check_walk_engine(
     simulated_tolerance: float = 0.02,
 ) -> List[str]:
     """Failures for the walk-engine profile (empty list = gate passes)."""
-    failures = []
-    for name, base_engine in baseline.get("engines", {}).items():
-        fresh_engine = fresh.get("engines", {}).get(name)
-        if fresh_engine is None:
-            failures.append(f"walk_engine: engine {name!r} missing from fresh profile")
-            continue
-        floor = base_engine["steps_per_second"] * (1.0 - throughput_tolerance)
-        if fresh_engine["steps_per_second"] < floor:
-            failures.append(
-                "walk_engine: {} throughput regressed: {} steps/s < {:.0f} "
-                "({}% band around baseline {})".format(
-                    name,
-                    fresh_engine["steps_per_second"],
-                    floor,
-                    int(throughput_tolerance * 100),
-                    base_engine["steps_per_second"],
-                )
-            )
-        base_qps = base_engine["queries_per_sample"]
-        drift = abs(fresh_engine["queries_per_sample"] - base_qps)
-        if drift > simulated_tolerance * base_qps:
-            failures.append(
-                "walk_engine: {} queries/sample drifted: {} vs baseline {} "
-                "(simulated metric, tolerance {:.0%})".format(
-                    name,
-                    fresh_engine["queries_per_sample"],
-                    base_qps,
-                    simulated_tolerance,
-                )
-            )
+    failures: List[str] = []
+    engines = _rows(
+        failures, "walk_engine: engine {!r}", fresh.get("engines", {}), baseline.get("engines", {})
+    )
+    wall_time = {"tolerance": throughput_tolerance, "worse": FALL, "kind": "wall-time"}
+    for name, row, base in engines:
+        failures += _drift(
+            f"walk_engine: {name} throughput", row["steps_per_second"], base["steps_per_second"], **wall_time
+        )
+        failures += _drift(
+            f"walk_engine: {name} queries/sample",
+            row["queries_per_sample"],
+            base["queries_per_sample"],
+            simulated_tolerance,
+        )
     # Per-engine parallel rows: prefetch-on must be equal-or-faster at
-    # equal-or-lower §II-B cost (ISSUE 7), and each engine's prefetch-off
-    # throughput must hold its hardware-banded floor vs baseline.
-    fresh_parallel = fresh.get("parallel", {}).get("engines", {})
-    for name, base_rows in baseline.get("parallel", {}).get("engines", {}).items():
-        fresh_rows = fresh_parallel.get(name)
-        if fresh_rows is None:
-            failures.append(f"walk_engine: parallel engine {name!r} missing from fresh profile")
-            continue
-        off, on = fresh_rows["prefetch_off"], fresh_rows["prefetch_on"]
-        if on["query_cost"] > off["query_cost"]:
-            failures.append(
-                "walk_engine: parallel {} prefetch raised the §II-B bill: "
-                "{} vs {} with prefetch off".format(
-                    name, on["query_cost"], off["query_cost"]
-                )
-            )
+    # equal-or-lower §II-B cost, and each engine's prefetch-off row must
+    # hold its baseline.
+    parallel = _rows(
+        failures,
+        "walk_engine: parallel engine {!r}",
+        fresh.get("parallel", {}).get("engines", {}),
+        baseline.get("parallel", {}).get("engines", {}),
+    )
+    for name, rows, base_rows in parallel:
+        off, on, base = rows["prefetch_off"], rows["prefetch_on"], base_rows["prefetch_off"]
+        label = f"walk_engine: parallel {name}"
+        failures += _bill(f"{label} prefetch", on["query_cost"], off["query_cost"], "with prefetch off")
         parity_floor = MIN_PREFETCH_THROUGHPUT_PARITY * off["chain_steps_per_second"]
         if name in PREFETCH_PARITY_ENGINES and on["chain_steps_per_second"] < parity_floor:
             failures.append(
-                "walk_engine: parallel {} prefetch-on throughput {} chain-steps/s "
-                "below {:.0f} ({:.0%} of same-run prefetch-off {})".format(
-                    name,
-                    on["chain_steps_per_second"],
-                    parity_floor,
-                    MIN_PREFETCH_THROUGHPUT_PARITY,
-                    off["chain_steps_per_second"],
-                )
+                f"{label} prefetch-on throughput {on['chain_steps_per_second']} chain-steps/s below "
+                f"{parity_floor:.0f} ({MIN_PREFETCH_THROUGHPUT_PARITY:.0%} of same-run prefetch-off "
+                f"{off['chain_steps_per_second']})"
             )
-        base_off = base_rows["prefetch_off"]
-        floor = base_off["chain_steps_per_second"] * (1.0 - throughput_tolerance)
-        if off["chain_steps_per_second"] < floor:
-            failures.append(
-                "walk_engine: parallel {} throughput regressed: {} chain-steps/s "
-                "< {:.0f} ({}% band around baseline {})".format(
-                    name,
-                    off["chain_steps_per_second"],
-                    floor,
-                    int(throughput_tolerance * 100),
-                    base_off["chain_steps_per_second"],
-                )
-            )
-        drift = abs(off["query_cost"] - base_off["query_cost"])
-        if drift > simulated_tolerance * base_off["query_cost"]:
-            failures.append(
-                "walk_engine: parallel {} query cost drifted: {} vs baseline {} "
-                "(simulated metric, tolerance {:.0%})".format(
-                    name, off["query_cost"], base_off["query_cost"], simulated_tolerance
-                )
-            )
+        failures += _drift(
+            f"{label} throughput", off["chain_steps_per_second"], base["chain_steps_per_second"], **wall_time
+        )
+        failures += _drift(f"{label} query cost", off["query_cost"], base["query_cost"], simulated_tolerance)
     return failures
 
 
@@ -212,38 +257,16 @@ def check_scheduler(
     min_speedup: float = MIN_SCHEDULER_SPEEDUP,
 ) -> List[str]:
     """Failures for the scheduler profile (empty list = gate passes)."""
-    failures = []
-    if not fresh.get("zero_latency_bit_for_bit", False):
-        failures.append("scheduler: zero-latency bit-for-bit equivalence no longer holds")
+    failures = _probes("scheduler", fresh, {"zero_latency_bit_for_bit": _ZERO_LATENCY_BROKEN})
     heavy = fresh.get("distributions", {}).get("heavy_tailed")
     if heavy is None:
         return failures + ["scheduler: heavy_tailed distribution missing from fresh profile"]
-    if heavy["speedup"] < min_speedup:
-        failures.append(
-            f"scheduler: heavy-tailed speedup {heavy['speedup']:.2f}x "
-            f"below the {min_speedup:.1f}x floor"
-        )
-    for name, base_row in baseline.get("distributions", {}).items():
-        fresh_row = fresh.get("distributions", {}).get(name)
-        if fresh_row is None:
-            failures.append(f"scheduler: distribution {name!r} missing from fresh profile")
-            continue
-        for metric in ("event_wall_per_sample", "speedup", "query_cost"):
-            base_value = base_row[metric]
-            allowed = simulated_tolerance * abs(base_value)
-            # wall-clock and cost regress upward; speedup regresses downward
-            worse = (
-                base_value - fresh_row[metric]
-                if metric == "speedup"
-                else fresh_row[metric] - base_value
-            )
-            if worse > allowed:
-                failures.append(
-                    "scheduler: {} {} regressed: {} vs baseline {} "
-                    "(simulated metric, tolerance {:.0%})".format(
-                        name, metric, fresh_row[metric], base_value, simulated_tolerance
-                    )
-                )
+    failures += _floor("scheduler", "heavy-tailed speedup", heavy["speedup"], min_speedup)
+    rows = _rows(
+        failures, "scheduler: distribution {!r}", fresh["distributions"], baseline.get("distributions", {})
+    )
+    for name, row, base in rows:
+        failures += _drifts(f"scheduler: {name}", row, base, _SCHEDULER_DRIFT, simulated_tolerance)
     return failures
 
 
@@ -254,45 +277,17 @@ def check_fleet(
     min_speedup: float = MIN_FLEET_BATCH_SPEEDUP,
 ) -> List[str]:
     """Failures for the fleet profile (empty list = gate passes)."""
-    failures = []
-    if not fresh.get("zero_latency_bit_for_bit", False):
-        failures.append("fleet: zero-latency bit-for-bit equivalence no longer holds")
+    failures = _probes("fleet", fresh, {"zero_latency_bit_for_bit": _ZERO_LATENCY_BROKEN})
     coalesced = fresh.get("caps", {}).get("8")
     uncoalesced = fresh.get("caps", {}).get("1")
     if coalesced is None or uncoalesced is None:
         return failures + ["fleet: cap rows missing from fresh profile"]
-    if coalesced["query_cost"] != uncoalesced["query_cost"]:
-        failures.append(
-            "fleet: coalescing changed the §II-B bill: {} vs {}".format(
-                coalesced["query_cost"], uncoalesced["query_cost"]
-            )
-        )
-    if coalesced["speedup_vs_uncoalesced"] < min_speedup:
-        failures.append(
-            f"fleet: batch-coalescing speedup {coalesced['speedup_vs_uncoalesced']:.2f}x "
-            f"below the {min_speedup:.1f}x floor"
-        )
-    for cap, base_row in baseline.get("caps", {}).items():
-        fresh_row = fresh.get("caps", {}).get(cap)
-        if fresh_row is None:
-            failures.append(f"fleet: cap {cap!r} missing from fresh profile")
-            continue
-        for metric in ("wall_per_sample", "speedup_vs_uncoalesced", "query_cost"):
-            base_value = base_row[metric]
-            allowed = simulated_tolerance * abs(base_value)
-            # wall-clock and cost regress upward; speedup regresses downward
-            worse = (
-                base_value - fresh_row[metric]
-                if metric == "speedup_vs_uncoalesced"
-                else fresh_row[metric] - base_value
-            )
-            if worse > allowed:
-                failures.append(
-                    "fleet: cap {} {} regressed: {} vs baseline {} "
-                    "(simulated metric, tolerance {:.0%})".format(
-                        cap, metric, fresh_row[metric], base_value, simulated_tolerance
-                    )
-                )
+    failures += _bill(
+        "fleet: coalescing", coalesced["query_cost"], uncoalesced["query_cost"], "uncoalesced", exact=True
+    )
+    failures += _floor("fleet", "batch-coalescing speedup", coalesced["speedup_vs_uncoalesced"], min_speedup)
+    for cap, row, base in _rows(failures, "fleet: cap {!r}", fresh["caps"], baseline.get("caps", {})):
+        failures += _drifts(f"fleet: cap {cap}", row, base, _FLEET_DRIFT, simulated_tolerance)
     return failures
 
 
@@ -303,83 +298,23 @@ def check_planning(
     min_speedup: float = MIN_PLANNING_SPEEDUP,
 ) -> List[str]:
     """Failures for the planning profile (empty list = gate passes)."""
-    failures = []
-    if not fresh.get("zero_knob_bit_for_bit", False):
-        failures.append("planning: zero-knob bit-for-bit equivalence no longer holds")
+    failures = _probes(
+        "planning", fresh, {"zero_knob_bit_for_bit": "zero-knob bit-for-bit equivalence no longer holds"}
+    )
     plain = fresh.get("cells", {}).get("lookahead_0_off")
-    lookahead = fresh.get("lookahead")
-    planned = fresh.get("cells", {}).get(f"lookahead_{lookahead}_off")
+    planned = fresh.get("cells", {}).get(f"lookahead_{fresh.get('lookahead')}_off")
     if plain is None or planned is None:
         return failures + ["planning: baseline/planned cells missing from fresh profile"]
-    if planned["query_cost"] > plain["query_cost"]:
-        failures.append(
-            "planning: prefetch raised the §II-B bill: {} vs {}".format(
-                planned["query_cost"], plain["query_cost"]
-            )
-        )
-    if planned["prefetch_issued"] != (
-        planned["prefetch_used"] + planned["prefetch_wasted"]
-    ):
+    failures += _bill("planning: prefetch", planned["query_cost"], plain["query_cost"], "without prefetch")
+    if planned["prefetch_issued"] != planned["prefetch_used"] + planned["prefetch_wasted"]:
         failures.append(
             "planning: prefetch ledger does not balance: {} issued vs {} used + {} wasted".format(
-                planned["prefetch_issued"],
-                planned["prefetch_used"],
-                planned["prefetch_wasted"],
+                planned["prefetch_issued"], planned["prefetch_used"], planned["prefetch_wasted"]
             )
         )
-    if planned["speedup_vs_plain"] < min_speedup:
-        failures.append(
-            f"planning: speedup {planned['speedup_vs_plain']:.2f}x "
-            f"below the {min_speedup:.1f}x floor"
-        )
-    # Per-engine prediction rows (ISSUE 8): cost-neutral planning must
-    # hold §II-B cost parity for every engine, and neither the cost nor
-    # the prediction speedup may drift past the simulated band.
-    for name, base_cell in baseline.get("engines", {}).items():
-        fresh_cell = fresh.get("engines", {}).get(name)
-        if fresh_cell is None:
-            failures.append(f"planning: engine {name!r} missing from fresh profile")
-            continue
-        if not fresh_cell.get("cost_parity", False):
-            failures.append(
-                f"planning: engine {name} lost §II-B cost parity under planning"
-            )
-        for metric, regresses_up in (("query_cost", True), ("speedup", False)):
-            base_value = base_cell[metric]
-            allowed = simulated_tolerance * abs(base_value)
-            worse = (
-                fresh_cell[metric] - base_value
-                if regresses_up
-                else base_value - fresh_cell[metric]
-            )
-            if worse > allowed:
-                failures.append(
-                    "planning: engine {} {} regressed: {} vs baseline {} "
-                    "(simulated metric, tolerance {:.0%})".format(
-                        name, metric, fresh_cell[metric], base_value, simulated_tolerance
-                    )
-                )
-    for cell, base_row in baseline.get("cells", {}).items():
-        fresh_row = fresh.get("cells", {}).get(cell)
-        if fresh_row is None:
-            failures.append(f"planning: cell {cell!r} missing from fresh profile")
-            continue
-        for metric in ("wall_per_sample", "speedup_vs_plain", "query_cost"):
-            base_value = base_row[metric]
-            allowed = simulated_tolerance * abs(base_value)
-            # wall-clock and cost regress upward; speedup regresses downward
-            worse = (
-                base_value - fresh_row[metric]
-                if metric == "speedup_vs_plain"
-                else fresh_row[metric] - base_value
-            )
-            if worse > allowed:
-                failures.append(
-                    "planning: cell {} {} regressed: {} vs baseline {} "
-                    "(simulated metric, tolerance {:.0%})".format(
-                        cell, metric, fresh_row[metric], base_value, simulated_tolerance
-                    )
-                )
+    failures += _floor("planning", "speedup", planned["speedup_vs_plain"], min_speedup)
+    for cell, row, base in _rows(failures, "planning: cell {!r}", fresh["cells"], baseline.get("cells", {})):
+        failures += _drifts(f"planning: cell {cell}", row, base, _PLANNING_DRIFT, simulated_tolerance)
     return failures
 
 
@@ -390,55 +325,29 @@ def check_history(
     min_engine_speedup: float = MIN_HISTORY_ENGINE_SPEEDUP,
 ) -> List[str]:
     """Failures for the warm-history profile (empty list = gate passes)."""
-    failures = []
     zero_knob = fresh.get("zero_knob_bit_for_bit", {})
-    for name, held in sorted(zero_knob.items()):
-        if not held:
-            failures.append(
-                f"history: {name} zero-knob bit-for-bit equivalence no longer holds"
-            )
-    for name, base_cell in baseline.get("engines", {}).items():
-        fresh_cell = fresh.get("engines", {}).get(name)
-        if fresh_cell is None:
-            failures.append(f"history: engine {name!r} missing from fresh profile")
-            continue
-        if not fresh_cell.get("cost_parity", False):
-            failures.append(
-                f"history: engine {name} lost §II-B cost parity under planning"
-            )
+    failures = _probes(
+        "history",
+        zero_knob,
+        {name: f"{name} zero-knob bit-for-bit equivalence no longer holds" for name in sorted(zero_knob)},
+    )
+    # Per-engine prediction rows: cost-neutral planning must hold §II-B
+    # cost parity for every engine.
+    engines = _rows(failures, "history: engine {!r}", fresh.get("engines", {}), baseline.get("engines", {}))
+    for name, cell, base in engines:
+        parity = {"cost_parity": f"engine {name} lost §II-B cost parity under planning"}
+        failures += _probes("history", cell, parity)
         if zero_knob and name not in zero_knob:
             failures.append(f"history: engine {name} has no zero-knob probe result")
-        if (
-            name in HISTORY_SPEEDUP_ENGINES
-            and fresh_cell["speedup"] < min_engine_speedup
-        ):
-            failures.append(
-                "history: {} prediction speedup {:.2f}x below the {:.1f}x floor".format(
-                    name, fresh_cell["speedup"], min_engine_speedup
-                )
-            )
-        for metric, regresses_up in (("query_cost", True), ("speedup", False)):
-            base_value = base_cell[metric]
-            allowed = simulated_tolerance * abs(base_value)
-            worse = (
-                fresh_cell[metric] - base_value
-                if regresses_up
-                else base_value - fresh_cell[metric]
-            )
-            if worse > allowed:
-                failures.append(
-                    "history: engine {} {} regressed: {} vs baseline {} "
-                    "(simulated metric, tolerance {:.0%})".format(
-                        name, metric, fresh_cell[metric], base_value, simulated_tolerance
-                    )
-                )
+        if name in HISTORY_SPEEDUP_ENGINES:
+            failures += _floor("history", f"{name} prediction speedup", cell["speedup"], min_engine_speedup)
+        failures += _drifts(f"history: engine {name}", cell, base, _ENGINE_DRIFT, simulated_tolerance)
     warm = fresh.get("warm_start")
     if warm is None:
         return failures + ["history: warm_start section missing from fresh profile"]
-    if not warm.get("bit_for_bit", False):
-        failures.append(
-            "history: warm-started run diverged from cold (per-chain bit-for-bit)"
-        )
+    failures += _probes(
+        "history", warm, {"bit_for_bit": "warm-started run diverged from cold (per-chain bit-for-bit)"}
+    )
     if warm.get("warm_cost", 0) >= warm.get("cold_cost", 0):
         failures.append(
             "history: warm start saved nothing: {} warm vs {} cold §II-B queries".format(
@@ -447,15 +356,13 @@ def check_history(
         )
     base_warm = baseline.get("warm_start", {})
     if base_warm:
-        base_savings = base_warm.get("savings", 0)
-        allowed = simulated_tolerance * abs(base_savings)
-        if base_savings - warm.get("savings", 0) > allowed:
-            failures.append(
-                "history: warm-start savings regressed: {} vs baseline {} "
-                "(simulated metric, tolerance {:.0%})".format(
-                    warm.get("savings"), base_savings, simulated_tolerance
-                )
-            )
+        failures += _drift(
+            "history: warm-start savings",
+            warm.get("savings", 0),
+            base_warm.get("savings", 0),
+            simulated_tolerance,
+            FALL,
+        )
     return failures
 
 
@@ -466,48 +373,28 @@ def check_service(
     max_fair_ratio: float = MAX_SERVICE_FAIR_RATIO,
 ) -> List[str]:
     """Failures for the multi-tenant service profile (empty list = pass)."""
-    failures = []
-    for probe in ("single_tenant_bit_for_bit", "hibernate_resume_bit_for_bit"):
-        if not fresh.get(probe, False):
-            failures.append(
-                f"service: {probe.replace('_', ' ')} equivalence no longer holds"
-            )
+    failures = _probes(
+        "service",
+        fresh,
+        {
+            "single_tenant_bit_for_bit": "single-tenant bit-for-bit equivalence no longer holds",
+            "hibernate_resume_bit_for_bit": "hibernate/resume bit-for-bit equivalence no longer holds",
+        },
+    )
     fair = fresh.get("modes", {}).get("drr")
     fcfs = fresh.get("modes", {}).get("fcfs")
     if fair is None or fcfs is None:
         return failures + ["service: drr/fcfs mode rows missing from fresh profile"]
-    if fair["max_ratio"] > max_fair_ratio:
-        failures.append(
-            f"service: fair admission leaves the worst tenant at "
-            f"{fair['max_ratio']:.2f}x fair share, above the "
-            f"{max_fair_ratio:.1f}x ceiling"
-        )
-    if fair["total_query_cost"] > fcfs["total_query_cost"]:
-        failures.append(
-            "service: fair admission raised the §II-B bill: {} vs {} under FCFS".format(
-                fair["total_query_cost"], fcfs["total_query_cost"]
-            )
-        )
-    for mode, base_row in baseline.get("modes", {}).items():
-        fresh_row = fresh.get("modes", {}).get(mode)
-        if fresh_row is None:
-            failures.append(f"service: mode {mode!r} missing from fresh profile")
-            continue
-        metrics = ("total_query_cost", "clock")
-        if mode == "drr":
-            # the FCFS ratio is the (deliberately bad) contrast point, not
-            # a gated quantity — only the fair row's ratio may not creep up
-            metrics += ("max_ratio",)
-        for metric in metrics:
-            base_value = base_row[metric]
-            allowed = simulated_tolerance * abs(base_value)
-            if fresh_row[metric] - base_value > allowed:
-                failures.append(
-                    "service: {} {} regressed: {} vs baseline {} "
-                    "(simulated metric, tolerance {:.0%})".format(
-                        mode, metric, fresh_row[metric], base_value, simulated_tolerance
-                    )
-                )
+    worst = "fair admission leaves the worst tenant's p95 pace over fair share at"
+    failures += _ceiling("service", worst, fair, "max_ratio", max_fair_ratio)
+    failures += _bill(
+        "service: fair admission", fair["total_query_cost"], fcfs["total_query_cost"], "under FCFS"
+    )
+    for mode, row, base in _rows(failures, "service: mode {!r}", fresh["modes"], baseline.get("modes", {})):
+        # The FCFS ratio is the (deliberately bad) contrast point, not a
+        # gated quantity: only the fair row's ratio may not creep up.
+        table = dict(_SERVICE_DRIFT, max_ratio=RISE) if mode == "drr" else _SERVICE_DRIFT
+        failures += _drifts(f"service: {mode}", row, base, table, simulated_tolerance)
     return failures
 
 
@@ -518,44 +405,21 @@ def check_obs(
     max_overhead: float = MAX_OBS_OVERHEAD_RATIO,
 ) -> List[str]:
     """Failures for the observability profile (empty list = gate passes)."""
-    failures = []
-    if not fresh.get("recorder_on_bit_for_bit", False):
-        failures.append(
-            "obs: attaching a recorder changed the seeded fleet run "
-            "(recorder-on bit-for-bit equivalence no longer holds)"
-        )
-    if not fresh.get("reconciled", False):
-        failures.append(
-            "obs: trace replay no longer reproduces the §II-B bill "
-            "and per-shard books exactly"
-        )
-    overhead = fresh.get("overhead_ratio")
-    if overhead is None:
-        failures.append("obs: overhead_ratio missing from fresh profile")
-    elif overhead > max_overhead:
-        failures.append(
-            f"obs: recorder-on serial throughput costs {overhead:.2f}x "
-            f"recorder-off, above the {max_overhead:.2f}x ceiling"
-        )
-    # Event count and §II-B cost of the traced reference run are seeded
-    # simulated metrics: drift means the instrumentation coverage (or the
-    # run itself) changed.
-    for metric in ("trace_events", "query_cost"):
-        base_value = baseline.get(metric)
-        fresh_value = fresh.get(metric)
-        if base_value is None:
-            continue
-        if fresh_value is None:
-            failures.append(f"obs: {metric} missing from fresh profile")
-            continue
-        if abs(fresh_value - base_value) > simulated_tolerance * abs(base_value):
-            failures.append(
-                "obs: {} drifted: {} vs baseline {} "
-                "(simulated metric, tolerance {:.0%})".format(
-                    metric, fresh_value, base_value, simulated_tolerance
-                )
-            )
-    return failures
+    failures = _probes(
+        "obs",
+        fresh,
+        {
+            "recorder_on_bit_for_bit": "attaching a recorder changed the seeded fleet run "
+            "(recorder-on bit-for-bit equivalence no longer holds)",
+            "reconciled": "trace replay no longer reproduces the §II-B bill and per-shard books exactly",
+        },
+    )
+    failures += _ceiling(
+        "obs", "recorder-on / recorder-off serial SRW time", fresh, "overhead_ratio", max_overhead
+    )
+    # Event count and §II-B cost of the traced reference run are seeded:
+    # drift means the instrumentation coverage (or the run itself) changed.
+    return failures + _scalars("obs", fresh, baseline, ("trace_events", "query_cost"), simulated_tolerance)
 
 
 def check_obs_causality(
@@ -565,49 +429,29 @@ def check_obs_causality(
     max_overhead: float = MAX_WATCHER_OVERHEAD_RATIO,
 ) -> List[str]:
     """Failures for the causal-profiler profile (empty list = pass)."""
-    failures = []
-    if not fresh.get("attribution_reconciles", False):
-        failures.append(
-            "obs_causality: critical-path attribution no longer tiles the "
-            "simulated wall-clock bit-for-bit against the telemetry books"
-        )
-    if not fresh.get("watcher_bit_for_bit", False):
-        failures.append(
-            "obs_causality: attaching an SLO watcher changed the seeded run "
-            "(watcher bit-for-bit equivalence no longer holds)"
-        )
-    overhead = fresh.get("watcher_overhead_ratio")
-    if overhead is None:
-        failures.append("obs_causality: watcher_overhead_ratio missing from fresh profile")
-    elif overhead > max_overhead:
-        failures.append(
-            f"obs_causality: watcher-on run costs {overhead:.2f}x watcher-off, "
-            f"above the {max_overhead:.2f}x ceiling"
-        )
+    failures = _probes(
+        "obs_causality",
+        fresh,
+        {
+            "attribution_reconciles": "critical-path attribution no longer tiles the "
+            "simulated wall-clock bit-for-bit against the telemetry books",
+            "watcher_bit_for_bit": "attaching an SLO watcher changed the seeded run "
+            "(watcher bit-for-bit equivalence no longer holds)",
+        },
+    )
+    failures += _ceiling(
+        "obs_causality", "watcher-on / watcher-off run time", fresh, "watcher_overhead_ratio", max_overhead
+    )
     driver = fresh.get("dominant_driver")
     if driver != EXPECTED_DIFF_DRIVER:
         failures.append(
-            f"obs_causality: planner-on/off diff blamed {driver!r}, "
-            f"expected {EXPECTED_DIFF_DRIVER!r}"
+            f"obs_causality: planner-on/off diff blamed {driver!r}, expected {EXPECTED_DIFF_DRIVER!r}"
         )
     # The profiled run is seeded: its wall-clock and critical-path shape
-    # are simulated metrics — drift means the causal account changed.
-    for metric in ("wall_clock", "path_segments"):
-        base_value = baseline.get(metric)
-        fresh_value = fresh.get(metric)
-        if base_value is None:
-            continue
-        if fresh_value is None:
-            failures.append(f"obs_causality: {metric} missing from fresh profile")
-            continue
-        if abs(fresh_value - base_value) > simulated_tolerance * abs(base_value):
-            failures.append(
-                "obs_causality: {} drifted: {} vs baseline {} "
-                "(simulated metric, tolerance {:.0%})".format(
-                    metric, fresh_value, base_value, simulated_tolerance
-                )
-            )
-    return failures
+    # are simulated metrics; drift means the causal account changed.
+    return failures + _scalars(
+        "obs_causality", fresh, baseline, ("wall_clock", "path_segments"), simulated_tolerance
+    )
 
 
 #: Gate sections whose failures are worth a causal second opinion.

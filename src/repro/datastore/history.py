@@ -98,6 +98,17 @@ def _cached_neighborhoods(cache) -> Dict[Node, dict]:
     return neighborhoods
 
 
+def _sections(neighborhoods, index, billed, private, metadata, **accounting) -> Dict[str, dict]:
+    """The three artifact sections; ``accounting`` extends the meta section."""
+    meta = dict(metadata or {})
+    meta.update(version=HISTORY_VERSION, users=len(neighborhoods), **accounting)
+    return {
+        SECTION_META: meta,
+        SECTION_NEIGHBORHOODS: neighborhoods,
+        SECTION_STATS: {"index": index, "billed": billed, "private": private},
+    }
+
+
 def capture_history(
     api,
     planner=None,
@@ -113,25 +124,19 @@ def capture_history(
             history-index statistics ride along as the warm prior.
         metadata: Extra JSON-safe entries merged into the meta section.
     """
-    neighborhoods = _cached_neighborhoods(api.cache)
-    private = frozenset(user for user in api.log.queried_users() if api.is_known_private(user))
+    billed = api.log.queried_users()
     stats: dict = {}
     if planner is not None and getattr(planner, "bound", False):
         stats = planner.history.state_dict()
-    meta = dict(metadata or {})
-    meta.update(
-        {
-            "version": HISTORY_VERSION,
-            "users": len(neighborhoods),
-            "query_cost": api.query_cost,
-            "total_queries": api.total_queries,
-        }
+    return _sections(
+        _cached_neighborhoods(api.cache),
+        stats,
+        billed,
+        frozenset(user for user in billed if api.is_known_private(user)),
+        metadata,
+        query_cost=api.query_cost,
+        total_queries=api.total_queries,
     )
-    return {
-        SECTION_META: meta,
-        SECTION_NEIGHBORHOODS: neighborhoods,
-        SECTION_STATS: {"index": stats, "billed": api.log.queried_users(), "private": private},
-    }
 
 
 class HistoryStore:
@@ -179,17 +184,9 @@ class HistoryStore:
         with optional refusal and planning-statistics payloads.
         """
         neighborhoods = _cached_neighborhoods(cache)
-        meta = dict(metadata or {})
-        meta.update({"version": HISTORY_VERSION, "users": len(neighborhoods)})
-        sections = {
-            SECTION_META: meta,
-            SECTION_NEIGHBORHOODS: neighborhoods,
-            SECTION_STATS: {
-                "index": dict(stats or {}),
-                "billed": frozenset(neighborhoods),
-                "private": frozenset(private),
-            },
-        }
+        sections = _sections(
+            neighborhoods, dict(stats or {}), frozenset(neighborhoods), frozenset(private), metadata
+        )
         self._backend.write(sections)
         return sections
 

@@ -19,12 +19,9 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Sequence
 
+from repro.compose import FleetSpec, ProviderSpec, StackConfig, WalkSpec, build_stack
 from repro.datasets.standins import SocialNetwork
 from repro.errors import ExperimentError
-from repro.compose import FleetSpec, ProviderSpec, build_fleet
-from repro.interface.api import RestrictedSocialAPI
-from repro.walks.scheduler import EventDrivenWalkers
-from repro.walks.srw import SimpleRandomWalk
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,36 +153,26 @@ def run_fleet_sweep(
     # The cap-1 run anchors every cell's speedup, so it must run first
     # regardless of where (or whether) the caller listed it.
     caps = [1] + [c for c in dict.fromkeys(batch_caps) if c != 1]
+    walk = WalkSpec(
+        engine="srw", chains=chains, seed=seed, starts=tuple(network.seed_node(i) for i in range(chains))
+    )
 
     def run_cell(num_shards: int, skew: float, cap: int):
         weights = None
         if num_shards > 1 and skew != 1.0:
-            weights = [skew] + [1.0] * (num_shards - 1)
-        fleet = build_fleet(
-            FleetSpec(
-                num_shards=num_shards,
-                seed=seed * 7 + 3,
-                weights=weights,
-                provider=ProviderSpec(
-                    latency_distribution="heavy_tailed",
-                    latency_scale=latency_scale,
-                ),
-                shard_latency_spread=1.0,
-                admission_interval=admission_interval,
-                batch_cap=cap,
-                latency_quantum=latency_quantum,
-            ),
-            network.graph,
-            profiles=network.profiles,
+            weights = (skew,) + (1.0,) * (num_shards - 1)
+        fleet = FleetSpec(
+            num_shards=num_shards,
+            seed=seed * 7 + 3,
+            weights=weights,
+            provider=ProviderSpec(latency_distribution="heavy_tailed", latency_scale=latency_scale),
+            shard_latency_spread=1.0,
+            admission_interval=admission_interval,
+            batch_cap=cap,
+            latency_quantum=latency_quantum,
         )
-        api = RestrictedSocialAPI(fleet)
-        walkers = [
-            SimpleRandomWalk(api, start=network.seed_node(i), seed=seed * 100_003 + i)
-            for i in range(chains)
-        ]
-        return EventDrivenWalkers(walkers).run(
-            num_samples=num_samples, thinning=thinning
-        )
+        stack = build_stack(StackConfig(fleet=fleet, walk=walk), network)
+        return stack.run(num_samples=num_samples, thinning=thinning)
 
     rows: List[FleetSweepRow] = []
     for num_shards in shard_counts:

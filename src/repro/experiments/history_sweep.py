@@ -22,13 +22,9 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence
 
+from repro.compose import FleetSpec, PlannerSpec, PolicySpec, ProviderSpec, StackConfig, WalkSpec, build_stack
 from repro.datasets.standins import SocialNetwork
 from repro.errors import ExperimentError
-from repro.compose import FleetSpec, ProviderSpec, build_fleet
-from repro.interface.api import RestrictedSocialAPI
-from repro.planning import AdaptiveChainPolicy, DispatchPlanner
-from repro.walks.scheduler import EventDrivenWalkers
-from repro.walks.srw import SimpleRandomWalk
 
 #: Chain-policy axis values.
 POLICY_OFF = "off"
@@ -199,47 +195,37 @@ def run_history_sweep(
     # (or whether) the caller listed its coordinates.
     lookahead_axis = [0] + [la for la in dict.fromkeys(lookaheads) if la != 0]
     policy_axis = [POLICY_OFF] + [p for p in dict.fromkeys(policies) if p != POLICY_OFF]
+    walk = WalkSpec(
+        engine="srw", chains=chains, seed=seed, starts=tuple(network.seed_node(i) for i in range(chains))
+    )
 
     def run_cell(skew: float, lookahead: int, policy_name: str):
         weights = None
         if num_shards > 1 and skew != 1.0:
-            weights = [skew] + [1.0] * (num_shards - 1)
-        fleet = build_fleet(
-            FleetSpec(
-                num_shards=num_shards,
-                seed=seed * 7 + 3,
-                weights=weights,
-                provider=ProviderSpec(
-                    latency_distribution="heavy_tailed",
-                    latency_scale=latency_scale,
-                ),
-                shard_latency_spread=1.0,
-                admission_interval=admission_interval,
-                batch_cap=batch_cap,
-                latency_quantum=latency_quantum,
-            ),
-            network.graph,
-            profiles=network.profiles,
+            weights = (skew,) + (1.0,) * (num_shards - 1)
+        fleet = FleetSpec(
+            num_shards=num_shards,
+            seed=seed * 7 + 3,
+            weights=weights,
+            provider=ProviderSpec(latency_distribution="heavy_tailed", latency_scale=latency_scale),
+            shard_latency_spread=1.0,
+            admission_interval=admission_interval,
+            batch_cap=batch_cap,
+            latency_quantum=latency_quantum,
         )
-        api = RestrictedSocialAPI(fleet)
-        walkers = [
-            SimpleRandomWalk(api, start=network.seed_node(i), seed=seed * 100_003 + i)
-            for i in range(chains)
-        ]
-        planner: Optional[DispatchPlanner] = None
+        planner: Optional[PlannerSpec] = None
         if lookahead > 0 or policy_name == POLICY_ADAPTIVE:
             policy = None
             if policy_name == POLICY_ADAPTIVE:
-                policy = AdaptiveChainPolicy(
+                policy = PolicySpec(
                     min_chains=max(2, chains // 2),
                     tail_ratio=2.0,
                     evaluate_every=8,
                     min_observations=6,
                 )
-            planner = DispatchPlanner(lookahead=lookahead, policy=policy, seed=seed)
-        return EventDrivenWalkers(walkers, planner=planner).run(
-            num_samples=num_samples, thinning=thinning
-        )
+            planner = PlannerSpec(lookahead=lookahead, policy=policy, seed=seed)
+        stack = build_stack(StackConfig(fleet=fleet, walk=walk, planner=planner), network)
+        return stack.run(num_samples=num_samples, thinning=thinning)
 
     rows: List[HistorySweepRow] = []
     for skew in skews:

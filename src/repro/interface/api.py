@@ -570,7 +570,7 @@ class RestrictedSocialAPI:
         """Preload a prior run's paid-for knowledge into this interface.
 
         Every entry goes straight into the sampler-side cache via
-        ``cache.put`` — never through :meth:`query` — so nothing is
+        ``cache.preload`` — never through :meth:`query` — so nothing is
         billed, no limiter token is consumed, and the simulated clock
         does not move: §II-B already charged these fetches in the run
         that recorded them.  Known refusals are replayed into the
@@ -587,12 +587,7 @@ class RestrictedSocialAPI:
         Returns:
             Number of neighborhoods actually preloaded.
         """
-        count = 0
-        for user, (seq, attrs) in neighborhoods.items():
-            if not self._cache.has(user):
-                seq = tuple(seq)
-                self._cache.put(user, frozenset(seq), dict(attrs), seq=seq)
-                count += 1
+        count = self._cache.preload(neighborhoods)
         self._known_private.update(private)
         self.note_warm_start(list(neighborhoods) + list(private))
         return count

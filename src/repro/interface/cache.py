@@ -68,6 +68,19 @@ class NeighborhoodCache:
         record = (seq_tuple, frozenset(neighbors), dict(attributes))
         self._store.set((_RESP, user), record, ttl=self._ttl)
 
+    def preload(self, neighborhoods: Dict[Node, Tuple[Sequence[Node], Dict]]) -> int:
+        """Put every ``{user: (neighbor_seq, attributes)}`` row not cached yet.
+
+        A live entry is fresher than a recorded one, so it is kept.
+        Returns the number of rows put.
+        """
+        count = 0
+        for user, (seq, attrs) in neighborhoods.items():
+            if not self.has(user):
+                self.put(user, frozenset(seq), attrs, seq=seq)
+                count += 1
+        return count
+
     @property
     def retention_version(self) -> Optional[int]:
         """Changes whenever a cached response may have been dropped.

@@ -27,7 +27,7 @@ human-readable mismatch strings.  An empty list *is* the audit passing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
@@ -36,30 +36,17 @@ from repro.obs.trace import (
     EVENT_PREFETCH_ISSUE,
     EVENT_QUERY,
     EVENT_REFUSAL,
-    TraceEvent,
+    Source,
     TraceRecorder,
+    _events_of,
+    _matches_tenant,
 )
 
 __all__ = ["reconcile_interface", "reconcile_fleet", "reconcile_run"]
 
 
-def _split(
-    source: Union[TraceRecorder, Iterable[TraceEvent]],
-    metrics: Optional[MetricsRegistry],
-) -> tuple:
-    if isinstance(source, TraceRecorder):
-        return list(source.events), metrics if metrics is not None else source.metrics
-    return list(source), metrics
-
-
-def _matches_tenant(event: TraceEvent, tenant: Optional[str]) -> bool:
-    if tenant is None:
-        return True
-    return event.attrs.get("tenant") == tenant
-
-
 def reconcile_interface(
-    source: Union[TraceRecorder, Iterable[TraceEvent]],
+    source: Source,
     telemetry,
     *,
     metrics: Optional[MetricsRegistry] = None,
@@ -83,7 +70,9 @@ def reconcile_interface(
     Returns:
         Mismatch descriptions; empty when the trace reproduces the bill.
     """
-    events, metrics = _split(source, metrics)
+    events = _events_of(source)
+    if metrics is None and isinstance(source, TraceRecorder):
+        metrics = source.metrics
     if metrics is None:
         raise ValueError("replaying a bare event list needs the metrics registry")
     billed = set()
@@ -123,7 +112,7 @@ def reconcile_interface(
 
 
 def reconcile_fleet(
-    source: Union[TraceRecorder, Iterable[TraceEvent]],
+    source: Source,
     shards: Dict[int, object],
 ) -> List[str]:
     """Re-derive per-shard books from events; list every mismatch.
@@ -141,7 +130,7 @@ def reconcile_fleet(
     Returns:
         Mismatch descriptions; empty when the trace reproduces the books.
     """
-    events, _ = _split(source, None)
+    events = _events_of(source)
     queries: Dict[int, int] = {}
     latency: Dict[int, float] = {}
     retries: Dict[int, int] = {}
@@ -189,7 +178,7 @@ def reconcile_fleet(
 
 
 def reconcile_run(
-    source: Union[TraceRecorder, Iterable[TraceEvent]],
+    source: Source,
     telemetry,
     *,
     metrics: Optional[MetricsRegistry] = None,

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.trace import (
     EVENT_BURST_DISPATCH,
@@ -59,8 +59,10 @@ from repro.obs.trace import (
     EVENT_SAMPLE,
     EVENT_TENANT_TICK,
     EVENT_WALK_STEP,
+    Source,
     TraceEvent,
-    TraceRecorder,
+    _events_of,
+    _matches_tenant,
 )
 
 __all__ = [
@@ -92,21 +94,6 @@ CATEGORY_TENANT_QUANTUM = "tenant_quantum"
 
 #: Events that advance a chain: the nodes the critical path runs through.
 _ACTIONS = frozenset((EVENT_WALK_STEP, EVENT_SAMPLE))
-
-Source = Union[TraceRecorder, Iterable[TraceEvent]]
-
-
-def _events_of(source: Source) -> List[TraceEvent]:
-    if isinstance(source, TraceRecorder):
-        return list(source.events)
-    return list(source)
-
-
-def _matches_tenant(event: TraceEvent, tenant: Optional[str]) -> bool:
-    if tenant is None:
-        return True
-    return event.attrs.get("tenant") == tenant
-
 
 def _ready_of(event: TraceEvent) -> float:
     """When the acting chain became ready again, bit-for-bit.

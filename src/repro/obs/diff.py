@@ -21,8 +21,8 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Tuple
 
-from repro.obs.causality import Attribution, Source, attribute_run, _events_of
-from repro.obs.trace import EVENT_QUERY, EVENT_REFUSAL
+from repro.obs.causality import Attribution, attribute_run
+from repro.obs.trace import EVENT_QUERY, EVENT_REFUSAL, Source, _events_of
 
 __all__ = ["TraceDiff", "diff_traces"]
 

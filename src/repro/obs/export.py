@@ -20,23 +20,17 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.datastore.snapshot import SnapshotError, decode_value, encode_value
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceEvent, TraceRecorder
+from repro.obs.trace import Source, TraceEvent, TraceRecorder, _events_of, _matches_tenant
 
 #: Format marker written into every JSONL trace header.
 TRACE_FORMAT = "repro-trace"
 
 #: Version of the JSONL layout; bumped on incompatible changes.
 TRACE_VERSION = 1
-
-
-def _events_of(source: Union[TraceRecorder, Iterable[TraceEvent]]) -> List[TraceEvent]:
-    if isinstance(source, TraceRecorder):
-        return list(source.events)
-    return list(source)
 
 
 def filter_events(
@@ -55,7 +49,7 @@ def filter_events(
     """
     kept = []
     for event in events:
-        if tenant is not None and event.attrs.get("tenant") != tenant:
+        if not _matches_tenant(event, tenant):
             continue
         if shard is not None and event.attrs.get("shard") != shard:
             continue
@@ -165,7 +159,7 @@ def _lane_of(event: TraceEvent) -> Tuple[str, str]:
 
 
 def export_chrome_trace(
-    source: Union[TraceRecorder, Iterable[TraceEvent]],
+    source: Source,
     path: "Optional[str | os.PathLike]" = None,
     *,
     tenant: Optional[str] = None,

@@ -30,7 +30,7 @@ in a fresh process.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Iterable, List, Optional, Union
 
 from repro.datastore.snapshot import register_codec
 from repro.obs.metrics import MetricsRegistry
@@ -168,6 +168,20 @@ class TraceRecorder:
         self._clock_hint = state.get("clock_hint", 0.0)
         self._events = list(state["events"])
         self.metrics.load_state(state.get("metrics", {}))
+
+
+#: What the analyses read: a live recorder or the event list of a trace file.
+Source = Union[TraceRecorder, Iterable[TraceEvent]]
+
+
+def _events_of(source: Source) -> List[TraceEvent]:
+    if isinstance(source, TraceRecorder):
+        return list(source.events)
+    return list(source)
+
+
+def _matches_tenant(event: TraceEvent, tenant: Optional[str]) -> bool:
+    return tenant is None or event.attrs.get("tenant") == tenant
 
 
 register_codec(

@@ -280,9 +280,7 @@ class SamplingService:
         if history is not None:
             record = history.load()
             if record is not None:
-                for user, (seq, attrs) in record.neighborhoods.items():
-                    if not self._cache.has(user):
-                        self._cache.put(user, frozenset(seq), dict(attrs), seq=seq)
+                self._cache.preload(record.neighborhoods)
                 self._warm_users = frozenset(record.neighborhoods) | record.private
                 self._warm_private = record.private
                 self._warm_stats = dict(record.stats)
