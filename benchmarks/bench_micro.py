@@ -14,6 +14,7 @@ across PRs.
 import gc
 import json
 import os
+import statistics
 import sys
 import time
 from contextlib import contextmanager
@@ -34,7 +35,8 @@ from repro.compose import (
 from repro.core.criteria import removal_criterion
 from repro.core.mto import MTOSampler
 from repro.datasets import load
-from repro.datastore.snapshot import JsonLinesBackend, KeyValueBackend
+from repro.datastore import KeyValueStore
+from repro.datastore.snapshot import JsonLinesBackend, KeyValueBackend, encode_value
 from repro.experiments import (
     run_fleet_sweep,
     run_history_sweep,
@@ -343,13 +345,21 @@ def test_scheduler_profile(network, figure_report):
         ]
 
     lock_run = ParallelWalkers(chains(network.interface())).run(num_samples=200)
-    t0 = time.perf_counter()
     event_run = EventDrivenWalkers(chains(network.interface())).run(num_samples=200)
-    event_elapsed = time.perf_counter() - t0
     bit_for_bit = (
         event_run.samples == lock_run.samples and event_run.queries == lock_run.queries
     )
     assert bit_for_bit
+
+    # The run above warmed the interpreter and the dataset; one cold,
+    # single-shot timing swung by 10x between back-to-back runs, so the
+    # recorded rate is the median of five.
+    rates = []
+    for _ in range(5):
+        walkers = EventDrivenWalkers(chains(network.interface()))
+        t0 = time.perf_counter()
+        timed_run = walkers.run(num_samples=200)
+        rates.append(timed_run.events_processed / (time.perf_counter() - t0))
 
     report = {
         "benchmark": "scheduler",
@@ -357,7 +367,7 @@ def test_scheduler_profile(network, figure_report):
         "num_samples": sweep.num_samples,
         "latency_seed": _SCHED_SEED,
         "zero_latency_bit_for_bit": bit_for_bit,
-        "events_per_second": round(event_run.events_processed / event_elapsed),
+        "events_per_second": round(statistics.median(rates)),
         "distributions": {
             name: {
                 "query_cost": row.query_cost,
@@ -822,7 +832,8 @@ def test_service_profile(network, figure_report):
     FCFS run-to-completion.  Two bit-for-bit probes ride along: a
     single-tenant service must reproduce the direct ``build_stack`` run
     exactly, and a hibernated session must resume indistinguishably from
-    one that never hibernated.
+    one that never hibernated.  A third probe checks that every spill of
+    a hibernating churn equals its payload's full encoding.
     """
     sweep = run_tenant_sweep(
         network,
@@ -890,6 +901,27 @@ def test_service_profile(network, figure_report):
     )
     assert hibernate_resume_bit_for_bit
 
+    # Spill-splice probe: every tenant of a 4-wave churn hibernates after
+    # each wave, so each spill after the first reuses the encoded runs of
+    # the one before; each must still equal the full payload's encoding.
+    churn_spill = KeyValueStore()
+    churn = SamplingService(network, fleet=solo_config.fleet, spill_store=churn_spill)
+    for i, engine in enumerate(("srw", "mhrw", "nbrw")):
+        churn.register(f"c{i}", StackConfig(walk=WalkSpec(engine=engine, chains=3, seed=30 + i)))
+    spill_splice_bit_for_bit = True
+    for _ in range(4):
+        for tid in churn.tenant_ids:
+            churn.request(tid, 20)
+        churn.run_pending()
+        for tid in churn.tenant_ids:
+            stack = churn.tenant(tid).stack
+            full = encode_value(
+                {"api": stack.api.state_dict(include_shared=False), "walkers": stack.walkers.state_dict()}
+            )
+            churn.hibernate(tid)
+            spill_splice_bit_for_bit &= churn_spill.get(("tenant", tid)) == full
+    assert spill_splice_bit_for_bit
+
     report = {
         "benchmark": "service",
         "tenants": _SERVICE_TENANTS,
@@ -899,6 +931,7 @@ def test_service_profile(network, figure_report):
         "seed": _SERVICE_SEED,
         "single_tenant_bit_for_bit": single_tenant_bit_for_bit,
         "hibernate_resume_bit_for_bit": hibernate_resume_bit_for_bit,
+        "spill_splice_bit_for_bit": spill_splice_bit_for_bit,
         "modes": {
             label: {
                 "total_samples": row.total_samples,
@@ -926,6 +959,7 @@ def test_service_profile(network, figure_report):
         )
     lines.append(f"  single-tenant bit-for-bit: {single_tenant_bit_for_bit}")
     lines.append(f"  hibernate/resume bit-for-bit: {hibernate_resume_bit_for_bit}")
+    lines.append(f"  spill splice bit-for-bit: {spill_splice_bit_for_bit}")
     figure_report("\n".join(lines))
 
 

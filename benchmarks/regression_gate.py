@@ -379,6 +379,7 @@ def check_service(
         {
             "single_tenant_bit_for_bit": "single-tenant bit-for-bit equivalence no longer holds",
             "hibernate_resume_bit_for_bit": "hibernate/resume bit-for-bit equivalence no longer holds",
+            "spill_splice_bit_for_bit": "spill splice bit-for-bit equivalence no longer holds",
         },
     )
     fair = fresh.get("modes", {}).get("drr")

@@ -178,25 +178,49 @@ def encode_value(value: object) -> object:
 
 
 #: Sequences shorter than this are coded member by member: checking
-#: whether they are a run of one scalar type costs more than it saves.
+#: whether they are a run of one type costs more than it saves.
 _RUN_MIN = 8
 
 
 def _encode_items(values) -> list:
-    """Encode a sequence's members; a run of plain ints or floats in bulk.
+    """Encode a sequence's members; a run of one type in bulk.
 
     Walker snapshots are dominated by such runs — every chain carries a
-    float trace, and user-id sets and neighbor lists are int runs — and
-    one pass building the tagged pairs inline beats a dispatch per
-    member.
+    float trace, user-id sets are int runs, a query log is a run of
+    ``(user, billed, timestamp)`` tuples and the merged samples are a
+    run of one extension type — and one pass building the tagged values
+    inline beats a dispatch per member.  Every path yields exactly what
+    encoding each member on its own yields.
     """
     if len(values) >= _RUN_MIN:
         kinds = set(map(type, values))
-        if kinds == _INT_ONLY:
-            return [["i", v] for v in values]
-        if kinds == _FLOAT_ONLY:
-            return [["f", v.hex()] for v in values]
+        if len(kinds) == 1:
+            kind = kinds.pop()
+            run = _RUN_ENCODERS.get(kind)
+            if run is not None:
+                return run(values)
+            # The per-member route for a type outside _ENCODERS is
+            # _encode_fallback, which takes the extension codec only for
+            # a type that subclasses no base type.
+            extension = _EXTENSION_ENCODERS.get(kind)
+            if extension is not None and kind not in _ENCODERS and not issubclass(kind, _BASE_TYPES):
+                tag, to_primitives = extension
+                return [[tag, item] for item in _encode_items(list(map(to_primitives, values)))]
     return [encode_value(v) for v in values]
+
+
+def _encode_rows(rows) -> list:
+    """Encode a run of plain tuples column by column.
+
+    Each column is a run in its own right (a log's users, flags and
+    timestamps), so it takes the bulk paths too; rows of unequal width
+    are coded one by one.
+    """
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return [["t", _encode_items(row)] for row in rows]
+    columns = [_encode_items(column) for column in zip(*rows)]
+    return [["t", list(row)] for row in zip(*columns)]
 
 
 def _encode_members(values) -> list:
@@ -204,8 +228,14 @@ def _encode_members(values) -> list:
     return sorted(_encode_items(values), key=_canonical)
 
 
-_INT_ONLY = {int}
-_FLOAT_ONLY = {float}
+#: Exact member type -> encoder of a whole run of that type.
+_RUN_ENCODERS: Dict[type, Callable[[object], list]] = {
+    int: lambda values: [["i", v] for v in values],
+    bool: lambda values: [["b", v] for v in values],
+    float: lambda values: [["f", v.hex()] for v in values],
+    str: lambda values: [["s", v] for v in values],
+    tuple: _encode_rows,
+}
 
 #: Exact type -> encoder for the base types (the dispatch fast path).
 _ENCODERS: Dict[type, Callable[[object], object]] = {
@@ -293,14 +323,15 @@ _LIST_ONLY = {list}
 
 
 def _decode_items(items) -> list:
-    """Decode a sequence's members; all-scalar members without a call each.
+    """Decode a sequence's members; scalar members and same-tag runs in bulk.
 
     A sequence whose members are all ``[scalar tag, payload]`` pairs — a
     trace, a log record, a sample's fields — converts
     each payload in one comprehension, and a plain ``int`` payload is
-    already its value.  Any other member (a container, an extension
-    value, or malformed input) stops it, and the members are decoded one
-    by one instead, which also raises what a malformed member raises
+    already its value.  A run of tuples, or of one extension tag (a
+    query log, the merged samples), is decoded by :func:`_decode_run`.
+    Anything else (mixed containers, or malformed input) is decoded one
+    member at a time, which also raises what a malformed member raises
     there.
     """
     if set(map(type, items)) == _LIST_ONLY:
@@ -311,7 +342,41 @@ def _decode_items(items) -> list:
             ]
         except (KeyError, TypeError, ValueError):
             pass
+        if len(items) >= _RUN_MIN:
+            run = _decode_run(items)
+            if run is not None:
+                return run
     return [decode_value(v) for v in items]
+
+
+def _decode_run(items) -> Optional[list]:
+    """Decode a run of ``["t", ...]`` or same-extension-tag values, else ``None``.
+
+    A tuple run is decoded column by column, each column in bulk, and
+    ``zip`` rebuilds the rows as tuples; an extension run decodes its
+    payloads as one run and converts each.  ``None`` (mixed tags, rows
+    of unequal width, a malformed member) leaves the members to
+    :func:`decode_value`.
+    """
+    try:
+        tags = {item[0] for item in items}
+        payloads = [item[1] for item in items]
+    except (IndexError, TypeError):
+        return None
+    if len(tags) != 1:
+        return None
+    tag = tags.pop()
+    if tag == "t":
+        if set(map(type, payloads)) != _LIST_ONLY:
+            return None
+        widths = set(map(len, payloads))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        return list(zip(*[_decode_items(column) for column in zip(*payloads)]))
+    extension = _EXTENSION_DECODERS.get(tag)
+    if extension is None:
+        return None
+    return list(map(extension, _decode_items(payloads)))
 
 
 #: Tag -> decoder of the whole tagged value (``None`` and the containers).

@@ -26,11 +26,10 @@ prefetches resumes bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import zlib
 from typing import Dict, Hashable, Optional, Tuple
 
-from repro.datastore.snapshot import encode_value
+from repro.datastore.snapshot import canonical_key
 from repro.errors import PlanningError
 from repro.obs.trace import TraceRecorder
 from repro.planning.history import HistoryIndex
@@ -44,10 +43,10 @@ def _stable_rank(seed: int, user: Node) -> int:
     """Process-stable 32-bit rank mixing ``seed`` with a user id.
 
     Python's ``hash`` is salted per process for strings, so speculative
-    candidate ranking anchors on the snapshot codec's canonical encoding
+    candidate ranking anchors on :func:`~repro.datastore.snapshot.canonical_key`
     instead — identical across runs and machines for any snapshotable id.
     """
-    key = f"{seed}:{json.dumps(encode_value(user), sort_keys=True, separators=(',', ':'))}"
+    key = f"{seed}:{canonical_key(user)}"
     return zlib.crc32(key.encode("utf-8"))
 
 

@@ -33,7 +33,9 @@ one simulated clock.  :class:`SamplingService` is that runtime:
   in a fresh process via :meth:`SamplingService.save` /
   :meth:`SamplingService.resume`.  A wake costs O(the tenant's own
   payload): the stack is restored through ``build_stack(state=...)``,
-  which issues no reads, so the shared layers are never touched.
+  which issues no reads, so the shared layers are never touched.  A
+  spill costs O(what the tenant appended since its last one): the
+  encoded history of that spill is spliced in (see :meth:`hibernate`).
 
 Example::
 
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compose import (
     FleetSpec,
@@ -101,6 +103,63 @@ def _p95(values: List[float]) -> float:
     ordered = sorted(values)
     rank = max(0, math.ceil(0.95 * len(ordered)) - 1)
     return ordered[rank]
+
+
+def _runs(stack: SamplingStack, payload: dict) -> Dict[tuple, Tuple[list, Sequence]]:
+    """A tenant payload's append-only runs: ``path -> (live list, payload value)``.
+
+    The runs are the query log's records, the merged samples and their
+    chain indices, and each chain's trace.  Their live lists are only
+    ever appended to: a reset or a ``load_state`` puts a new list in
+    place instead of editing the old one, which is what lets a spill
+    reuse the encoded prefix of a list it has seen before.
+    """
+    walkers, state = stack.walkers, payload["walkers"]
+    runs = {("api", "log", "records"): (stack.api.log._records, payload["api"]["log"]["records"])}
+    for name in ("merged", "merged_chain"):
+        # A lock-step group keeps no merged list in its payload.
+        if name in state:
+            runs[("walkers", name)] = (getattr(walkers, "_" + name), state[name])
+    for i, (chain, chain_state) in enumerate(zip(walkers.chains, state["chains"])):
+        runs[("walkers", "chains", i, "trace")] = (chain._trace, chain_state["trace"])
+    return runs
+
+
+def _encode_spliced(value: object, items: Dict[tuple, list], above: frozenset, path: tuple = ()) -> object:
+    """``encode_value(value)``, with the run at each path in ``items`` taking those members.
+
+    ``above`` holds every proper prefix of those paths: only the dicts
+    and lists on the way to a run are encoded here, everything else by
+    :func:`encode_value`.
+    """
+    members = items.get(path)
+    if members is not None:
+        return ["l" if type(value) is list else "t", members]
+    if path not in above:
+        return encode_value(value)
+    if type(value) is dict:
+        return [
+            "d",
+            [[encode_value(k), _encode_spliced(v, items, above, path + (k,))] for k, v in value.items()],
+        ]
+    return ["l", [_encode_spliced(v, items, above, path + (i,)) for i, v in enumerate(value)]]
+
+
+@dataclasses.dataclass
+class _SpillMemo:
+    """A tenant's last spill, kept so its next spill encodes only what the runs appended.
+
+    Attributes:
+        encoded: The spill as written; ``None`` once a wake has read it.
+        items: Run path -> the encoded members of that run in the spill.
+        live: Run path -> the live list the woken stack grows that run
+            in.  Noted at wake, and only when the spill the wake read is
+            ``encoded`` itself, so each list starts with ``items``.
+    """
+
+    encoded: Optional[list]
+    items: Dict[tuple, list]
+    live: Dict[tuple, list] = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass
@@ -267,6 +326,7 @@ class SamplingService:
         self._quantum = float(quantum)
         self._idle_hibernate_after = idle_hibernate_after
         self._spill = spill_store if spill_store is not None else KeyValueStore()
+        self._spill_memo: Dict[str, _SpillMemo] = {}
         self._tenants: Dict[str, TenantSession] = {}
         self._clock = 0.0
         self._recorder = recorder
@@ -600,6 +660,16 @@ class SamplingService:
         hibernation is legal: the scheduler's in-flight queue is part of
         the payload, and :meth:`request` re-arms the target on wake.
 
+        The spill is always exactly ``encode_value(payload)``, but it
+        costs the delta: the service keeps the encoded members of the
+        last spill's append-only runs (the query log's records, the
+        merged samples and their chain indices, each chain's trace), and
+        a run encodes only its tail when its live list is the very list
+        the last wake built from that spill and is no shorter.  A wake
+        that read a spill this service did not write, or a ``load_state``
+        or ``reset_accounting`` that put a new list in place, makes the
+        run encode whole again.
+
         Raises:
             ServiceError: On an unknown tenant or one with no live stack
                 to spill (already hibernated is a no-op).
@@ -607,20 +677,32 @@ class SamplingService:
         session = self._session(tenant_id)
         if session.state == STATE_HIBERNATED:
             return session
-        if session.stack is None:
+        stack = session.stack
+        if stack is None:
             raise ServiceError(
                 f"tenant {session.tenant_id!r} has no live session to hibernate"
             )
-        session.frozen_samples = session.stack.walkers.samples_collected
-        session.frozen_cost = session.stack.api.query_cost
-        session.frozen_latency = session.stack.api.latency_spent
-        session.frozen_hits = session.stack.api.cache_hits
-        session.frozen_warm_hits = session.stack.api.warm_hits
+        session.frozen_samples = stack.walkers.samples_collected
+        session.frozen_cost = stack.api.query_cost
+        session.frozen_latency = stack.api.latency_spent
+        session.frozen_hits = stack.api.cache_hits
+        session.frozen_warm_hits = stack.api.warm_hits
         payload = {
-            "api": session.stack.api.state_dict(include_shared=False),
-            "walkers": session.stack.walkers.state_dict(),
+            "api": stack.api.state_dict(include_shared=False),
+            "walkers": stack.walkers.state_dict(),
         }
-        self._spill.set(("tenant", session.tenant_id), encode_value(payload))
+        memo = self._spill_memo.get(session.tenant_id)
+        items: Dict[tuple, list] = {}
+        for path, (live, run) in _runs(stack, payload).items():
+            prefix = None if memo is None or memo.live.get(path) is not live else memo.items[path]
+            if prefix is not None and len(run) >= len(prefix):
+                items[path] = prefix + encode_value(run[len(prefix) :])[1]
+            else:
+                items[path] = encode_value(run)[1]
+        above = frozenset(path[:i] for path in items for i in range(len(path)))
+        encoded = _encode_spliced(payload, items, above)
+        self._spill.set(("tenant", session.tenant_id), encoded)
+        self._spill_memo[session.tenant_id] = _SpillMemo(encoded, items)
         session.stack = None
         session.state = STATE_HIBERNATED
         session.idle_rounds = 0
@@ -637,10 +719,17 @@ class SamplingService:
             raise ServiceError(
                 f"tenant {session.tenant_id!r} has no spilled session to wake"
             )
-        session.stack = self._materialize(
-            session.config, decode_value(payload), tenant_id=session.tenant_id
-        )
+        sections = decode_value(payload)
+        session.stack = self._materialize(session.config, sections, tenant_id=session.tenant_id)
         self._spill.delete(("tenant", session.tenant_id))
+        memo = self._spill_memo.get(session.tenant_id)
+        if memo is not None and memo.encoded is payload:
+            # The stack was built from the spill the memo encoded, so each
+            # run's live list starts with the memo's members.
+            memo.encoded = None
+            memo.live = {path: live for path, (live, _) in _runs(session.stack, sections).items()}
+        else:
+            self._spill_memo.pop(session.tenant_id, None)
         if self._recorder is not None:
             self._recorder.record(EVENT_WAKE, self._clock, tenant=session.tenant_id)
         if session.requested > session.stack.walkers.samples_collected:

@@ -155,11 +155,13 @@ def _service_profile(
     clock=69.5,
     single_tenant=True,
     hibernate=True,
+    splice=True,
 ):
     fcfs_cost = cost if fcfs_cost is None else fcfs_cost
     return {
         "single_tenant_bit_for_bit": single_tenant,
         "hibernate_resume_bit_for_bit": hibernate,
+        "spill_splice_bit_for_bit": splice,
         "modes": {
             "drr": {
                 "total_samples": 680,
@@ -408,10 +410,10 @@ class TestServiceGate:
         assert any("raised the" in f for f in failures)
 
     def test_lost_equivalences_fail(self):
-        for probe in ("single_tenant", "hibernate"):
+        for probe in ("single_tenant", "hibernate", "splice"):
             fresh = _service_profile(**{probe: False})
             failures = gate.check_service(fresh, _service_profile())
-            assert any("equivalence no longer holds" in f for f in failures)
+            assert len(failures) == 1 and "equivalence no longer holds" in failures[0]
 
     def test_drr_ratio_drift_gated_but_fcfs_is_not(self):
         fresh = _service_profile(max_ratio=2.5, fcfs_ratio=40.0)
@@ -420,7 +422,11 @@ class TestServiceGate:
         assert not any("fcfs max_ratio" in f for f in failures)
 
     def test_missing_modes_fail(self):
-        fresh = {"single_tenant_bit_for_bit": True, "hibernate_resume_bit_for_bit": True}
+        fresh = {
+            "single_tenant_bit_for_bit": True,
+            "hibernate_resume_bit_for_bit": True,
+            "spill_splice_bit_for_bit": True,
+        }
         failures = gate.check_service(fresh, _service_profile())
         assert any("mode rows missing" in f for f in failures)
 

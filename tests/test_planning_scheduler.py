@@ -27,6 +27,7 @@ from repro.compose import FleetSpec, ProviderSpec, build_fleet
 from repro.errors import SnapshotError, WalkError
 from repro.interface import RestrictedSocialAPI, SamplingSession, collect_telemetry
 from repro.planning import AdaptiveChainPolicy, DispatchPlanner
+from repro.planning.planner import _stable_rank
 from repro.walks import EventDrivenWalkers, ParallelWalkers, SimpleRandomWalk
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -403,6 +404,7 @@ from repro.datastore.snapshot import JsonLinesBackend
 from repro.compose import FleetSpec, ProviderSpec, build_fleet
 from repro.interface import RestrictedSocialAPI, SamplingSession
 from repro.planning import AdaptiveChainPolicy, DispatchPlanner
+from repro.planning.planner import _stable_rank
 from repro.walks import EventDrivenWalkers, SimpleRandomWalk
 
 network = load("epinions_like", seed=0, scale=0.15)
@@ -434,3 +436,22 @@ print(json.dumps({
     "planning": planning,
 }))
 """
+
+
+class TestStableRank:
+    """Speculative candidates sort by this rank, so it must not move."""
+
+    @pytest.mark.parametrize(
+        "seed, user, rank",
+        [
+            (0, 7, 2635121353),
+            (3, 12345, 2058378149),
+            (3, "alice", 2305675093),
+            (11, True, 1437446263),
+            (5, (1, "x"), 3005764331),
+            (2, -4, 2223410791),
+            (9, tuple(range(10)), 238058780),
+        ],
+    )
+    def test_ranks_are_pinned(self, seed, user, rank):
+        assert _stable_rank(seed, user) == rank

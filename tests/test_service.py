@@ -10,15 +10,20 @@ in ``tests/test_service_resume.py``):
 * per-tenant books: each tenant's spend lands in its own query log and
   is attributed to it in the shard telemetry;
 * one tenant's exhausted budget freezes that tenant, not the service;
-* hibernate → wake rebuilds the session bit-for-bit.
+* hibernate → wake rebuilds the session bit-for-bit;
+* each spill splices in the last spill's encoded append-only runs, is
+  still exactly the payload's full encoding, and encodes a run whole
+  once its live list has been replaced.
 """
+
+import json
 
 import pytest
 
 from repro.compose import FleetSpec, ProviderSpec, StackConfig, WalkSpec, build_stack
 from repro.datasets import load
 from repro.datastore import KeyValueStore
-from repro.datastore.snapshot import decode_value
+from repro.datastore.snapshot import decode_value, encode_value
 from repro.errors import ServiceError
 from repro.service import (
     STATE_ACTIVE,
@@ -327,3 +332,99 @@ class TestHibernation:
         assert session.state == STATE_ACTIVE
         service.run_pending()
         assert service.tenant("t").samples == 25
+
+
+def _full_spill(service, tid):
+    """The encoding a spill of ``tid``'s live stack must equal, member for member."""
+    stack = service.tenant(tid).stack
+    return encode_value(
+        {"api": stack.api.state_dict(include_shared=False), "walkers": stack.walkers.state_dict()}
+    )
+
+
+def _hibernate_checked(service, spill, tid):
+    """Hibernate ``tid``, assert its spill is the full encoding, return the spliced runs.
+
+    A spliced run's members start with the very objects of the last
+    spill's; a run encoded whole is built afresh.
+    """
+    memo = service._spill_memo.get(tid)
+    last = {} if memo is None else memo.items
+    full = _full_spill(service, tid)
+    service.hibernate(tid)
+    assert spill.get(("tenant", tid)) == full
+    items = service._spill_memo[tid].items
+    return {path for path, members in last.items() if members and items[path][0] is members[0]}
+
+
+_LOG = ("api", "log", "records")
+_WALKER_RUNS = {("walkers", "merged"), ("walkers", "merged_chain")} | {
+    ("walkers", "chains", i, "trace") for i in range(3)
+}
+
+
+class TestSpillSplice:
+    """A spill encodes only what the tenant's append-only runs appended
+    since the last one, and still equals ``encode_value`` of the payload."""
+
+    def test_churn_spills_equal_their_full_encoding(self, network):
+        fleet = FleetSpec(
+            num_shards=3,
+            seed=5,
+            provider=ProviderSpec(latency_distribution="uniform", latency_scale=0.5, failure_rate=0.2),
+        )
+        spill = KeyValueStore()
+        service = SamplingService(network, fleet=fleet, quantum=0.2, cache_ttl=100.0, spill_store=spill)
+        for i, engine in enumerate(("srw", "mhrw", "nbrw", "srw", "mhrw", "nbrw")):
+            service.register(f"t{i}", StackConfig(walk=WalkSpec(engine=engine, chains=3, seed=40 + i)))
+        service.register("tight", StackConfig(walk=WalkSpec(engine="srw", chains=3, seed=9), query_budget=12))
+        spliced, exhausted = set(), set()
+        for _ in range(4):
+            for tid in service.tenant_ids:
+                if tid not in exhausted:
+                    service.request(tid, 15)
+            service.run_pending(max_rounds=1)
+            assert service.tenant("t1").state == STATE_ACTIVE
+            spliced |= _hibernate_checked(service, spill, "t1")  # mid-request
+            service.request("t1", 1)
+            service.run_pending()
+            for tid in service.tenant_ids:
+                if service.tenant(tid).state == STATE_EXHAUSTED:
+                    exhausted.add(tid)
+                if tid in exhausted and service.tenant(tid).stack is None:
+                    continue
+                spliced |= _hibernate_checked(service, spill, tid)
+        assert exhausted == {"tight"}
+        assert spliced == {_LOG} | _WALKER_RUNS
+        for tid in service.tenant_ids:
+            if tid not in exhausted:
+                service.request(tid, 1)
+        service.run_pending()
+        for tid in set(service.tenant_ids) - exhausted:
+            assert service.tenant(tid).samples == service.tenant(tid).requested
+
+    @pytest.mark.parametrize("replace", ["reset_accounting", "load_state", "external_spill"])
+    def test_a_replaced_run_is_encoded_whole(self, network, replace):
+        spill = KeyValueStore()
+        service = SamplingService(network, fleet=FLEET, spill_store=spill)
+        service.register("t", _config(seed=7, chains=3, engine="nbrw"))
+        service.request("t", 30)
+        service.run_pending()
+        _hibernate_checked(service, spill, "t")
+        if replace == "external_spill":
+            # An equal spill the service did not write: its memo no longer applies.
+            spill.set(("tenant", "t"), json.loads(json.dumps(spill.get(("tenant", "t")))))
+        service.request("t", 30)
+        stack = service.tenant("t").stack
+        refused = {_LOG} | _WALKER_RUNS
+        if replace == "reset_accounting":
+            stack.api.reset_accounting()
+            refused = {_LOG}
+        elif replace == "load_state":
+            # As long as before, other contents: only identity tells them apart.
+            state = stack.walkers.state_dict()
+            state["merged"] = state["merged"][::-1]
+            stack.walkers.load_state(state)
+            refused = _WALKER_RUNS
+        service.run_pending()
+        assert _hibernate_checked(service, spill, "t") == ({_LOG} | _WALKER_RUNS) - refused
