@@ -124,9 +124,10 @@ class QueryLog:
         accounting): a restored log must keep charging repeat queries to
         the cache, so the set of already-billed users travels with the
         records themselves (it is recomputed from the billed flags on
-        load, not stored separately).
+        load, not stored separately).  The records are immutable
+        tuples, so the list is copied, not the records.
         """
-        return {"records": [(user, billed, ts) for user, billed, ts in self._records]}
+        return {"records": list(self._records)}
 
     def load_state(self, state: dict) -> None:
         """Replace this log's contents with a captured state.

@@ -17,6 +17,16 @@ Three layers live here:
   insertion-ordered dicts; exact floats) onto JSON-safe structures and
   back, type-faithfully.  A tagged representation avoids JSON's ambiguity
   (``1`` vs ``True`` vs ``1.0``; tuple vs list; no non-string dict keys).
+  Since version 3 a ``list`` run — at least ``_RUN_MIN`` members, all one
+  scalar type, all plain tuples of one width, or all one extension type —
+  is one column block, ``["L", block]``: a query log, a trace or the
+  merged samples are written field by field, one JSON array per field,
+  and read back with ``zip``.  Those append-only lists are what a crawl
+  keeps growing and re-reads whole (the hibernation spills splice a
+  run's new tail onto its stored columns).  Tuples, sets and dict keys
+  keep the per-member encoding: they are the user ids and keys whose
+  canonical text shard routing, latency streams and set order hash, so
+  their bytes must not move.
 * **Backends** — :class:`SnapshotBackend` is the pluggable persistence
   API; :class:`JsonLinesBackend` writes one atomic JSON-lines file (one
   header line + one line per state section), :class:`KeyValueBackend`
@@ -38,9 +48,10 @@ Three layers live here:
 from __future__ import annotations
 
 import abc
+import itertools
 import json
 import os
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.datastore.kv import KeyValueStore
 from repro.errors import SnapshotError
@@ -50,7 +61,18 @@ SNAPSHOT_FORMAT = "repro-snapshot"
 
 #: Version of the on-disk layout; bumped on incompatible changes.  Version
 #: 2: the neighborhood cache holds one ``("resp", user)`` record per user.
-SNAPSHOT_VERSION = 2
+#: Version 3: list runs are written as column blocks (``["L", block]``).
+SNAPSHOT_VERSION = 3
+
+#: Layouts this build decodes: version 2 is version 3 without column blocks.
+_READABLE_VERSIONS = (2, 3)
+
+
+def _check_version(version: object, source: str) -> None:
+    """Raise unless ``version`` is one this build reads."""
+    if version not in _READABLE_VERSIONS:
+        readable = " or ".join(map(str, _READABLE_VERSIONS))
+        raise SnapshotError(f"{source} has version {version!r}; this build reads version {readable}")
 
 
 # ----------------------------------------------------------------------
@@ -185,12 +207,11 @@ _RUN_MIN = 8
 def _encode_items(values) -> list:
     """Encode a sequence's members; a run of one type in bulk.
 
-    Walker snapshots are dominated by such runs — every chain carries a
-    float trace, user-id sets are int runs, a query log is a run of
-    ``(user, billed, timestamp)`` tuples and the merged samples are a
-    run of one extension type — and one pass building the tagged values
-    inline beats a dispatch per member.  Every path yields exactly what
-    encoding each member on its own yields.
+    Tuples and sets keep this per-member form at any length (a list run
+    is a column block instead, see :func:`_encode_list`), and user-id
+    sets are int runs: one pass building the tagged values inline beats
+    a dispatch per member.  Every path yields exactly what encoding each
+    member on its own yields.
     """
     if len(values) >= _RUN_MIN:
         kinds = set(map(type, values))
@@ -223,6 +244,122 @@ def _encode_rows(rows) -> list:
     return [["t", list(row)] for row in zip(*columns)]
 
 
+def _encode_list(values) -> list:
+    """Encode a list: a run as one column block, anything else member by member."""
+    block = _column(values) if len(values) >= _RUN_MIN else None
+    if block is not None:
+        return ["L", block]
+    return ["l", _encode_items(values)]
+
+
+def _column(values) -> Optional[list]:
+    """The column block of a run of one kind, or ``None`` for any other sequence.
+
+    A block is ``[kind, data]``.  Scalar kinds hold their payloads in one
+    array: ``"i"``, ``"b"`` and ``"s"`` the values, ``"f"`` their hex
+    text.  Plain tuples of one width are ``["t", [column block, ...]]``,
+    one block per field; one extension type is ``[tag, block]`` over its
+    primitives.  A field whose values are no run of their own (mixed
+    types, ``None``, containers) is ``["e", [member, ...]]``, each member
+    encoded on its own.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    scalar = _SCALAR_COLUMNS.get(kind)
+    if scalar is not None:
+        return scalar(values)
+    if kind is tuple:
+        widths = set(map(len, values))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        return ["t", [_field(column) for column in zip(*values)]]
+    # As in _encode_items: a registered type that subclasses a base type
+    # encodes as that base type, so only the others take their codec.
+    extension = _EXTENSION_ENCODERS.get(kind)
+    if extension is not None and kind not in _ENCODERS and not issubclass(kind, _BASE_TYPES):
+        tag, to_primitives = extension
+        return [tag, _field(list(map(to_primitives, values)))]
+    return None
+
+
+def _field(values) -> list:
+    """The column block of one field: a run's block, else its members one by one."""
+    return _column(values) or ["e", _encode_items(values)]
+
+
+#: Exact scalar type -> its column block.
+_SCALAR_COLUMNS: Dict[type, Callable[[object], list]] = {
+    int: lambda values: ["i", list(values)],
+    bool: lambda values: ["b", list(values)],
+    float: lambda values: ["f", list(map(float.hex, values))],
+    str: lambda values: ["s", list(values)],
+}
+
+
+def _block_shape(block: list) -> object:
+    """A block's kinds without its data: blocks of one shape join into one."""
+    kind, data = block
+    if kind == "t":
+        return ("t", tuple(map(_block_shape, data)))
+    if kind.startswith("x:"):
+        return (kind, _block_shape(data))
+    return kind
+
+
+def _block_len(block: list) -> int:
+    """The number of values a block holds."""
+    kind, data = block
+    while kind == "t" or kind.startswith("x:"):
+        kind, data = data[0] if kind == "t" else data
+    return len(data)
+
+
+def _join(blocks: list) -> list:
+    """One block holding the values of ``blocks`` (all of one shape) in order.
+
+    The blocks are never edited: a lone block is returned as it is, and
+    joining several builds new arrays.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    kind = blocks[0][0]
+    if kind == "t":
+        return ["t", [_join(list(field)) for field in zip(*(block[1] for block in blocks))]]
+    if kind.startswith("x:"):
+        return [kind, _join([block[1] for block in blocks])]
+    return [kind, list(itertools.chain.from_iterable(block[1] for block in blocks))]
+
+
+def encode_run(run: list, blocks: Sequence[list] = ()) -> Tuple[list, list]:
+    """``encode_value(run)`` for a list that may extend one encoded before.
+
+    ``blocks`` are the column blocks a previous call returned for a list
+    that ``run`` starts with.  When ``run`` is longer, only its tail is
+    encoded, and a tail block of their shape is joined onto them; a tail
+    of another shape (a new type in a field, a row of another width), a
+    shorter ``run`` or a ``run`` that is no list is encoded whole.
+
+    Returns:
+        ``(encoding, blocks)``: the encoding equals ``encode_value(run)``,
+        and ``blocks`` lists the column blocks it joins, oldest first
+        (empty when ``run`` takes the per-member form).  The given blocks
+        are reused, never edited.
+    """
+    if blocks and type(run) is list:
+        size = sum(map(_block_len, blocks))
+        if len(run) == size:
+            return ["L", _join(list(blocks))], list(blocks)
+        if len(run) > size:
+            tail = _column(run[size:])
+            if tail is not None and _block_shape(tail) == _block_shape(blocks[0]):
+                blocks = [*blocks, tail]
+                return ["L", _join(blocks)], blocks
+    encoded = encode_value(run)
+    return encoded, [encoded[1]] if encoded[0] == "L" else []
+
+
 def _encode_members(values) -> list:
     """Encode a set's members in canonical order."""
     return sorted(_encode_items(values), key=_canonical)
@@ -246,7 +383,7 @@ _ENCODERS: Dict[type, Callable[[object], object]] = {
     str: lambda v: ["s", v],
     bytes: lambda v: ["y", v.hex()],
     tuple: lambda v: ["t", _encode_items(v)],
-    list: lambda v: ["l", _encode_items(v)],
+    list: _encode_list,
     set: lambda v: ["S", _encode_members(v)],
     frozenset: lambda v: ["F", _encode_members(v)],
     dict: lambda v: ["d", [[encode_value(k), encode_value(x)] for k, x in v.items()]],
@@ -277,7 +414,7 @@ def _encode_fallback(value: object) -> object:
     if isinstance(value, tuple):
         return ["t", _encode_items(value)]
     if isinstance(value, list):
-        return ["l", _encode_items(value)]
+        return _encode_list(value)
     if isinstance(value, (set, frozenset)):
         return ["S" if isinstance(value, set) else "F", _encode_members(value)]
     if isinstance(value, dict):
@@ -326,10 +463,11 @@ def _decode_items(items) -> list:
     """Decode a sequence's members; scalar members and same-tag runs in bulk.
 
     A sequence whose members are all ``[scalar tag, payload]`` pairs — a
-    trace, a log record, a sample's fields — converts
-    each payload in one comprehension, and a plain ``int`` payload is
-    already its value.  A run of tuples, or of one extension tag (a
-    query log, the merged samples), is decoded by :func:`_decode_run`.
+    user-id set, a log record, a sample's fields — converts each payload
+    in one comprehension, and a plain ``int`` payload is already its
+    value.  A run of tuples, or of one extension tag (a version-2 query
+    log or merged sample list, a recorder's events), is decoded by
+    :func:`_decode_run`.
     Anything else (mixed containers, or malformed input) is decoded one
     member at a time, which also raises what a malformed member raises
     there.
@@ -379,11 +517,50 @@ def _decode_run(items) -> Optional[list]:
     return list(map(extension, _decode_items(payloads)))
 
 
+#: Column kind -> the one type its payloads must have.
+_COLUMN_TYPES = {"i": int, "b": bool, "s": str}
+
+
+def _decode_block(block: object) -> list:
+    """Invert :func:`_column`: the values a column block holds, in a new list.
+
+    Raises:
+        SnapshotError: On a malformed block: no ``[kind, array]`` pair,
+            a payload of the wrong type, fields of unequal length, or an
+            unknown kind or extension tag.
+    """
+    if type(block) is not list or len(block) != 2 or type(block[1]) is not list:
+        raise SnapshotError(f"malformed column block: {block!r}")
+    kind, data = block
+    exact = _COLUMN_TYPES.get(kind) if isinstance(kind, str) else None
+    if exact is not None:
+        if set(map(type, data)) - {exact}:
+            raise SnapshotError(f"column block {kind!r} holds a value of another type: {data!r}")
+        return data[:]
+    if kind == "f":
+        try:
+            return list(map(float.fromhex, data))
+        except (TypeError, ValueError) as exc:
+            raise SnapshotError(f"malformed float column: {data!r}") from exc
+    if kind == "e":
+        return _decode_items(data)
+    if kind == "t":
+        fields = [_decode_block(field) for field in data]
+        if not fields or len(set(map(len, fields))) != 1:
+            raise SnapshotError(f"ragged or empty row block: {block!r}")
+        return list(zip(*fields))
+    extension = _EXTENSION_DECODERS.get(kind) if isinstance(kind, str) else None
+    if extension is None:
+        raise SnapshotError(f"unknown column block kind {kind!r}")
+    return list(map(extension, _decode_block(data)))
+
+
 #: Tag -> decoder of the whole tagged value (``None`` and the containers).
 _TAGGED_DECODERS: Dict[str, Callable[[list], object]] = {
     "z": lambda e: None,
     "t": lambda e: tuple(_decode_items(e[1])),
     "l": lambda e: _decode_items(e[1]),
+    "L": lambda e: _decode_block(e[1] if len(e) == 2 else None),
     "S": lambda e: set(_decode_items(e[1])),
     "F": lambda e: frozenset(_decode_items(e[1])),
     "d": lambda e: {decode_value(k): decode_value(v) for k, v in e[1]},
@@ -469,11 +646,7 @@ class JsonLinesBackend(SnapshotBackend):
             raise SnapshotError(f"snapshot {self._path} has a corrupt header") from exc
         if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
             raise SnapshotError(f"snapshot {self._path} is not a {SNAPSHOT_FORMAT} file")
-        if header.get("version") != SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"snapshot {self._path} has version {header.get('version')!r}; "
-                f"this build reads version {SNAPSHOT_VERSION}"
-            )
+        _check_version(header.get("version"), f"snapshot {self._path}")
         sections: Dict[str, object] = {}
         for raw in lines[1:]:
             try:
@@ -545,11 +718,7 @@ class KeyValueBackend(SnapshotBackend):
             return None
         if not isinstance(header, dict):
             raise SnapshotError(f"snapshot namespace {self._namespace!r} has a corrupt header")
-        if header.get("version") != SNAPSHOT_VERSION:
-            raise SnapshotError(
-                f"snapshot namespace {self._namespace!r} has version {header.get('version')!r}; "
-                f"this build reads version {SNAPSHOT_VERSION}"
-            )
+        _check_version(header.get("version"), f"snapshot namespace {self._namespace!r}")
         sections: Dict[str, object] = {}
         for name in header.get("sections", ()):
             encoded = self._store.get(self._section_key(name))

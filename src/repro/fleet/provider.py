@@ -29,15 +29,18 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 from repro.errors import PrivateUserError
 from repro.fleet.disruption import DisruptionSchedule
 from repro.fleet.router import ShardRouter
-from repro.interface.providers import SocialProvider
+from repro.interface.providers import ProviderFetch, SocialProvider
 from repro.obs.trace import EVENT_FETCH, EVENT_RETRY, TraceRecorder
 
 Node = Hashable
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class FetchDispatch:
     """One completed fetch, as the batch-aware scheduler sees it.
+
+    A frozen dataclass whose ``__init__`` fills the instance dict in
+    place: a dispatch-tracing fleet builds one per fetch.
 
     Attributes:
         shard: Index of the shard that served the fetch.
@@ -48,6 +51,12 @@ class FetchDispatch:
     shard: int
     user: Node
     latency: float
+
+    def __init__(self, shard: int, user: Node, latency: float) -> None:
+        fields = self.__dict__
+        fields["shard"] = shard
+        fields["user"] = user
+        fields["latency"] = latency
 
 
 @dataclasses.dataclass
@@ -369,7 +378,14 @@ class ShardedProvider(SocialProvider):
                 )
                 recorder.count("fleet.retries", fetched.attempts - 1)
         if latency != fetched.latency:
-            fetched = dataclasses.replace(fetched, latency=latency)
+            fetched = ProviderFetch(
+                user=fetched.user,
+                neighbor_seq=fetched.neighbor_seq,
+                attributes=fetched.attributes,
+                latency=latency,
+                attempts=fetched.attempts,
+                wasted_latency=fetched.wasted_latency,
+            )
         return fetched
 
     def user_count(self) -> int:

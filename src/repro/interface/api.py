@@ -68,9 +68,12 @@ from repro.obs.trace import (
 Node = Hashable
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class QueryResponse:
     """What ``q(v)`` returns: the user, their attributes, their neighbors.
+
+    A frozen dataclass whose ``__init__`` fills the instance dict in
+    place: the interface builds one per cached or billed query.
 
     Attributes:
         user: The queried user id.
@@ -81,9 +84,8 @@ class QueryResponse:
         from_cache: Whether this response was served locally (not billed).
         neighbor_seq: The same neighbors in a stable order, for O(1)
             uniform draws without sorting.  Optional at construction only:
-            derived from ``neighbors`` in ``__post_init__`` when not
-            supplied (hand-built responses in tests), so readers always
-            see a tuple.
+            derived from ``neighbors`` when not supplied (hand-built
+            responses in tests), so readers always see a tuple.
         latency: Simulated seconds the provider took to serve this
             response (0.0 for cache hits and zero-latency providers).
     """
@@ -95,29 +97,27 @@ class QueryResponse:
     neighbor_seq: Optional[Tuple[Node, ...]] = None
     latency: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.neighbor_seq is None:
-            object.__setattr__(self, "neighbor_seq", tuple(self.neighbors))
+    def __init__(
+        self,
+        user: Node,
+        neighbors: FrozenSet[Node],
+        attributes: Dict,
+        from_cache: bool,
+        neighbor_seq: Optional[Tuple[Node, ...]] = None,
+        latency: float = 0.0,
+    ) -> None:
+        fields = self.__dict__
+        fields["user"] = user
+        fields["neighbors"] = neighbors
+        fields["attributes"] = attributes
+        fields["from_cache"] = from_cache
+        fields["neighbor_seq"] = tuple(neighbors) if neighbor_seq is None else neighbor_seq
+        fields["latency"] = latency
 
     @property
     def degree(self) -> int:
         """``k_user`` — the size of the returned neighbor list."""
         return len(self.neighbors)
-
-
-def _response(user, neighbors, attributes, from_cache, seq, latency=0.0) -> QueryResponse:
-    # The interface's own QueryResponse, filled in place: it already holds
-    # every field, so the frozen __init__ and __post_init__ are skipped.
-    response = object.__new__(QueryResponse)
-    response.__dict__.update(
-        user=user,
-        neighbors=neighbors,
-        attributes=attributes,
-        from_cache=from_cache,
-        neighbor_seq=seq,
-        latency=latency,
-    )
-    return response
 
 
 @dataclasses.dataclass(frozen=True)
@@ -376,7 +376,7 @@ class RestrictedSocialAPI:
         if self._obs_hit_counter is not None:
             self._obs_hit_counter.value += 1
         self._log.note(user, False, self._clock.now())
-        return _response(user, cached, dict(attrs), True, seq)
+        return QueryResponse(user, cached, dict(attrs), True, seq)
 
     def _query_uncached(self, user: Node) -> QueryResponse:
         """``q(user)`` past the cache: check the user and the budget, then bill."""
@@ -444,7 +444,7 @@ class RestrictedSocialAPI:
         attrs = fetched.attributes
         self._cache.put(user, neighbors, attrs, seq=seq)
         self._log.note(user, not self._log.was_queried(user), self._clock.now())
-        return _response(user, neighbors, attrs, False, seq, fetched.latency)
+        return QueryResponse(user, neighbors, attrs, False, seq, fetched.latency)
 
     # ------------------------------------------------------------------
     # cost accounting and cached knowledge (all local, never billed)

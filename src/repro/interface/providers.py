@@ -55,9 +55,12 @@ Node = Hashable
 LATENCY_DISTRIBUTIONS = ("constant", "uniform", "heavy_tailed")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class ProviderFetch:
     """One raw provider response, before any interface-side accounting.
+
+    A frozen dataclass whose ``__init__`` fills the instance dict in
+    place: each provider layer builds its own response on every fetch.
 
     Attributes:
         user: The fetched user id.
@@ -78,6 +81,23 @@ class ProviderFetch:
     latency: float = 0.0
     attempts: int = 1
     wasted_latency: float = 0.0
+
+    def __init__(
+        self,
+        user: Node,
+        neighbor_seq: Tuple[Node, ...],
+        attributes: Dict,
+        latency: float = 0.0,
+        attempts: int = 1,
+        wasted_latency: float = 0.0,
+    ) -> None:
+        fields = self.__dict__
+        fields["user"] = user
+        fields["neighbor_seq"] = neighbor_seq
+        fields["attributes"] = attributes
+        fields["latency"] = latency
+        fields["attempts"] = attempts
+        fields["wasted_latency"] = wasted_latency
 
 
 class SocialProvider(abc.ABC):
@@ -275,7 +295,14 @@ class LatencyModelProvider(SocialProvider):
 
     def fetch(self, user: Node) -> ProviderFetch:
         fetched = self._inner.fetch(user)
-        return dataclasses.replace(fetched, latency=fetched.latency + self.latency_of(user))
+        return ProviderFetch(
+            user=fetched.user,
+            neighbor_seq=fetched.neighbor_seq,
+            attributes=fetched.attributes,
+            latency=fetched.latency + self.latency_of(user),
+            attempts=fetched.attempts,
+            wasted_latency=fetched.wasted_latency,
+        )
 
     def user_count(self) -> int:
         return self._inner.user_count()
@@ -392,8 +419,10 @@ class FlakyProvider(SocialProvider):
                 wasted += self._timeout_latency
                 continue
             fetched = self._inner.fetch(user)  # refusals propagate un-retried
-            return dataclasses.replace(
-                fetched,
+            return ProviderFetch(
+                user=fetched.user,
+                neighbor_seq=fetched.neighbor_seq,
+                attributes=fetched.attributes,
                 latency=fetched.latency + wasted,
                 attempts=attempt,
                 wasted_latency=fetched.wasted_latency + wasted,

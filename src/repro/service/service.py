@@ -64,7 +64,7 @@ from repro.compose import (
     build_stack,
 )
 from repro.datastore.kv import KeyValueStore
-from repro.datastore.snapshot import SnapshotBackend, decode_value, encode_value
+from repro.datastore.snapshot import SnapshotBackend, decode_value, encode_run, encode_value
 from repro.errors import QueryBudgetExhaustedError, ServiceError
 from repro.interface.cache import NeighborhoodCache
 from repro.obs.trace import (
@@ -125,24 +125,24 @@ def _runs(stack: SamplingStack, payload: dict) -> Dict[tuple, Tuple[list, Sequen
     return runs
 
 
-def _encode_spliced(value: object, items: Dict[tuple, list], above: frozenset, path: tuple = ()) -> object:
-    """``encode_value(value)``, with the run at each path in ``items`` taking those members.
+def _encode_spliced(value: object, runs: Dict[tuple, list], above: frozenset, path: tuple = ()) -> object:
+    """``encode_value(value)``, with the run at each path in ``runs`` taking that encoding.
 
     ``above`` holds every proper prefix of those paths: only the dicts
     and lists on the way to a run are encoded here, everything else by
     :func:`encode_value`.
     """
-    members = items.get(path)
-    if members is not None:
-        return ["l" if type(value) is list else "t", members]
+    encoded = runs.get(path)
+    if encoded is not None:
+        return encoded
     if path not in above:
         return encode_value(value)
     if type(value) is dict:
         return [
             "d",
-            [[encode_value(k), _encode_spliced(v, items, above, path + (k,))] for k, v in value.items()],
+            [[encode_value(k), _encode_spliced(v, runs, above, path + (k,))] for k, v in value.items()],
         ]
-    return ["l", [_encode_spliced(v, items, above, path + (i,)) for i, v in enumerate(value)]]
+    return ["l", [_encode_spliced(v, runs, above, path + (i,)) for i, v in enumerate(value)]]
 
 
 @dataclasses.dataclass
@@ -151,10 +151,13 @@ class _SpillMemo:
 
     Attributes:
         encoded: The spill as written; ``None`` once a wake has read it.
-        items: Run path -> the encoded members of that run in the spill.
+        items: Run path -> the column blocks each spill appended to that
+            run, oldest first (see :func:`~repro.datastore.snapshot.encode_run`;
+            empty for a run in the per-member form).
         live: Run path -> the live list the woken stack grows that run
             in.  Noted at wake, and only when the spill the wake read is
-            ``encoded`` itself, so each list starts with ``items``.
+            ``encoded`` itself, so each list starts with the values of
+            ``items``.
     """
 
     encoded: Optional[list]
@@ -661,24 +664,32 @@ class SamplingService:
         the payload, and :meth:`request` re-arms the target on wake.
 
         The spill is always exactly ``encode_value(payload)``, but it
-        costs the delta: the service keeps the encoded members of the
-        last spill's append-only runs (the query log's records, the
-        merged samples and their chain indices, each chain's trace), and
-        a run encodes only its tail when its live list is the very list
-        the last wake built from that spill and is no shorter.  A wake
-        that read a spill this service did not write, or a ``load_state``
-        or ``reset_accounting`` that put a new list in place, makes the
-        run encode whole again.
+        costs the delta.  The append-only runs (the query log's records,
+        the merged samples and their chain indices, each chain's trace)
+        are lists, which the codec writes as column blocks, one array per
+        field.  The service keeps the blocks each spill appended to a
+        run, and a run encodes only its tail when its live list is the
+        very list the last wake built from that spill and is no shorter:
+        the tail's block is joined onto the kept ones by extending each
+        field's array into a new one.  A tail of another shape (a new
+        type in a field, a row of another width), a wake that read a
+        spill this service did not write, or a ``load_state`` or
+        ``reset_accounting`` that put a new list in place makes the run
+        encode whole again.
+
+        An exhausted tenant stays ``exhausted``: its session is spilled
+        all the same, but :meth:`request` keeps refusing it, so nothing
+        ever wakes it.
 
         Raises:
             ServiceError: On an unknown tenant or one with no live stack
-                to spill (already hibernated is a no-op).
+                to spill (one already spilled is a no-op).
         """
         session = self._session(tenant_id)
-        if session.state == STATE_HIBERNATED:
-            return session
         stack = session.stack
         if stack is None:
+            if session.state in (STATE_HIBERNATED, STATE_EXHAUSTED):
+                return session
             raise ServiceError(
                 f"tenant {session.tenant_id!r} has no live session to hibernate"
             )
@@ -692,19 +703,18 @@ class SamplingService:
             "walkers": stack.walkers.state_dict(),
         }
         memo = self._spill_memo.get(session.tenant_id)
+        runs: Dict[tuple, list] = {}
         items: Dict[tuple, list] = {}
         for path, (live, run) in _runs(stack, payload).items():
-            prefix = None if memo is None or memo.live.get(path) is not live else memo.items[path]
-            if prefix is not None and len(run) >= len(prefix):
-                items[path] = prefix + encode_value(run[len(prefix) :])[1]
-            else:
-                items[path] = encode_value(run)[1]
-        above = frozenset(path[:i] for path in items for i in range(len(path)))
-        encoded = _encode_spliced(payload, items, above)
+            prefix = () if memo is None or memo.live.get(path) is not live else memo.items[path]
+            runs[path], items[path] = encode_run(run, prefix)
+        above = frozenset(path[:i] for path in runs for i in range(len(path)))
+        encoded = _encode_spliced(payload, runs, above)
         self._spill.set(("tenant", session.tenant_id), encoded)
         self._spill_memo[session.tenant_id] = _SpillMemo(encoded, items)
         session.stack = None
-        session.state = STATE_HIBERNATED
+        if session.state != STATE_EXHAUSTED:
+            session.state = STATE_HIBERNATED
         session.idle_rounds = 0
         if self._recorder is not None:
             self._recorder.record(
@@ -770,13 +780,13 @@ class SamplingService:
         the fleet spec), ``service/fleet``, ``service/cache``,
         ``service/registry`` (per-tenant records), and one
         ``tenant/<id>`` section per tenant with its session payload
-        (live ones snapshotted fresh, hibernated ones copied from the
-        spill store).
+        (live ones snapshotted fresh, spilled ones — hibernated, or
+        exhausted and hibernated — copied from the spill store).
         """
         registry: Dict[str, dict] = {}
         sections: Dict[str, object] = {}
         for tid, session in self._tenants.items():
-            if session.state == STATE_HIBERNATED:
+            if session.stack is None:
                 spilled = self._spill.get(("tenant", tid))
                 if spilled is None:
                     raise ServiceError(
@@ -805,6 +815,7 @@ class SamplingService:
                 "frozen_latency": session.latency_spent,
                 "frozen_hits": session.cache_hits,
                 "frozen_warm_hits": session.warm_hits,
+                "spilled": session.stack is None,
             }
         sections[_META_SECTION] = {
             "version": _SNAPSHOT_VERSION,
@@ -832,8 +843,8 @@ class SamplingService:
 
         Shared layers are restored first, then each tenant in the saved
         registration order: live tenants are materialized (and re-armed
-        if they were mid-request), hibernated ones go straight back to
-        the spill store without being built.
+        if they were mid-request), spilled ones go straight back to the
+        spill store without being built.
 
         Raises:
             ServiceError: If the backend holds no snapshot or the
@@ -880,7 +891,9 @@ class SamplingService:
             )
             service._tenants[tid] = session
             payload = sections[f"tenant/{tid}"]
-            if session.state == STATE_HIBERNATED:
+            # Snapshots written before exhausted tenants could be spilled
+            # carry no flag: only a hibernated tenant was.
+            if row.get("spilled", session.state == STATE_HIBERNATED):
                 service._spill.set(("tenant", tid), encode_value(payload))
             else:
                 session.stack = service._materialize(

@@ -50,9 +50,14 @@ class _ReplayCursor(StreamCursor):
         self.marks.append(self.index)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class WalkSample:
     """One collected sample.
+
+    A frozen dataclass whose ``__init__`` fills the instance dict in
+    place: every collected sample and every decoded one is built here,
+    and the generated frozen ``__init__`` pays one ``object.__setattr__``
+    per field.
 
     Attributes:
         node: Sampled user id.
@@ -68,6 +73,13 @@ class WalkSample:
     weight: float
     query_cost: int
     step: int
+
+    def __init__(self, node: Node, weight: float, query_cost: int, step: int) -> None:
+        fields = self.__dict__
+        fields["node"] = node
+        fields["weight"] = weight
+        fields["query_cost"] = query_cost
+        fields["step"] = step
 
 
 # Snapshot codec so collected samples can live inside checkpointed state
@@ -295,7 +307,7 @@ class RandomWalkSampler(abc.ABC):
         return {
             "current": self._current,
             "steps": self._steps,
-            "trace": tuple(self._trace),
+            "trace": list(self._trace),
             "rng": pack_state(self._rng.getstate()),
         }
 

@@ -454,7 +454,9 @@ class EventDrivenWalkers:
         queue entries and the dispatch counter (the FIFO tie-break *is*
         the determinism), per-chain ready times and thinning counters,
         phase, burn-in progress, R̂, and the partially filled merged
-        sample list (via the registered ``WalkSample`` codec).  The shared
+        sample list (via the registered ``WalkSample`` codec; it and its
+        chain indices are lists, so the codec writes them as column
+        blocks and a hibernation spill can splice their tails).  The shared
         interface and overlay are snapshotted once by
         :class:`~repro.interface.session.SamplingSession`, not here.
         """
@@ -470,8 +472,8 @@ class EventDrivenWalkers:
             "parked": tuple(sorted(self._parked)),
             "next_check": self._next_check,
             "r_hat": self._r_hat,
-            "merged": tuple(self._merged),
-            "merged_chain": tuple(self._merged_chain),
+            "merged": list(self._merged),
+            "merged_chain": list(self._merged_chain),
             "events": self._events,
             "next_free": tuple(self._next_free),
             "open_bursts": tuple(None if burst is None else tuple(burst) for burst in self._open_bursts),

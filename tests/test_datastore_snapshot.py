@@ -159,6 +159,94 @@ class TestGoldenFormat:
         assert state.random() == random.Random(2024).random()
 
 
+class TestGoldenFormatV3:
+    """Version 3 writes a list run as one column block, ``["L", block]``:
+    one array per field, every other value as in version 2."""
+
+    PAYLOAD = {
+        "log": [(i % 3, i % 2 == 0, 0.5 * i) for i in range(8)],
+        "trace": [1.0, 0.1, math.inf, -math.inf, math.nan, -0.0, 5e-324, 2.5],
+        "merged": [WalkSample(node=("u", i), weight=0.25, query_cost=i, step=9) for i in range(8)],
+        "flags": [True] * 8,
+        "users": list("abcdefgh"),
+        "ids": [(i, "x" if i % 2 else 3) for i in range(8)],
+        "short": [1, 2],
+        "mixed": [1, "a", 2, "b", 3, "c", 4, None],
+    }
+    GOLDEN = (
+        '["d", [[["s", "log"], ["L", ["t", [["i", [0, 1, 2, 0, 1, 2, 0, 1]], '
+        '["b", [true, false, true, false, true, false, true, false]], '
+        '["f", ["0x0.0p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+0", '
+        '"0x1.8000000000000p+0", "0x1.0000000000000p+1", "0x1.4000000000000p+1", '
+        '"0x1.8000000000000p+1", "0x1.c000000000000p+1"]]]]]], '
+        '[["s", "trace"], ["L", ["f", ["0x1.0000000000000p+0", "0x1.999999999999ap-4", "inf", "-inf", "nan", '
+        '"-0x0.0p+0", "0x0.0000000000001p-1022", "0x1.4000000000000p+1"]]]], '
+        '[["s", "merged"], ["L", ["x:walk-sample", ["t", [["t", '
+        '[["s", ["u", "u", "u", "u", "u", "u", "u", "u"]], '
+        '["i", [0, 1, 2, 3, 4, 5, 6, 7]]]], ["f", ["0x1.0000000000000p-2", "0x1.0000000000000p-2", '
+        '"0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p-2", '
+        '"0x1.0000000000000p-2", "0x1.0000000000000p-2"]], '
+        '["i", [0, 1, 2, 3, 4, 5, 6, 7]], ["i", [9, 9, 9, 9, 9, 9, 9, 9]]]]]]], '
+        '[["s", "flags"], ["L", ["b", [true, true, true, true, true, true, true, true]]]], '
+        '[["s", "users"], ["L", ["s", ["a", "b", "c", "d", "e", "f", "g", "h"]]]], '
+        '[["s", "ids"], ["L", ["t", [["i", [0, 1, 2, 3, 4, 5, 6, 7]], '
+        '["e", [["i", 3], ["s", "x"], ["i", 3], ["s", "x"], '
+        '["i", 3], ["s", "x"], ["i", 3], ["s", "x"]]]]]]], '
+        '[["s", "short"], ["l", [["i", 1], ["i", 2]]]], '
+        '[["s", "mixed"], ["l", [["i", 1], ["s", "a"], ["i", 2], ["s", "b"], '
+        '["i", 3], ["s", "c"], ["i", 4], ["z"]]]]]]'
+    )
+
+    def test_bytes_match_the_committed_literal(self):
+        assert json.dumps(encode_value(self.PAYLOAD), sort_keys=True) == self.GOLDEN
+
+    def test_round_trips(self):
+        decoded = decode_value(json.loads(self.GOLDEN))
+        assert list(decoded) == list(self.PAYLOAD)
+        for key, run in self.PAYLOAD.items():
+            assert type(decoded[key]) is list
+            assert repr(decoded[key]) == repr(run)
+            assert [type(v) for v in decoded[key]] == [type(v) for v in run]
+        assert [x.hex() for x in decoded["trace"]] == [x.hex() for x in self.PAYLOAD["trace"]]
+
+
+class TestColumnBlockErrors:
+    @pytest.mark.parametrize(
+        "encoded",
+        [
+            ["L", ["t", [["i", [1, 2]], ["i", [1]]]]],
+            ["L", ["t", []]],
+            ["L", ["q", [1, 2]]],
+            ["L", ["x:never-registered", ["i", [1, 2]]]],
+            ["L", ["i", [1, "2"]]],
+            ["L", ["b", [True, 1]]],
+            ["L", ["f", ["not hex"]]],
+            ["L", ["f", [1.5]]],
+            ["L", ["i", 5]],
+            ["L", ["i"]],
+            ["L", [7, [1]]],
+            ["L"],
+        ],
+        ids=[
+            "ragged-columns",
+            "no-columns",
+            "unknown-kind",
+            "unknown-extension",
+            "wrong-int",
+            "wrong-bool",
+            "bad-hex",
+            "float-payload",
+            "no-array",
+            "no-data",
+            "non-string-kind",
+            "no-block",
+        ],
+    )
+    def test_malformed_block_raises(self, encoded):
+        with pytest.raises(SnapshotError):
+            decode_value(encoded)
+
+
 SECTIONS = {
     "meta": {"sampler_type": "MTOSampler", "steps": 12},
     "state": {
@@ -215,6 +303,20 @@ class TestJsonLinesBackend:
         with pytest.raises(SnapshotError, match=r"version 1;.*version 2"):
             JsonLinesBackend(path).read()
 
+    def test_version_one_header_names_every_version_this_build_reads(self, tmp_path):
+        path = tmp_path / "snap.jsonl"
+        path.write_text(json.dumps({"format": "repro-snapshot", "version": 1, "sections": []}) + "\n")
+        with pytest.raises(SnapshotError, match=r"has version 1; this build reads version 2 or 3$"):
+            JsonLinesBackend(path).read()
+
+    def test_version_two_snapshot_still_reads(self, tmp_path):
+        # Version 2 wrote every list member by member.
+        path = tmp_path / "snap.jsonl"
+        header = {"format": "repro-snapshot", "version": 2, "sections": ["s"]}
+        section = {"section": "s", "data": ["l", [["i", i] for i in range(9)]]}
+        path.write_text(json.dumps(header) + "\n" + json.dumps(section) + "\n")
+        assert JsonLinesBackend(path).read() == {"s": list(range(9))}
+
     def test_truncated_sections_raise(self, tmp_path):
         path = tmp_path / "snap.jsonl"
         backend = JsonLinesBackend(path)
@@ -263,6 +365,18 @@ class TestKeyValueBackend:
         backend.store.set(("snapshot", "default", "header"), {"version": 1, "sections": ()})
         with pytest.raises(SnapshotError, match=r"version 1;.*version 2"):
             backend.read()
+
+    def test_version_one_header_names_every_version_this_build_reads(self):
+        backend = KeyValueBackend()
+        backend.store.set(("snapshot", "default", "header"), {"version": 1, "sections": ()})
+        with pytest.raises(SnapshotError, match=r"has version 1; this build reads version 2 or 3$"):
+            backend.read()
+
+    def test_version_two_snapshot_still_reads(self):
+        backend = KeyValueBackend()
+        backend.store.set(("snapshot", "default", "header"), {"version": 2, "sections": ("s",)})
+        backend.store.set(("snapshot", "default", "section", "s"), ["l", [["i", i] for i in range(9)]])
+        assert backend.read() == {"s": list(range(9))}
 
     def test_evicted_section_raises(self):
         backend = KeyValueBackend()

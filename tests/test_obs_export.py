@@ -41,6 +41,20 @@ class TestJsonl:
         assert events[0].attrs["user"] == ("node", 7)  # codec keeps tuples
         assert metrics.state_dict() == recorder.metrics.state_dict()
 
+    def test_list_runs_in_events_read_back_from_column_blocks(self, tmp_path):
+        # The trace format keeps its version: its reader decodes a list
+        # run's column block like the per-member form older files carry.
+        recorder = _sample_recorder()
+        users = [("u", i) for i in range(9)]
+        recorder.record(EVENT_WALK_STEP, 3.0, 0.5, chain=1, path=list(range(10)), users=users)
+        path = tmp_path / "trace.jsonl"
+        export_jsonl(recorder, path)
+        assert json.loads(path.read_text().splitlines()[0])["version"] == TRACE_VERSION == 1
+        assert '["L", ["i", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]]]' in path.read_text()
+        events, _ = read_jsonl(path)
+        assert events == recorder.events
+        assert type(events[-1].attrs["users"]) is list and events[-1].attrs["users"][0] == ("u", 0)
+
     def test_header_declares_format_and_count(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         export_jsonl(_sample_recorder(), path)

@@ -10,6 +10,7 @@ the original-degree side channel (Theorem 5's free knowledge).
 import collections
 import enum
 import json
+import math
 import random
 
 import pytest
@@ -236,10 +237,59 @@ def _reference_encode(value):
     if isinstance(value, tuple):
         return ["t", [_reference_encode(v) for v in value]]
     if isinstance(value, list):
+        block = _reference_column(value) if len(value) >= snapshot._RUN_MIN else None
+        if block is not None:
+            return ["L", block]
         return ["l", [_reference_encode(v) for v in value]]
     if isinstance(value, dict):
         return ["d", [[_reference_encode(k), _reference_encode(v)] for k, v in value.items()]]
     raise TypeError(f"no reference encoding for {type(value).__name__}")
+
+
+_SCALAR_KINDS = {int: "i", bool: "b", str: "s"}
+
+
+def _reference_column(values):
+    """The column block of a list run, built field by field in plain loops,
+    or ``None`` when the members are no run of one kind."""
+    kind = type(values[0])
+    for v in values:
+        if type(v) is not kind:
+            return None
+    if kind in _SCALAR_KINDS:
+        data = []
+        for v in values:
+            data.append(v)
+        return [_SCALAR_KINDS[kind], data]
+    if kind is float:
+        data = []
+        for v in values:
+            data.append(v.hex())
+        return ["f", data]
+    if kind is tuple:
+        width = len(values[0])
+        for v in values:
+            if len(v) != width:
+                return None
+        if width == 0:
+            return None
+        fields = []
+        for i in range(width):
+            fields.append(_reference_field([row[i] for row in values]))
+        return ["t", fields]
+    extension = snapshot._EXTENSION_ENCODERS.get(kind)
+    if extension is not None and not issubclass(kind, _BASE_TYPES):
+        tag, to_primitives = extension
+        return [tag, _reference_field([to_primitives(v) for v in values])]
+    return None
+
+
+def _reference_field(values):
+    """One field of a row or extension run: its column block, else its members."""
+    block = _reference_column(values)
+    if block is None:
+        return ["e", [_reference_encode(v) for v in values]]
+    return block
 
 
 def _plain(value):
@@ -365,3 +415,81 @@ class TestBulkCodecProperties:
         # Shard routing and per-user latency streams hash this text; the
         # long tuples take the run paths, the short ones do not.
         assert canonical_key(user) == key
+
+
+# ----------------------------------------------------------------------
+# list runs as column blocks
+# ----------------------------------------------------------------------
+_RUN_MIN = snapshot._RUN_MIN
+
+
+def _sample(i):
+    return WalkSample(node=i, weight=1.0 / (i + 1), query_cost=i, step=2 * i)
+
+
+def _event(i):
+    return TraceEvent(seq=i, name="query", ts=0.5 * i, dur=0.25, attrs={"user": i})
+
+
+#: member(i) builders for the column kinds, and what they are a run of.
+_MEMBERS = {
+    "int": lambda i: i - 3,
+    "bool": lambda i: i % 3 == 0,
+    "float": lambda i: (math.nan, -0.0, math.inf, -math.inf, 0.1, 5e-324)[i % 6],
+    "str": lambda i: "u" * (i % 4),
+    "rows": lambda i: (i, i % 2 == 0, 0.5 * i),
+    "mixed-column": lambda i: (i, "x" if i % 2 else 3, None),
+    "nested-rows": lambda i: ((i, "a"), [i]),
+    "int-enum": lambda i: (_Kind.LOW, _Kind.HIGH)[i % 2],
+    "namedtuple": lambda i: _Pair(i, i % 2 == 0),
+    "walk-sample": _sample,
+    "trace-event": _event,
+    "ragged": lambda i: tuple(range(i % 3)),
+}
+#: Kinds that are no column run: subclasses of a base type, rows of unequal width.
+_PER_MEMBER = {"int-enum", "namedtuple", "ragged"}
+
+
+class TestListColumns:
+    @pytest.mark.parametrize("size", [0, 1, _RUN_MIN - 1, _RUN_MIN, 3 * _RUN_MIN + 1])
+    @pytest.mark.parametrize("kind", sorted(_MEMBERS))
+    def test_round_trip_through_json(self, kind, size):
+        run = [_MEMBERS[kind](i) for i in range(size)]
+        encoded = encode_value(run)
+        assert encoded[0] == ("L" if size >= _RUN_MIN and kind not in _PER_MEMBER else "l")
+        assert encoded == _reference_encode(run)
+        through_json = json.loads(json.dumps(encoded))
+        for value in (decode_value(encoded), decode_value(through_json)):
+            assert _same(value, _plain(run))
+
+    def test_a_decoded_run_shares_no_list_with_its_encoding(self):
+        run = list(range(2 * _RUN_MIN))
+        encoded = encode_value(run)
+        decoded = decode_value(encoded)
+        decoded.append(-1)
+        assert encoded == ["L", ["i", run]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_runs, st.data())
+    def test_a_spliced_run_equals_its_whole_encoding(self, run, data):
+        cut = data.draw(st.integers(0, len(run)))
+        first, blocks = snapshot.encode_run(run[:cut])
+        assert first == encode_value(run[:cut])
+        assert blocks == ([first[1]] if first[0] == "L" else [])
+        frozen = json.dumps(blocks)
+        encoded, joined = snapshot.encode_run(run, blocks)
+        assert encoded == encode_value(run)
+        assert json.dumps(blocks) == frozen  # the given blocks are never edited
+        if blocks and encoded[0] == "L" and joined[0] is blocks[0]:
+            assert len(joined) == len(blocks) + (len(run) > cut)
+
+    def test_a_tail_of_another_shape_is_encoded_whole(self):
+        rows = [(i, True, 0.5) for i in range(_RUN_MIN)]
+        _, blocks = snapshot.encode_run(rows)
+        for tail in [("u", True, 0.5)], [(1, True)], [(1, 1, 0.5)]:
+            encoded, joined = snapshot.encode_run(rows + tail, blocks)
+            assert encoded == encode_value(rows + tail)
+            assert joined == ([encoded[1]] if encoded[0] == "L" else [])  # ragged rows: per member
+        encoded, joined = snapshot.encode_run(rows + [(9, False, 2.0)], blocks)
+        assert encoded == encode_value(rows + [(9, False, 2.0)])
+        assert joined[0] is blocks[0] and len(joined) == 2

@@ -23,7 +23,7 @@ import pytest
 from repro.compose import FleetSpec, ProviderSpec, StackConfig, WalkSpec, build_stack
 from repro.datasets import load
 from repro.datastore import KeyValueStore
-from repro.datastore.snapshot import decode_value, encode_value
+from repro.datastore.snapshot import KeyValueBackend, decode_value, encode_value
 from repro.errors import ServiceError
 from repro.service import (
     STATE_ACTIVE,
@@ -157,6 +157,44 @@ class TestBudgetIsolation:
         assert solvent.samples == 30
         with pytest.raises(ServiceError):
             service.request("broke", 1)
+
+    def _exhausted(self, network):
+        service = SamplingService(network, fleet=FLEET)
+        service.register("broke", StackConfig(fleet=FLEET, walk=WalkSpec(chains=2, seed=3), query_budget=5))
+        service.register("solvent", _config(seed=6))
+        service.request("broke", 200)
+        service.run_pending()
+        assert service.tenant("broke").state == STATE_EXHAUSTED
+        return service
+
+    def _assert_stays_exhausted(self, service, summary):
+        with pytest.raises(ServiceError):
+            service.request("broke", 1)
+        service.request("solvent", 10)
+        report = service.run_pending()
+        assert report["served"] == {"broke": 0, "solvent": 10}
+        broke = service.tenant("broke")
+        assert broke.state == STATE_EXHAUSTED and broke.stack is None
+        assert service.tenant_summary("broke") == summary
+
+    def test_an_exhausted_tenant_stays_exhausted_across_hibernate(self, network):
+        service = self._exhausted(network)
+        summary = service.tenant_summary("broke")
+        service.hibernate("broke")
+        service.hibernate("broke")  # already spilled: a no-op
+        assert service.tenant("broke").stack is None
+        self._assert_stays_exhausted(service, summary)
+
+    def test_an_exhausted_tenant_stays_exhausted_across_save_and_resume(self, network):
+        service = self._exhausted(network)
+        summary = service.tenant_summary("broke")
+        service.hibernate("broke")
+        backend = KeyValueBackend()
+        service.save(backend)
+        resumed = SamplingService.resume(backend, network)
+        self._assert_stays_exhausted(resumed, summary)
+        # The spill went back to the spill store, unbuilt and unchanged.
+        assert resumed._spill.get(("tenant", "broke")) == service._spill.get(("tenant", "broke"))
 
 
 class TestLifecycleErrors:
