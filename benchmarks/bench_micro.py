@@ -218,23 +218,35 @@ def _make_chains(network, name):
     return chains
 
 
-def _parallel_profile(network, make_chains, prefetch, repeats=3):
-    """Best-of-N parallel throughput (noisy runners; cost is seeded-exact)."""
-    best = 0.0
-    query_cost = None
+def _parallel_profile(network, make_chains, repeats=3):
+    """Best-of-N lock-step throughput with prefetch off and on.
+
+    The two sides alternate within each repeat, as in
+    :func:`_obs_serial_sps`, so a slow stretch of a noisy runner hits
+    both equally; the gate reads their ratio.  Cost is seeded-exact.
+    """
+    best = {False: 0.0, True: 0.0}
+    query_cost = {}
     for _ in range(repeats):
-        api = network.interface()
-        walkers = ParallelWalkers(make_chains(api), prefetch=prefetch)
-        for _ in range(20):
-            walkers.step_all()
-        with _gc_quiesced():
-            t0 = time.perf_counter()
-            for _ in range(_PARALLEL_ROUNDS):
+        for prefetch in (False, True):
+            api = network.interface()
+            walkers = ParallelWalkers(make_chains(api), prefetch=prefetch)
+            for _ in range(20):
                 walkers.step_all()
-            elapsed = time.perf_counter() - t0
-        best = max(best, _PARALLEL_ROUNDS * _PARALLEL_CHAINS / elapsed)
-        query_cost = api.query_cost
-    return {"chain_steps_per_second": round(best), "query_cost": query_cost}
+            with _gc_quiesced():
+                t0 = time.perf_counter()
+                for _ in range(_PARALLEL_ROUNDS):
+                    walkers.step_all()
+                elapsed = time.perf_counter() - t0
+            best[prefetch] = max(best[prefetch], _PARALLEL_ROUNDS * _PARALLEL_CHAINS / elapsed)
+            query_cost[prefetch] = api.query_cost
+    return {
+        "prefetch_on" if prefetch else "prefetch_off": {
+            "chain_steps_per_second": round(best[prefetch]),
+            "query_cost": query_cost[prefetch],
+        }
+        for prefetch in (False, True)
+    }
 
 
 _ENGINE_FACTORIES = {
@@ -263,14 +275,7 @@ def test_walk_engine_profile(network, figure_report):
         "parallel": {
             "chains": _PARALLEL_CHAINS,
             "engines": {
-                name: {
-                    "prefetch_off": _parallel_profile(
-                        network, _make_chains(network, name), prefetch=False
-                    ),
-                    "prefetch_on": _parallel_profile(
-                        network, _make_chains(network, name), prefetch=True
-                    ),
-                }
+                name: _parallel_profile(network, _make_chains(network, name))
                 for name in _ENGINE_FACTORIES
             },
         },
@@ -550,7 +555,7 @@ def test_planning_profile(network, figure_report):
     )
     zero_knob_run = EventDrivenWalkers(
         chains(fleet_api),
-        planner=DispatchPlanner(lookahead=0, speculation=0),
+        planner=DispatchPlanner(lookahead=0),
     ).run(num_samples=200)
     bit_for_bit = (
         zero_knob_run.samples == lock_run.samples
@@ -615,8 +620,8 @@ _HIST_MIN_SPEEDUP = 1.5
 def test_history_profile(network, figure_report):
     """Emit ``BENCH_history.json``: per-engine prediction + warm starts.
 
-    The acceptance metrics (ISSUE 8): every walk engine planned at
-    ``speculation=0`` bills the identical §II-B query set as its
+    The acceptance metrics (ISSUE 8): every walk engine's planned run
+    bills the identical §II-B query set as its
     planner-free baseline (``run_warm_history`` raises otherwise), MHRW
     and NBRW gain at least 1.5x simulated wall-clock from predictive
     prefetch on the skewed fleet, and a second run warm-started from a
@@ -661,7 +666,7 @@ def test_history_profile(network, figure_report):
         )
         zero_knob_run = EventDrivenWalkers(
             _make_chains(network, name)(fleet_api),
-            planner=DispatchPlanner(lookahead=0, speculation=0),
+            planner=DispatchPlanner(lookahead=0),
         ).run(num_samples=_HIST_PROBE_SAMPLES)
         zero_knob[name] = (
             zero_knob_run.samples == lock_run.samples

@@ -35,7 +35,7 @@ import dataclasses
 from typing import Hashable, List, Optional, Tuple, Union
 
 from repro.datastore.snapshot import register_codec
-from repro.errors import ComposeError
+from repro.errors import ComposeError, SnapshotError
 from repro.fleet.disruption import DisruptionSchedule
 from repro.fleet.provider import ShardedProvider
 from repro.fleet.router import ShardRouter
@@ -202,19 +202,12 @@ class PlannerSpec:
     """
 
     lookahead: int = 4
-    speculation: int = 0
-    seed: int = 0
     policy: Optional[PolicySpec] = None
 
     def build(self) -> DispatchPlanner:
         """Construct a fresh, unbound planner."""
         policy = self.policy.build() if self.policy is not None else None
-        return DispatchPlanner(
-            lookahead=self.lookahead,
-            speculation=self.speculation,
-            policy=policy,
-            seed=self.seed,
-        )
+        return DispatchPlanner(lookahead=self.lookahead, policy=policy)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -231,7 +224,6 @@ class WalkSpec:
             ``chains``), or ``None`` to derive them from the network.
         max_lead: Burn-in lead bound (see
             :class:`~repro.walks.scheduler.EventDrivenWalkers`).
-        batch_window: Coalescing hold window in simulated seconds.
     """
 
     engine: str = "srw"
@@ -239,7 +231,6 @@ class WalkSpec:
     seed: int = 0
     starts: Optional[Tuple[Node, ...]] = None
     max_lead: int = 64
-    batch_window: float = 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -459,12 +450,7 @@ def build_stack(
         for i in range(config.walk.chains)
     ]
     planner = config.planner.build() if config.planner is not None else None
-    walkers = EventDrivenWalkers(
-        samplers,
-        max_lead=config.walk.max_lead,
-        batch_window=config.walk.batch_window,
-        planner=planner,
-    )
+    walkers = EventDrivenWalkers(samplers, max_lead=config.walk.max_lead, planner=planner)
     if state is not None:
         api.load_state(state["api"])
         walkers.load_state(state["walkers"])
@@ -475,24 +461,54 @@ def build_stack(
     return SamplingStack(config, fleet, api, samplers, walkers)
 
 
-def _register_spec_codec(tag: str, cls: type) -> None:
+def _register_spec_codec(tag: str, cls: type, decode=None) -> None:
     """Register a field-dict codec for one frozen spec dataclass.
 
     ``encode`` reduces the instance to ``{field: value}`` — nested specs
     stay instances and are recursively encoded by *their* codecs, so a
-    :class:`StackConfig` round-trips with full type fidelity.
+    :class:`StackConfig` round-trips with full type fidelity.  ``decode``
+    defaults to ``cls(**payload)``.
     """
 
     def encode(spec):
         return {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
 
-    register_codec(tag, cls, encode, lambda payload: cls(**payload))
+    register_codec(tag, cls, encode, decode or (lambda payload: cls(**payload)))
+
+
+def _refuse_retired(spec: str, field: str, value: object, inert: object) -> None:
+    """Raise when an older snapshot sets a removed field to anything but its no-op value."""
+    if value != inert:
+        raise SnapshotError(
+            f"this snapshot's {spec} sets {field}={value!r}; the field is removed and "
+            f"only {inert!r} (its no-op value) still loads"
+        )
+
+
+def _decode_planner_spec(payload: dict) -> PlannerSpec:
+    """``PlannerSpec(**payload)``, reading older snapshots too.
+
+    Older builds also stored ``speculation`` and its ranking ``seed``.  A
+    ``speculation`` of 0, where the seed had no effect, decodes to the same
+    planner; any other value refuses to resume a different plan.
+    """
+    payload = dict(payload)
+    payload.pop("seed", None)
+    _refuse_retired("PlannerSpec", "speculation", payload.pop("speculation", 0), 0)
+    return PlannerSpec(**payload)
+
+
+def _decode_walk_spec(payload: dict) -> WalkSpec:
+    """``WalkSpec(**payload)``; an older snapshot's ``batch_window`` must be 0.0, its no-op value."""
+    payload = dict(payload)
+    _refuse_retired("WalkSpec", "batch_window", payload.pop("batch_window", 0.0), 0.0)
+    return WalkSpec(**payload)
 
 
 _register_spec_codec("x:provider-spec", ProviderSpec)
 _register_spec_codec("x:fleet-spec", FleetSpec)
 _register_spec_codec("x:rate-limit-spec", RateLimitSpec)
 _register_spec_codec("x:policy-spec", PolicySpec)
-_register_spec_codec("x:planner-spec", PlannerSpec)
-_register_spec_codec("x:walk-spec", WalkSpec)
+_register_spec_codec("x:planner-spec", PlannerSpec, _decode_planner_spec)
+_register_spec_codec("x:walk-spec", WalkSpec, _decode_walk_spec)
 _register_spec_codec("x:stack-config", StackConfig)

@@ -9,15 +9,10 @@ process) reuse the neighborhoods an earlier crawl already paid for.
 
 :class:`HistoryStore` is that artifact.  It persists, through the same
 pluggable :class:`~repro.datastore.snapshot.SnapshotBackend` codec the
-session snapshots use:
-
-* the **known-neighborhood summary** — every cached ``(user,
-  neighbor_seq, attributes)`` response plus the refusals billed so far,
-  derived from the interface's cache and :class:`~repro.datastore.querylog.QueryLog`;
-* the **planning statistics** — a
-  :class:`~repro.planning.history.HistoryIndex` ``state_dict`` (visit
-  counts, cache-first/fetched step counters, per-region books) that a
-  warm planner turns into a speculative-ranking prior.
+session snapshots use, the **known-neighborhood summary**: every cached
+``(user, neighbor_seq, attributes)`` response plus the refusals billed so
+far, derived from the interface's cache and
+:class:`~repro.datastore.querylog.QueryLog`.
 
 Warm-starting applies the record *without billing*: neighborhoods enter
 the new interface via ``cache.put`` (never ``query``), refusals rejoin
@@ -31,10 +26,10 @@ for itself.
 Example::
 
     store = HistoryStore(JsonLinesBackend("crawl.history.jsonl"))
-    store.save(api, planner=stack.planner)      # after the first run
+    store.save(api)  # after the first run
 
     # ... later, any process, any walk configuration ...
-    warmed = store.warm(fresh_api, planner=new_stack.planner)
+    warmed = store.warm(fresh_api)
 """
 
 from __future__ import annotations
@@ -69,16 +64,12 @@ class HistoryRecord:
             :meth:`~repro.datastore.querylog.QueryLog.queried_users`
             summary; a superset of ``neighborhoods``' keys only when the
             prior cache evicted entries it had billed).
-        stats: A :class:`~repro.planning.history.HistoryIndex`
-            ``state_dict`` payload (empty dicts/zeros when the prior run
-            had no planner).
     """
 
     meta: dict
     neighborhoods: Dict[Node, Tuple[Tuple[Node, ...], dict]]
     private: frozenset
     billed_users: frozenset
-    stats: dict
 
     @property
     def known_count(self) -> int:
@@ -98,39 +89,28 @@ def _cached_neighborhoods(cache) -> Dict[Node, dict]:
     return neighborhoods
 
 
-def _sections(neighborhoods, index, billed, private, metadata, **accounting) -> Dict[str, dict]:
+def _sections(neighborhoods, billed, private, metadata, **accounting) -> Dict[str, dict]:
     """The three artifact sections; ``accounting`` extends the meta section."""
     meta = dict(metadata or {})
     meta.update(version=HISTORY_VERSION, users=len(neighborhoods), **accounting)
     return {
         SECTION_META: meta,
         SECTION_NEIGHBORHOODS: neighborhoods,
-        SECTION_STATS: {"index": index, "billed": billed, "private": private},
+        SECTION_STATS: {"billed": billed, "private": private},
     }
 
 
-def capture_history(
-    api,
-    planner=None,
-    metadata: Optional[dict] = None,
-) -> Dict[str, dict]:
+def capture_history(api, metadata: Optional[dict] = None) -> Dict[str, dict]:
     """Assemble history sections from a live interface (no persistence).
 
     Args:
         api: The :class:`~repro.interface.api.RestrictedSocialAPI` whose
             cache/log hold the knowledge to persist.
-        planner: Optional bound
-            :class:`~repro.planning.planner.DispatchPlanner` whose
-            history-index statistics ride along as the warm prior.
         metadata: Extra JSON-safe entries merged into the meta section.
     """
     billed = api.log.queried_users()
-    stats: dict = {}
-    if planner is not None and getattr(planner, "bound", False):
-        stats = planner.history.state_dict()
     return _sections(
         _cached_neighborhoods(api.cache),
-        stats,
         billed,
         frozenset(user for user in billed if api.is_known_private(user)),
         metadata,
@@ -161,32 +141,26 @@ class HistoryStore:
     # ------------------------------------------------------------------
     # write side
     # ------------------------------------------------------------------
-    def save(self, api, planner=None, metadata: Optional[dict] = None) -> Dict[str, dict]:
+    def save(self, api, metadata: Optional[dict] = None) -> Dict[str, dict]:
         """Capture ``api``'s paid-for knowledge and persist it.
 
         Returns the sections written (see :func:`capture_history`).
         """
-        sections = capture_history(api, planner=planner, metadata=metadata)
+        sections = capture_history(api, metadata=metadata)
         self._backend.write(sections)
         return sections
 
     def save_cache(
-        self,
-        cache,
-        private: Iterable[Node] = (),
-        stats: Optional[dict] = None,
-        metadata: Optional[dict] = None,
+        self, cache, private: Iterable[Node] = (), metadata: Optional[dict] = None
     ) -> Dict[str, dict]:
         """Persist a bare shared cache (the service layer's write path).
 
         A multi-tenant service owns one cross-tenant cache but no single
         interface; this captures every cached neighborhood directly,
-        with optional refusal and planning-statistics payloads.
+        with an optional refusal payload.
         """
         neighborhoods = _cached_neighborhoods(cache)
-        sections = _sections(
-            neighborhoods, dict(stats or {}), frozenset(neighborhoods), frozenset(private), metadata
-        )
+        sections = _sections(neighborhoods, frozenset(neighborhoods), frozenset(private), metadata)
         self._backend.write(sections)
         return sections
 
@@ -195,6 +169,9 @@ class HistoryStore:
     # ------------------------------------------------------------------
     def load(self) -> Optional[HistoryRecord]:
         """Decode the stored artifact, or ``None`` when the backend is empty.
+
+        The per-node planning statistics older builds stored under the
+        stats section's ``index`` key are ignored.
 
         Raises:
             SnapshotError: On a missing section or unsupported version.
@@ -220,16 +197,14 @@ class HistoryStore:
             neighborhoods=neighborhoods,
             private=frozenset(stats.get("private", frozenset())),
             billed_users=frozenset(stats.get("billed", frozenset())),
-            stats=dict(stats.get("index", {})),
         )
 
-    def warm(self, api, planner=None) -> int:
-        """Load the artifact and warm-start ``api`` (and ``planner``) from it.
+    def warm(self, api) -> int:
+        """Load the artifact and warm-start ``api`` from it.
 
         Neighborhoods preload through
         :meth:`~repro.interface.api.RestrictedSocialAPI.warm_start`
-        (cache writes, never billed queries); a bound planner receives
-        the record's history-index statistics as its speculative prior.
+        (cache writes, never billed queries).
 
         Returns:
             Number of neighborhoods preloaded (0 when the backend holds
@@ -238,7 +213,4 @@ class HistoryStore:
         record = self.load()
         if record is None:
             return 0
-        count = api.warm_start(record.neighborhoods, private=record.private)
-        if planner is not None and getattr(planner, "bound", False) and record.stats:
-            planner.warm_start(record.stats)
-        return count
+        return api.warm_start(record.neighborhoods, private=record.private)

@@ -153,10 +153,6 @@ class DeadEndError(WalkError):
         self.node = node
 
 
-class NotConvergedError(WalkError):
-    """A convergence monitor was asked for a verdict before it had data."""
-
-
 class PlanningError(ReproError):
     """Dispatch-planner configuration or wiring failures.
 

@@ -223,7 +223,7 @@ def run_history_sweep(
                     evaluate_every=8,
                     min_observations=6,
                 )
-            planner = PlannerSpec(lookahead=lookahead, policy=policy, seed=seed)
+            planner = PlannerSpec(lookahead=lookahead, policy=policy)
         stack = build_stack(StackConfig(fleet=fleet, walk=walk, planner=planner), network)
         return stack.run(num_samples=num_samples, thinning=thinning)
 

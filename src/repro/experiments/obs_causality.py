@@ -247,8 +247,8 @@ def run_obs_tracediff(
     prefetch planner — and returns the causal diff.  By construction the
     dominant driver is planner prefetching: the planner-on run converts
     provider round trips into free cache-hit steps and finishes sooner.
-    The diff's ``cost_delta`` reports any §II-B divergence (a tail-end
-    speculative prefetch can bill a user the plain walk never reaches);
+    The diff's ``cost_delta`` reports any §II-B divergence (a prefetch
+    the run ends before consuming bills a user the plain walk never reaches);
     the reference seed is cost-neutral and the benchmark gate holds it
     there.
     """

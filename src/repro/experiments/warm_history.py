@@ -9,8 +9,8 @@ Two measurements ride one driver, both downstream of ISSUE 8's tentpole
    now implements ``predict_next_fetch``, so the dispatch planner's
    predictive prefetch works for all of them.  For each engine the
    driver runs the same chains over the same skewed batch-coalescing
-   fleet twice: planner-free (the baseline) and with a cost-neutral
-   planner (``lookahead`` > 0, ``speculation=0``).  Predictions are the
+   fleet twice: planner-free (the baseline) and with a planner
+   (``lookahead`` > 0), which is cost-neutral.  Predictions are the
    walks' real future fetches, so the planned run must bill the
    *identical* §II-B unique-query set — asserted — while the simulated
    wall-clock drops (fetches ride open bursts' spare admission slots).
@@ -128,7 +128,7 @@ class WarmHistoryResult:
     def __str__(self) -> str:
         lines = [
             f"warm history — {self.chains} chains x {self.num_samples} samples "
-            f"on {self.dataset} (lookahead {self.lookahead}, speculation 0)",
+            f"on {self.dataset} (lookahead {self.lookahead}, cost-neutral prefetch)",
             "  {:>6} {:>8} {:>12} {:>12} {:>8} {:>13} {:>13}".format(
                 "engine", "queries", "base wall", "plan wall", "speedup",
                 "prefetch i/u", "predict h/m",
@@ -240,14 +240,14 @@ def run_warm_history(
             engine(api, start=network.seed_node(i), seed=walk_seed * 100_003 + i)
             for i in range(chains)
         ]
-        planner = DispatchPlanner(lookahead=look, seed=seed) if look > 0 else None
-        return api, planner, EventDrivenWalkers(walkers, planner=planner)
+        planner = DispatchPlanner(lookahead=look) if look > 0 else None
+        return api, EventDrivenWalkers(walkers, planner=planner)
 
     rows: List[WarmHistoryEngineRow] = []
     for engine_name in engines:
-        _, _, baseline = build_cell(engine_name, 0, seed)
+        _, baseline = build_cell(engine_name, 0, seed)
         base_run = baseline.run(num_samples=num_samples)
-        _, _, planned = build_cell(engine_name, lookahead, seed)
+        _, planned = build_cell(engine_name, lookahead, seed)
         plan_run = planned.run(num_samples=num_samples)
         if plan_run.queries != base_run.queries:
             raise ExperimentError(
@@ -283,16 +283,16 @@ def run_warm_history(
     store = history_store
     if store is None:
         store = HistoryStore(KeyValueBackend(KeyValueStore(), namespace="warm-history"))
-    recorder_api, recorder_planner, recorder = build_cell("mhrw", lookahead, seed)
+    recorder_api, recorder = build_cell("mhrw", lookahead, seed)
     recorder.run(num_samples=num_samples)
-    sections = store.save(recorder_api, planner=recorder_planner)
+    sections = store.save(recorder_api)
     recorded_users = int(sections["history/meta"]["users"])
 
     second_seed = seed + 1  # a different crawl, not a resume
-    cold_api, _, cold = build_cell("mhrw", lookahead, second_seed)
+    _, cold = build_cell("mhrw", lookahead, second_seed)
     cold_run = cold.run(num_samples=num_samples)
-    warm_api, warm_planner, warm = build_cell("mhrw", lookahead, second_seed)
-    warmed = store.warm(warm_api, planner=warm_planner)
+    warm_api, warm = build_cell("mhrw", lookahead, second_seed)
+    warmed = store.warm(warm_api)
     warm_run = warm.run(num_samples=num_samples)
 
     bit_for_bit = _chain_nodes(cold_run) == _chain_nodes(warm_run)

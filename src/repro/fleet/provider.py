@@ -290,11 +290,6 @@ class ShardedProvider(SocialProvider):
     # ------------------------------------------------------------------
     # per-tenant attribution (set by the service layer around each tick)
     # ------------------------------------------------------------------
-    @property
-    def active_tenant(self) -> Optional[str]:
-        """The tenant label fetches are currently booked under, or ``None``."""
-        return self._active_tenant
-
     def set_active_tenant(self, label: Optional[str]) -> None:
         """Attribute subsequent fetches to ``label`` in the shard books.
 

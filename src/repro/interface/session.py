@@ -77,8 +77,7 @@ class SamplingSession:
         history: Optional :class:`~repro.datastore.history.HistoryStore`
             to warm-start from: any artifact it holds preloads the
             interface's cache (never billed — §II-B was charged by the
-            run that recorded it) and, when the sampler carries a bound
-            dispatch planner, its history statistics.  Unlike
+            run that recorded it).  Unlike
             ``resume()``, a warm start does not constrain the sampler
             type or seeds — history is knowledge, not position.  Call
             :meth:`save_history` after the run to write this run's
@@ -108,7 +107,7 @@ class SamplingSession:
         self._history = history
         self._warmed_users = 0
         if history is not None:
-            self._warmed_users = history.warm(api, planner=getattr(sampler, "planner", None))
+            self._warmed_users = history.warm(api)
         if checkpoint_every is not None:
             set_hook = getattr(sampler, "set_checkpoint", None)
             if set_hook is None:
@@ -143,11 +142,7 @@ class SamplingSession:
         """
         if self._history is None:
             raise SnapshotError("this session has no history store; pass history=... at construction")
-        return self._history.save(
-            self._api,
-            planner=getattr(self._sampler, "planner", None),
-            metadata=metadata,
-        )
+        return self._history.save(self._api, metadata=metadata)
 
     def _on_checkpoint(self, _sampler) -> None:
         self.save()

@@ -18,7 +18,7 @@ gap-free, overlap-free segments:
 * ``prefetch_wait`` — a chain that walked onto a planner-prefetched node
   before its round trip landed (planner parking);
 * ``scheduler_hold`` — tick grouping: the chain was ready but its event
-  group departed later (batch windows, re-queues, quantum boundaries).
+  group departed later (re-queues, quantum boundaries).
 
 Cache-hit steps and sample merges take zero simulated time; they appear
 in ``counts`` (``free_steps`` / ``samples``), never as segments.
@@ -635,10 +635,6 @@ class CausalDag:
     def edges_of(self, kind: str) -> List[Tuple[int, int, str]]:
         """All edges of one kind, in construction order."""
         return [edge for edge in self.edges if edge[2] == kind]
-
-    def parents_of(self, seq: int) -> List[int]:
-        """Sequence numbers of the events ``seq`` causally depends on."""
-        return [src for src, dst, _kind in self.edges if dst == seq]
 
     def summary(self) -> dict:
         """Node count plus edge counts by kind."""

@@ -9,10 +9,8 @@ and spending idle round-trip capacity on the queries the walk will need
 next.  This package is that layer, sitting between the walk
 engines/scheduler and the provider stack:
 
-* :class:`~repro.planning.history.HistoryIndex` — an O(1) index view
-  over the shared neighborhood cache that can never go stale under LRU
-  eviction or TTL expiry, plus per-node visit counts and per-region
-  step statistics;
+* :class:`~repro.planning.history.HistoryIndex` — cache-first versus
+  fetched step counters, per fleet region;
 * :class:`~repro.planning.prefetch.PrefetchLedger` — issued/used/wasted
   accounting for predictive prefetches (§II-B budget spent early);
 * :class:`~repro.planning.lifecycle.AdaptiveChainPolicy` — deterministic

@@ -1,22 +1,15 @@
-"""O(1) "is this neighborhood already known?" answers plus hit statistics.
+"""Step statistics over the crawl's history: how often chains walk for free.
 
 The crawl's history lives in the shared
 :class:`~repro.interface.cache.NeighborhoodCache`: every billed ``q(v)``
 response is cached there, and §II-B makes re-reading it free.  What the
-planning layer needs on top is an *index view* of that history — a
-constant-time membership probe the scheduler can consult before
-dispatching, plus the accounting that makes cache effectiveness visible
-(how often chains step through known territory, and which fleet regions
-the known territory concentrates in).
+planning layer adds on top is the accounting that makes that reuse
+visible — how often chains step through known territory instead of
+fetching, and which fleet regions the known territory concentrates in.
 
-:class:`HistoryIndex` deliberately owns **no copy** of the key set: every
-``is_known`` probe delegates to the cache's own O(1) ``has`` check, so
-LRU eviction and TTL expiry in the backing store can never leave the
-index claiming a neighborhood is known after the cache dropped it (the
-property suite drives random eviction/expiry schedules against exactly
-this invariant).  What the index *does* own is derived statistics —
-per-node visit counts (the frontier weights the prefetch ranking uses)
-and per-region step accounting — which are plain counters and therefore
+:class:`HistoryIndex` holds no reference to the cache: membership is
+always the cache's own ``has`` check, so LRU eviction and TTL expiry can
+never leave a stale copy here.  What the index owns is plain counters,
 safe to snapshot and resume independently of the cache's contents.
 """
 
@@ -24,52 +17,25 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, Optional
 
-from repro.interface.cache import NeighborhoodCache
-
 Node = Hashable
 
 
 class HistoryIndex:
-    """Index view over the shared neighborhood cache.
+    """Cache-first versus fetched step counters, per fleet region.
 
     Args:
-        cache: The sampler-side cache the interface writes every billed
-            response into.  Held by reference — the index never copies or
-            mutates it.
         shard_of: Optional user→region map (typically
             :meth:`~repro.fleet.provider.ShardedProvider.shard_of`), used
             to attribute step statistics to fleet regions.  ``None``
             books everything under region ``0``.
     """
 
-    def __init__(
-        self,
-        cache: NeighborhoodCache,
-        shard_of: Optional[Callable[[Node], int]] = None,
-    ) -> None:
-        self._cache = cache
+    def __init__(self, shard_of: Optional[Callable[[Node], int]] = None) -> None:
         self._shard_of = shard_of
-        self._visits: Dict[Node, int] = {}
         self._known_steps = 0
         self._unknown_steps = 0
         self._region_known: Dict[int, int] = {}
         self._region_unknown: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # membership (delegated: eviction/expiry can never go stale here)
-    # ------------------------------------------------------------------
-    def is_known(self, user: Node) -> bool:
-        """Whether ``user``'s neighborhood is currently cached.  O(1).
-
-        Always answered by the live cache, so an entry evicted under LRU
-        pressure or expired past its TTL reads *unknown* here on the very
-        next probe — the index cannot hold a stale "known".
-        """
-        return self._cache.has(user)
-
-    def known_count(self) -> int:
-        """Number of users whose neighborhoods are currently cached."""
-        return self._cache.known_count()
 
     # ------------------------------------------------------------------
     # step accounting (fed by the scheduler's planning hooks)
@@ -82,7 +48,6 @@ class HistoryIndex:
             known: Whether the step advanced through history (no provider
                 dispatch — a cache-first step) or had to fetch.
         """
-        self._visits[node] = self._visits.get(node, 0) + 1
         region = self._shard_of(node) if self._shard_of is not None else 0
         if known:
             self._known_steps += 1
@@ -90,10 +55,6 @@ class HistoryIndex:
         else:
             self._unknown_steps += 1
             self._region_unknown[region] = self._region_unknown.get(region, 0) + 1
-
-    def visit_count(self, node: Node) -> int:
-        """How many recorded steps have landed on ``node``."""
-        return self._visits.get(node, 0)
 
     @property
     def known_steps(self) -> int:
@@ -125,9 +86,8 @@ class HistoryIndex:
     # snapshot support
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Serializable derived statistics (the cache snapshots itself)."""
+        """Serializable step statistics (the cache snapshots itself)."""
         return {
-            "visits": dict(self._visits),
             "known_steps": self._known_steps,
             "unknown_steps": self._unknown_steps,
             "region_known": dict(self._region_known),
@@ -138,9 +98,9 @@ class HistoryIndex:
         """Restore statistics captured by :meth:`state_dict`.
 
         Args:
-            state: Output of :meth:`state_dict`.
+            state: Output of :meth:`state_dict`.  The per-node visit
+                counts older builds also stored are ignored.
         """
-        self._visits = {node: int(count) for node, count in state["visits"].items()}
         self._known_steps = int(state["known_steps"])
         self._unknown_steps = int(state["unknown_steps"])
         self._region_known = {int(r): int(c) for r, c in state["region_known"].items()}

@@ -3,33 +3,29 @@
 :class:`DispatchPlanner` is the one object the event-driven scheduler
 talks to.  It composes the three planning parts:
 
-* a :class:`~repro.planning.history.HistoryIndex` over the interface's
-  shared neighborhood cache (O(1) known-region probes + hit statistics);
+* a :class:`~repro.planning.history.HistoryIndex` of step statistics
+  (cache-first versus fetched steps, per fleet region);
 * predictive prefetch — the planner *replays the chain's own RNG* through
   cached territory to learn which neighborhood the walk will fetch next,
   and the scheduler rides that fetch in an open burst's spare slot,
   accounted by a :class:`~repro.planning.prefetch.PrefetchLedger`.
   Because the prediction is the walk's actual next draw (not a guess),
-  default planning spends exactly the queries the walk would have spent —
-  just earlier, where they share an admission slot.  A ``speculation``
-  knob adds frontier-ranked *uncertain* candidates on top for workloads
-  willing to trade unique queries for latency;
+  planning spends exactly the queries the walk would have spent — just
+  earlier, where they share an admission slot;
 * an optional :class:`~repro.planning.lifecycle.AdaptiveChainPolicy`
   that retires latency-tail chains and spawns warm reserves.
 
 The planner is bound to one interface/fleet pair by the scheduler that
-owns it and must not be shared; all of its mutable state (visit counts,
-ledger, counters) serializes through ``state_dict`` inside the
+owns it and must not be shared; all of its mutable state (step
+statistics, ledger, counters) serializes through ``state_dict`` inside the
 scheduler's snapshot, so an in-flight checkpoint with outstanding
 prefetches resumes bit-for-bit.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict, Hashable, Optional, Tuple
 
-from repro.datastore.snapshot import canonical_key
 from repro.errors import PlanningError
 from repro.obs.trace import TraceRecorder
 from repro.planning.history import HistoryIndex
@@ -37,17 +33,6 @@ from repro.planning.lifecycle import AdaptiveChainPolicy
 from repro.planning.prefetch import PrefetchLedger
 
 Node = Hashable
-
-
-def _stable_rank(seed: int, user: Node) -> int:
-    """Process-stable 32-bit rank mixing ``seed`` with a user id.
-
-    Python's ``hash`` is salted per process for strings, so speculative
-    candidate ranking anchors on :func:`~repro.datastore.snapshot.canonical_key`
-    instead — identical across runs and machines for any snapshotable id.
-    """
-    key = f"{seed}:{canonical_key(user)}"
-    return zlib.crc32(key.encode("utf-8"))
 
 
 class DispatchPlanner:
@@ -58,44 +43,25 @@ class DispatchPlanner:
             per chain per tick.  Predictions replay the chain's RNG, so
             each one is a fetch the walk will issue anyway; ``0`` turns
             predictive prefetch off.
-        speculation: Maximum additional *speculative* candidates per
-            chain per tick — unvisited neighbors of the chain's frontier,
-            ranked by frontier visit weight with a seeded deterministic
-            tie-break.  These may never be walked (extra §II-B spend);
-            keep ``0`` for cost-neutral planning.
         policy: Optional adaptive chain lifecycle policy.
-        seed: Seed for the speculative ranking (no effect when
-            ``speculation`` is 0).
 
     Raises:
-        PlanningError: On negative knobs.
+        PlanningError: On a negative ``lookahead``.
     """
 
-    def __init__(
-        self,
-        lookahead: int = 4,
-        speculation: int = 0,
-        policy: Optional[AdaptiveChainPolicy] = None,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, lookahead: int = 4, policy: Optional[AdaptiveChainPolicy] = None) -> None:
         if lookahead < 0:
             raise PlanningError("lookahead must be non-negative")
-        if speculation < 0:
-            raise PlanningError("speculation must be non-negative")
         self.lookahead = int(lookahead)
-        self.speculation = int(speculation)
         self._policy = policy
-        self._seed = int(seed)
         self._api = None
         self._history: Optional[HistoryIndex] = None
         self._ledger = PrefetchLedger()
-        # Per-engine prediction books: {engine: {"hits": n, "misses": n,
-        # "speculative": n}}.  A hit is a replay that resolved a concrete
-        # future fetch; a miss is a replay that answered None (engine
-        # guard, unresolvable branch, or horizon exhausted); speculative
-        # counts frontier candidates offered under the speculation knob.
+        # Per-engine prediction books: {engine: {"hits": n, "misses": n}}.
+        # A hit is a replay that resolved a concrete future fetch; a miss
+        # is a replay that answered None (engine guard, unresolvable
+        # branch, or horizon exhausted).
         self._prediction: Dict[str, Dict[str, int]] = {}
-        self._warm_visits: Dict[Node, int] = {}
         self._recorder: Optional[TraceRecorder] = None
 
     # ------------------------------------------------------------------
@@ -120,7 +86,7 @@ class DispatchPlanner:
                 "construct a fresh planner per EventDrivenWalkers group"
             )
         self._api = api
-        self._history = HistoryIndex(api.cache, shard_of=fleet.shard_of)
+        self._history = HistoryIndex(shard_of=fleet.shard_of)
 
     @property
     def bound(self) -> bool:
@@ -207,78 +173,13 @@ class DispatchPlanner:
         if horizon <= 0:
             return None
         target = peek(max_steps=horizon)
-        books = self._engine_books(sampler)
-        if target is None:
-            books["misses"] += 1
-        else:
-            books["hits"] += 1
+        books = self._prediction.setdefault(type(sampler).__name__, {"hits": 0, "misses": 0})
+        books["misses" if target is None else "hits"] += 1
         return target
 
-    def _engine_books(self, sampler) -> Dict[str, int]:
-        """The per-engine prediction counters row for ``sampler``'s type."""
-        return self._prediction.setdefault(
-            type(sampler).__name__, {"hits": 0, "misses": 0, "speculative": 0}
-        )
-
     def speculative_targets(self, sampler) -> Tuple[Node, ...]:
-        """Frontier-ranked uncertain prefetch candidates for one chain.
-
-        Unknown neighbors of the chain's current position, ranked by the
-        seeded stable hash (the frontier node's visit count already
-        weights *which* chain positions are worth expanding — the
-        scheduler calls this per stepping chain, so hot frontier nodes
-        get proportionally more expansion opportunities).  A planner
-        warm-started from a prior run's :meth:`warm_start` statistics
-        promotes candidates that run visited often to the front of the
-        ranking — history says the walk keeps coming back to them.
-        Empty when ``speculation`` is 0.
-        """
-        self._require_bound()
-        if self.speculation == 0:
-            return ()
-        seq = self._api.cache.neighbor_seq(sampler.current)
-        if not seq:
-            return ()
-        unknown = [v for v in seq if not self._history.is_known(v)]
-        warm = self._warm_visits
-        if warm:
-            unknown.sort(
-                key=lambda v: (-warm.get(v, 0), _stable_rank(self._seed, v), repr(v))
-            )
-        else:
-            unknown.sort(key=lambda v: (_stable_rank(self._seed, v), repr(v)))
-        chosen = tuple(unknown[: self.speculation])
-        if chosen:
-            self._engine_books(sampler)["speculative"] += len(chosen)
-        return chosen
-
-    # ------------------------------------------------------------------
-    # cross-run warm start
-    # ------------------------------------------------------------------
-    def warm_start(self, stats: dict) -> None:
-        """Seed planning with a prior run's history statistics.
-
-        Args:
-            stats: A :meth:`HistoryIndex.state_dict` payload from an
-                earlier run (as persisted by a
-                :class:`~repro.datastore.history.HistoryStore`).  The
-                prior visit counts become the speculative ranking's warm
-                prior; the step counters are *not* merged into this run's
-                own accounting — ``summary()`` keeps reporting what this
-                run did, with the warm prior listed separately.
-
-        Raises:
-            PlanningError: If the planner is not bound yet.
-        """
-        self._require_bound()
-        self._warm_visits = {
-            node: int(count) for node, count in stats.get("visits", {}).items()
-        }
-
-    @property
-    def warm_visit_count(self) -> int:
-        """Nodes carrying a warm-start visit prior (0 when cold)."""
-        return len(self._warm_visits)
+        # Caller-less: frontier speculation is deleted; kept only because the perfbench span table names it.
+        return ()
 
     # ------------------------------------------------------------------
     # step accounting (called by the scheduler after every committed step)
@@ -321,7 +222,6 @@ class DispatchPlanner:
         prefetch = self._ledger.summary()
         return {
             "lookahead": self.lookahead,
-            "speculation": self.speculation,
             "prefetch_issued": prefetch["issued"],
             "prefetch_used": prefetch["used"],
             "prefetch_wasted": prefetch["wasted"],
@@ -331,7 +231,6 @@ class DispatchPlanner:
             "cache_first_rate": round(self._history.hit_rate(), 6),
             "region_steps": self._history.region_stats(),
             "prediction": {k: dict(v) for k, v in sorted(self._prediction.items())},
-            "warm_visits": len(self._warm_visits),
         }
 
     # ------------------------------------------------------------------
@@ -344,19 +243,20 @@ class DispatchPlanner:
             "history": self._history.state_dict(),
             "ledger": self._ledger.state_dict(),
             "prediction": {k: dict(v) for k, v in self._prediction.items()},
-            "warm_visits": dict(self._warm_visits),
         }
 
     def load_state(self, state: dict) -> None:
         """Restore planner state captured by :meth:`state_dict`.
 
         Args:
-            state: Output of :meth:`state_dict`.
+            state: Output of :meth:`state_dict`.  A warm-start visit
+                prior and a per-engine count of frontier candidates,
+                which older builds also stored, are ignored.
         """
         self._require_bound()
         self._history.load_state(state["history"])
         self._ledger.load_state(state["ledger"])
         self._prediction = {
-            engine: {key: int(n) for key, n in row.items()} for engine, row in state["prediction"].items()
+            engine: {"hits": int(row["hits"]), "misses": int(row["misses"])}
+            for engine, row in state["prediction"].items()
         }
-        self._warm_visits = {node: int(count) for node, count in state["warm_visits"].items()}

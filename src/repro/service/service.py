@@ -105,6 +105,11 @@ def _p95(values: List[float]) -> float:
     return ordered[rank]
 
 
+def _tenant_payload(stack: SamplingStack) -> dict:
+    """A live tenant's own state: its interface without the shared cache and fleet, and its walkers."""
+    return {"api": stack.api.state_dict(include_shared=False), "walkers": stack.walkers.state_dict()}
+
+
 def _runs(stack: SamplingStack, payload: dict) -> Dict[tuple, Tuple[list, Sequence]]:
     """A tenant payload's append-only runs: ``path -> (live list, payload value)``.
 
@@ -117,9 +122,7 @@ def _runs(stack: SamplingStack, payload: dict) -> Dict[tuple, Tuple[list, Sequen
     walkers, state = stack.walkers, payload["walkers"]
     runs = {("api", "log", "records"): (stack.api.log._records, payload["api"]["log"]["records"])}
     for name in ("merged", "merged_chain"):
-        # A lock-step group keeps no merged list in its payload.
-        if name in state:
-            runs[("walkers", name)] = (getattr(walkers, "_" + name), state[name])
+        runs[("walkers", name)] = (getattr(walkers, "_" + name), state[name])
     for i, (chain, chain_state) in enumerate(zip(walkers.chains, state["chains"])):
         runs[("walkers", "chains", i, "trace")] = (chain._trace, chain_state["trace"])
     return runs
@@ -339,14 +342,12 @@ class SamplingService:
         self._history = history
         self._warm_users: frozenset = frozenset()
         self._warm_private: frozenset = frozenset()
-        self._warm_stats: dict = {}
         if history is not None:
             record = history.load()
             if record is not None:
                 self._cache.preload(record.neighborhoods)
                 self._warm_users = frozenset(record.neighborhoods) | record.private
                 self._warm_private = record.private
-                self._warm_stats = dict(record.stats)
 
     # ------------------------------------------------------------------
     # introspection
@@ -469,8 +470,6 @@ class SamplingService:
             # needs the refusal knowledge and the hit attribution.
             stack.api.warm_start({}, private=self._warm_private)
             stack.api.note_warm_start(self._warm_users)
-            if stack.planner is not None and self._warm_stats:
-                stack.planner.warm_start(self._warm_stats)
         return stack
 
     def request(
@@ -698,10 +697,7 @@ class SamplingService:
         session.frozen_latency = stack.api.latency_spent
         session.frozen_hits = stack.api.cache_hits
         session.frozen_warm_hits = stack.api.warm_hits
-        payload = {
-            "api": stack.api.state_dict(include_shared=False),
-            "walkers": stack.walkers.state_dict(),
-        }
+        payload = _tenant_payload(stack)
         memo = self._spill_memo.get(session.tenant_id)
         runs: Dict[tuple, list] = {}
         items: Dict[tuple, list] = {}
@@ -794,10 +790,7 @@ class SamplingService:
                     )
                 payload = decode_value(spilled)
             else:
-                payload = {
-                    "api": session.stack.api.state_dict(include_shared=False),
-                    "walkers": session.stack.walkers.state_dict(),
-                }
+                payload = _tenant_payload(session.stack)
             sections[f"tenant/{tid}"] = payload
             registry[tid] = {
                 "config": session.config,
@@ -932,12 +925,7 @@ class SamplingService:
                 private.update(
                     u for u in api.log.queried_users() if api.is_known_private(u)
                 )
-        return self._history.save_cache(
-            self._cache,
-            private=frozenset(private),
-            stats=self._warm_stats or None,
-            metadata=metadata,
-        )
+        return self._history.save_cache(self._cache, private=frozenset(private), metadata=metadata)
 
     # ------------------------------------------------------------------
     # reporting

@@ -10,14 +10,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 
-def _fmt_cell(value: object, width: int) -> str:
-    if isinstance(value, float):
-        text = f"{value:.4g}"
-    else:
-        text = str(value)
-    return text.rjust(width)
-
-
 def format_table(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],

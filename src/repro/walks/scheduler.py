@@ -43,9 +43,9 @@ Without a provider fleet a tick is the single earliest event and the
 stepped chain is ready at the event time plus the latency its step
 incurred.  When the interface's
 provider stack contains a :class:`~repro.fleet.provider.ShardedProvider`
-dispatch is batch-aware: a tick is every event at the earliest timestamp
-(plus ``batch_window``), and dispatches of one tick that head to the
-same shard coalesce into one ``query_many``-style burst, billed as a
+dispatch is batch-aware: a tick is exactly the set of events tied at the
+earliest timestamp, and dispatches of one tick that head to the same
+shard coalesce into one ``query_many``-style burst, billed as a
 *single* provider round trip — the maximum latency of the burst, bounded
 by the shard's batch cap — and each burst consumes one admission slot of
 the shard's rate limit instead of one per fetch.  §II-B unique-query
@@ -88,7 +88,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.convergence.gelman_rubin import GelmanRubinDiagnostic
 from repro.core.overlay import shared_overlay_of
-from repro.errors import PrivateUserError, SnapshotError, WalkError
+from repro.errors import SnapshotError, WalkError
 from repro.fleet.provider import FetchDispatch, find_fleet
 from repro.interface.telemetry import collect_telemetry
 from repro.obs.trace import (
@@ -132,16 +132,6 @@ class EventDrivenWalkers:
             lengths for R̂ (a chain arbitrarily far ahead wastes budget if
             convergence fires early); collection has no such bound —
             interleaving by completion is the point.
-        batch_window: Simulated seconds the dispatcher may *hold* a ready
-            chain so later-completing chains can join its tick: events
-            within ``batch_window`` of the earliest queued event form one
-            tick, dispatched together at the group's latest ready time.
-            The classic coalescing trade — a small delay per dispatch
-            buys much larger bursts on saturated shards.  ``0.0`` (the
-            default) coalesces only exact ties, which preserves the
-            zero-latency equivalence guarantee trivially (every event
-            sits at the same timestamp, so the window adds nothing).
-            Requires a fleet.
         planner: Optional :class:`~repro.planning.DispatchPlanner`
             enabling history-aware dispatch: cache-first stepping
             accounting, predictive prefetch into open bursts' spare
@@ -157,8 +147,7 @@ class EventDrivenWalkers:
 
     Raises:
         WalkError: With fewer than two samplers, mismatched interfaces,
-            a non-positive ``max_lead``, a negative ``batch_window``, or
-            a positive ``batch_window`` or a ``planner`` over an
+            a non-positive ``max_lead``, or a ``planner`` over an
             interface whose provider stack has no fleet.
 
     Example:
@@ -183,7 +172,6 @@ class EventDrivenWalkers:
         self,
         samplers: Sequence[RandomWalkSampler],
         max_lead: int = 64,
-        batch_window: float = 0.0,
         planner: Optional[DispatchPlanner] = None,
     ) -> None:
         if len(samplers) < 2:
@@ -209,16 +197,8 @@ class EventDrivenWalkers:
         for i, ov in enumerate(overlays):
             rivals = overlays[:i] if self._barrier else overlays[:i] + overlays[i + 1 :]
             self._predict_ok.append(ov is None or all(r is not ov for r in rivals))
-        if batch_window < 0:
-            raise WalkError("batch_window must be non-negative")
         # Lock-step waits on each chain's own response; it never coalesces.
         self._fleet = None if self._barrier else find_fleet(api.provider)
-        if batch_window > 0 and self._fleet is None:
-            raise WalkError(
-                "batch_window needs a ShardedProvider in the interface's "
-                "provider stack (see repro.fleet)"
-            )
-        self._batch_window = float(batch_window)
         num_shards = self._fleet.num_shards if self._fleet else 0
         self._next_free = [0.0] * num_shards
         # Per shard: the open (not yet departed) burst as [start, max
@@ -851,7 +831,7 @@ class EventDrivenWalkers:
         return self._collected[chain] < self._quota
 
     def _depart(self, group: List[Tuple[float, int, int]]) -> float:
-        """The tick's dispatch time: a held group departs together, at its latest member's ready time."""
+        """The tick's dispatch time: its latest member's ready time (a barrier round's slowest)."""
         when = group[-1][0]
         if when > self._sim_time:
             self._sim_time = when
@@ -861,16 +841,13 @@ class EventDrivenWalkers:
     # fleet dispatch: ticks and bursts
     # ------------------------------------------------------------------
     def _pop_tick(self, num_samples: Optional[int]) -> List[Tuple[float, int, int]]:
-        """Pop one tick: the earliest event plus everything within the window.
+        """Pop one tick of events.
 
         Under the barrier a tick is the whole round: every queued chain,
-        in FIFO order.  Otherwise, without a fleet a tick is the earliest
-        event alone.  Over a fleet with ``batch_window == 0`` it is
-        exactly the set of events tied at the earliest timestamp, in FIFO
-        order; a positive window also sweeps in events up to that much
-        later — the dispatcher holds the early chains so the group departs
-        together.  The tick's dispatch time is the *latest* member's ready
-        time (``group[-1][0]``; heap pops are time-ordered).
+        in FIFO order, dispatched at the latest member's ready time
+        (``group[-1][0]``).  Otherwise, without a fleet a tick is the
+        earliest event alone, and over a fleet it is exactly the set of
+        events tied at the earliest timestamp, in FIFO order.
 
         Under an adaptive policy retirement deschedules lazily: a retired
         chain's queued event stays in the heap and collection drops it
@@ -888,8 +865,7 @@ class EventDrivenWalkers:
                 else:
                     group = [heappop(heap)]
                     if self._fleet is not None:
-                        horizon = group[0][0] + self._batch_window
-                        while heap and heap[0][0] <= horizon:
+                        while heap and heap[0][0] == group[0][0]:
                             group.append(heappop(heap))
                 if num_samples is None or self._policy is None:
                     return group
@@ -1016,33 +992,23 @@ class EventDrivenWalkers:
         """
         planner = self._planner
         for chain, _dispatches in fetches:
-            if self._roster[chain] != ROSTER_ACTIVE:
-                continue  # reserves may stop stepping before consuming
-            # Shared-overlay chains fall back to fetch-on-visit (their
-            # replays can be invalidated by a sharer's rewire before the
-            # step); frontier speculation below stays available — it
-            # reads only the cache, never the overlay.
-            budget = planner.lookahead if self._predict_ok[chain] else 0
+            # Reserves may stop stepping before consuming; shared-overlay
+            # chains fall back to fetch-on-visit (a sharer's rewire can
+            # invalidate their replays before the step).
+            if self._roster[chain] != ROSTER_ACTIVE or not self._predict_ok[chain]:
+                continue
             horizon = None
             if self._phase == PHASE_COLLECT:
                 # Never predict past the steps the chain will actually
                 # take: a prefetch beyond its quota would be pure waste.
                 horizon = self._remaining_steps(chain)
             sampler = self._samplers[chain]
-            issued = 0
-            while issued < budget:
+            for _ in range(planner.lookahead):
                 remaining = self._api.remaining_budget()
                 if remaining is not None and remaining <= 0:
                     return  # never let planning exhaust the §II-B budget
                 target = planner.predict_next_fetch(sampler, max_steps=horizon)
                 if target is None or not self._prefetch_into_burst(chain, target, when):
-                    break
-                issued += 1
-            for target in planner.speculative_targets(sampler):
-                remaining = self._api.remaining_budget()
-                if remaining is not None and remaining <= 0:
-                    return
-                if not self._prefetch_into_burst(chain, target, when):
                     break
 
     def _prefetch_into_burst(self, chain: int, target, when: float) -> bool:
@@ -1057,15 +1023,9 @@ class EventDrivenWalkers:
         burst = self._burst_open(shard, when)
         if burst is None:
             return False
-        try:
-            response = self._api.query(target)  # billed now; cached for the walk
-        except PrivateUserError:
-            # Speculative candidates can hit refusals (RNG-replay targets
-            # cannot — prediction is disabled on private-user networks).
-            # The refusal is billed and cached exactly as the walk's own
-            # redraw would have billed it; it occupies no burst slot.
-            fleet.drain_dispatches()
-            return True
+        # Billed now; cached for the walk.  Never a refusal: every engine's
+        # prediction is off on networks that may refuse.
+        response = self._api.query(target)
         dispatched = fleet.drain_dispatches()
         if not dispatched:  # pragma: no cover - target raced into the cache
             return True

@@ -5,6 +5,8 @@ provider → interface → walkers → planner stack, round-trips through the
 snapshot codec bit-for-bit.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.compose import (
@@ -20,7 +22,7 @@ from repro.compose import (
 )
 from repro.datasets import load
 from repro.datastore.snapshot import KeyValueBackend, decode_value, encode_value
-from repro.errors import ComposeError
+from repro.errors import ComposeError, SnapshotError
 from repro.walks import SimpleRandomWalk
 
 
@@ -159,9 +161,7 @@ class TestSpecCodec:
             latency_quantum=0.5,
         ),
         walk=WalkSpec(engine="mhrw", chains=4, seed=11, max_lead=32),
-        planner=PlannerSpec(
-            lookahead=4, speculation=2, policy=PolicySpec(min_chains=2)
-        ),
+        planner=PlannerSpec(lookahead=4, policy=PolicySpec(min_chains=2)),
         rate_limit=RateLimitSpec(kind="fixed_window", limit=10, window=1.0),
         query_budget=500,
         seconds_per_query=2.0,
@@ -180,3 +180,30 @@ class TestSpecCodec:
         a = build_stack(StackConfig(walk=WalkSpec(chains=2, seed=3)), network).run(30)
         b = build_stack(config, network).run(30)
         assert a.samples == b.samples and a.queries == b.queries
+
+
+def _older(spec, **removed):
+    """``spec`` as a build that still had the ``removed`` fields encoded it."""
+    tag, _payload = encode_value(spec)
+    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    return [tag, encode_value({**fields, **removed})]
+
+
+class TestRemovedSpecFields:
+    """Specs from builds with frontier speculation and the batch window load or fail loudly."""
+
+    def test_planner_spec_without_speculation_loads(self):
+        spec = PlannerSpec(lookahead=3, policy=PolicySpec(min_chains=2))
+        assert decode_value(_older(spec, speculation=0, seed=17)) == spec
+
+    def test_planner_spec_with_speculation_is_refused(self):
+        with pytest.raises(SnapshotError, match="speculation=2"):
+            decode_value(_older(PlannerSpec(), speculation=2, seed=0))
+
+    def test_walk_spec_without_batch_window_loads(self):
+        spec = WalkSpec(engine="mhrw", chains=3, seed=4)
+        assert decode_value(_older(spec, batch_window=0.0)) == spec
+
+    def test_walk_spec_with_batch_window_is_refused(self):
+        with pytest.raises(SnapshotError, match="batch_window=0.25"):
+            decode_value(_older(WalkSpec(), batch_window=0.25))

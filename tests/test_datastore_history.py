@@ -22,8 +22,8 @@ from repro.datastore.history import (
     HISTORY_VERSION,
     SECTION_META,
     SECTION_NEIGHBORHOODS,
+    SECTION_STATS,
     HistoryStore,
-    capture_history,
 )
 from repro.datastore.snapshot import JsonLinesBackend, KeyValueBackend
 from repro.errors import ServiceError, SnapshotError
@@ -89,20 +89,17 @@ class TestArtifactRoundTrip:
         with pytest.raises(SnapshotError):
             store.load()
 
-    def test_planner_stats_ride_along(self, network):
-        fleet = build_fleet(FleetSpec(num_shards=2, seed=0), network.graph,
-                            profiles=network.profiles)
-        api = RestrictedSocialAPI(fleet)
-        chains = [
-            SimpleRandomWalk(api, start=network.seed_node(i), seed=i)
-            for i in range(2)
-        ]
-        planner = DispatchPlanner(lookahead=2, speculation=0, seed=0)
-        EventDrivenWalkers(chains, planner=planner).run(num_samples=40)
-        sections = capture_history(api, planner=planner)
-        stats = sections["history/stats"]["index"]
-        assert stats["visits"]
-        assert stats["known_steps"] + stats["unknown_steps"] > 0
+    def test_older_artifact_with_index_stats_loads(self, network):
+        """The planner statistics older builds stored under ``index`` are ignored."""
+        store, api = _recorded_store(network, steps=50)
+        sections = store.backend.read()
+        sections[SECTION_STATS]["index"] = {"visits": {network.seed_node(0): 3}, "known_steps": 1}
+        store.backend.write(sections)
+        record = store.load()
+        assert record.billed_users == api.log.queried_users()
+        assert record.known_count == api.cache.known_count()
+        warm_api = network.interface()
+        assert store.warm(warm_api) == record.known_count
 
 
 class TestWarmAccounting:
@@ -145,8 +142,8 @@ class TestWarmAccounting:
         assert restored.warm_hits == api.warm_hits
 
 
-class TestPlannerWarmStart:
-    def test_warm_prior_and_prediction_books_round_trip(self, network):
+class TestPlannerBooks:
+    def _planned(self, network):
         fleet = build_fleet(FleetSpec(num_shards=2, seed=0), network.graph,
                             profiles=network.profiles)
         api = RestrictedSocialAPI(fleet)
@@ -154,22 +151,39 @@ class TestPlannerWarmStart:
             SimpleRandomWalk(api, start=network.seed_node(i), seed=i)
             for i in range(2)
         ]
-        planner = DispatchPlanner(lookahead=2, speculation=0, seed=0)
+        planner = DispatchPlanner(lookahead=2)
         EventDrivenWalkers(chains, planner=planner).run(num_samples=40)
-        planner.warm_start({"visits": {network.seed_node(0): 7}})
-        assert planner.warm_visit_count == 1
-        books = planner.summary()["prediction"]
-        assert books["SimpleRandomWalk"]["hits"] + books["SimpleRandomWalk"]["misses"] > 0
+        return planner
 
+    def _twin(self, network):
         twin_api = RestrictedSocialAPI(
             build_fleet(FleetSpec(num_shards=2, seed=0), network.graph,
                         profiles=network.profiles)
         )
-        twin = DispatchPlanner(lookahead=2, speculation=0, seed=0)
+        twin = DispatchPlanner(lookahead=2)
         twin.bind(twin_api, twin_api.provider)
+        return twin
+
+    def test_prediction_books_round_trip(self, network):
+        planner = self._planned(network)
+        books = planner.summary()["prediction"]
+        assert books["SimpleRandomWalk"]["hits"] + books["SimpleRandomWalk"]["misses"] > 0
+        twin = self._twin(network)
         twin.load_state(planner.state_dict())
         assert twin.summary()["prediction"] == books
-        assert twin.warm_visit_count == 1
+
+    def test_older_state_with_warm_prior_loads(self, network):
+        """The warm-start visit prior and per-engine frontier count older builds stored are ignored."""
+        planner = self._planned(network)
+        older = planner.state_dict()
+        older["warm_visits"] = {network.seed_node(0): 7}
+        older["prediction"] = {
+            engine: dict(row, speculative=3) for engine, row in older["prediction"].items()
+        }
+        twin = self._twin(network)
+        twin.load_state(older)
+        assert twin.state_dict() == planner.state_dict()
+        assert twin.summary() == planner.summary()
 
 
 class TestSessionWarmStart:
@@ -215,7 +229,7 @@ class TestServiceWarmStart:
             StackConfig(
                 fleet=fleet,
                 walk=WalkSpec(engine="mhrw", **self.CONFIG),
-                planner=PlannerSpec(lookahead=2, speculation=0, seed=0),
+                planner=PlannerSpec(lookahead=2),
             ),
         )
         service.request("t", 60)

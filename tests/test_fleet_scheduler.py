@@ -76,17 +76,6 @@ class TestValidation:
                 _chains(network, network.interface()), planner=DispatchPlanner()
             )
 
-    def test_batch_window_requires_a_fleet(self, network):
-        with pytest.raises(WalkError):
-            EventDrivenWalkers(
-                _chains(network, network.interface()), batch_window=1.0
-            )
-
-    def test_negative_window(self, network):
-        api = _skewed_fleet_api(network, cap=8)
-        with pytest.raises(WalkError):
-            EventDrivenWalkers(_chains(network, api), batch_window=-1.0)
-
 
 class TestFleetEquivalence:
     """The ISSUE 4 determinism criteria."""
@@ -128,20 +117,6 @@ class TestFleetEquivalence:
         # Coalescing showed up in the books: multi-fetch round trips.
         assert max(row.max_in_flight for row in coalesced.shards.values()) > 1
         assert all(row.max_in_flight <= 8 for row in coalesced.shards.values())
-
-    def test_batch_window_trades_delay_for_depth(self, network):
-        k, n = 8, 160
-        tight = EventDrivenWalkers(
-            _chains(network, _skewed_fleet_api(network, cap=8), k)
-        ).run(num_samples=n)
-        held = EventDrivenWalkers(
-            _chains(network, _skewed_fleet_api(network, cap=8), k),
-            batch_window=1.0,
-        ).run(num_samples=n)
-        assert held.queries == tight.queries
-        held_bursts = sum(row.bursts for row in held.shards.values())
-        tight_bursts = sum(row.bursts for row in tight.shards.values())
-        assert held_bursts <= tight_bursts  # the window packs rounds deeper
 
     def test_burn_in_runs_batched(self, network):
         api = _skewed_fleet_api(network, cap=8)

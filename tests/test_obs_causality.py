@@ -105,7 +105,7 @@ class TestAttributeRun:
         assert reconcile_attribution(attribution, telemetry=telemetry) == []
 
     def test_stressed_run_reconciles(self, network):
-        """Retries, admission gaps, tight caps, and a batch window."""
+        """Retries, admission gaps and tight caps."""
         recorder, stack = _traced_stack(
             network,
             StackConfig(
@@ -119,7 +119,7 @@ class TestAttributeRun:
                         max_attempts=6,
                     ),
                 ),
-                walk=WalkSpec(engine="srw", chains=4, seed=11, batch_window=0.3),
+                walk=WalkSpec(engine="srw", chains=4, seed=11),
                 planner=PlannerSpec(lookahead=2),
             ),
         )

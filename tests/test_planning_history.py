@@ -1,10 +1,11 @@
 """Tests for the planning layer's building blocks (ISSUE 5).
 
-The load-bearing invariant: :class:`HistoryIndex` may never claim a
-neighborhood is known after the backing cache dropped it — LRU eviction
-and TTL expiry included.  A hypothesis-driven op sequence hammers
-exactly that, alongside unit coverage for the ledger's accounting
-identity and the adaptive policy's decision function.
+The load-bearing invariant: the neighborhood cache the planner walks
+through answers every accessor from one record per user, and drops that
+whole record under LRU eviction and TTL expiry.  A hypothesis-driven op
+sequence hammers exactly that, alongside unit coverage for the history
+index's step statistics, the ledger's accounting identity and the
+adaptive policy's decision function.
 """
 
 import pytest
@@ -27,25 +28,11 @@ from repro.planning import (
 
 
 class TestHistoryIndex:
-    def test_is_known_delegates_to_cache(self):
-        cache = NeighborhoodCache()
-        index = HistoryIndex(cache)
-        assert not index.is_known(1)
-        cache.put(1, frozenset([2, 3]), {}, seq=(2, 3))
-        assert index.is_known(1)
-        assert index.known_count() == 1
-        cache.clear()
-        assert not index.is_known(1)
-        assert index.known_count() == 0
-
     def test_step_accounting_and_regions(self):
-        cache = NeighborhoodCache()
-        index = HistoryIndex(cache, shard_of=lambda user: user % 2)
+        index = HistoryIndex(shard_of=lambda user: user % 2)
         index.record_step(2, known=True)
         index.record_step(2, known=True)
         index.record_step(3, known=False)
-        assert index.visit_count(2) == 2
-        assert index.visit_count(99) == 0
         assert index.known_steps == 2
         assert index.unknown_steps == 1
         assert index.hit_rate() == pytest.approx(2 / 3)
@@ -55,19 +42,27 @@ class TestHistoryIndex:
         }
 
     def test_state_roundtrip(self):
-        cache = NeighborhoodCache()
-        index = HistoryIndex(cache, shard_of=lambda user: 0)
+        index = HistoryIndex(shard_of=lambda user: 0)
         index.record_step("a", known=True)
         index.record_step("b", known=False)
-        fresh = HistoryIndex(cache, shard_of=lambda user: 0)
+        fresh = HistoryIndex(shard_of=lambda user: 0)
         fresh.load_state(index.state_dict())
-        assert fresh.visit_count("a") == 1
+        assert fresh.state_dict() == index.state_dict()
         assert fresh.known_steps == 1
         assert fresh.unknown_steps == 1
         assert fresh.region_stats() == index.region_stats()
 
+    def test_older_state_with_visit_counts_loads(self):
+        """Per-node visit counts, which older builds stored, are ignored."""
+        index = HistoryIndex(shard_of=lambda user: 0)
+        index.record_step("a", known=True)
+        older = dict(index.state_dict(), visits={"a": 1})
+        fresh = HistoryIndex(shard_of=lambda user: 0)
+        fresh.load_state(older)
+        assert fresh.state_dict() == index.state_dict()
+
     def test_hit_rate_empty(self):
-        assert HistoryIndex(NeighborhoodCache()).hit_rate() == 0.0
+        assert HistoryIndex().hit_rate() == 0.0
 
 
 # Op alphabet for the consistency property: (kind, user) pairs over a
@@ -86,14 +81,13 @@ _OPS = st.lists(
 
 
 class TestHistoryCacheConsistency:
-    """ISSUE 5 satellite: no stale "known" under LRU eviction + TTL expiry."""
+    """No partial or stale record under LRU eviction + TTL expiry."""
 
     @settings(max_examples=60, deadline=None)
     @given(ops=_OPS, capacity=st.integers(min_value=1, max_value=4), ttl=st.integers(5, 9))
-    def test_index_never_goes_stale(self, ops, capacity, ttl):
+    def test_cache_answers_one_record_per_user(self, ops, capacity, ttl):
         store = KeyValueStore(capacity=capacity)
         cache = NeighborhoodCache(store, ttl=float(ttl))
-        index = HistoryIndex(cache)
         for kind, value in ops:
             if kind == "put":
                 cache.put(value, frozenset([value + 1]), {}, seq=(value + 1,))
@@ -102,36 +96,31 @@ class TestHistoryCacheConsistency:
             elif kind == "advance":
                 store.advance(float(value))  # expires TTL'd entries
             for user in range(8):
-                # The ground truth is the cache's own answer *right now*;
-                # the index must agree exactly — eviction and expiry
-                # included — because it never copies the key set.
-                assert index.is_known(user) == (cache.neighbors(user) is not None)
-                # One record per user: no accessor sees a partial response.
-                assert {
+                # No accessor sees a partial response, eviction and expiry
+                # included.
+                assert len({
                     cache.has(user),
                     cache.neighbors(user) is not None,
                     cache.neighbor_seq(user) is not None,
                     cache.attributes(user) is not None,
                     cache.degree(user) is not None,
-                } == {index.is_known(user)}
+                }) == 1
 
     def test_eviction_drops_known(self):
         store = KeyValueStore(capacity=1)  # one user = one key
         cache = NeighborhoodCache(store)
-        index = HistoryIndex(cache)
         cache.put(1, frozenset([2]), {}, seq=(2,))
-        assert index.is_known(1)
+        assert cache.has(1)
         cache.put(2, frozenset([3]), {}, seq=(3,))  # evicts user 1's entries
-        assert not index.is_known(1)
+        assert not cache.has(1)
 
     def test_ttl_expiry_drops_known(self):
         store = KeyValueStore()
         cache = NeighborhoodCache(store, ttl=10.0)
-        index = HistoryIndex(cache)
         cache.put(1, frozenset([2]), {}, seq=(2,))
-        assert index.is_known(1)
+        assert cache.has(1)
         store.advance(10.0)
-        assert not index.is_known(1)
+        assert not cache.has(1)
 
     def test_cache_ttl_validation(self):
         with pytest.raises(DataStoreError):
@@ -257,8 +246,6 @@ class TestDispatchPlannerValidation:
     def test_knob_validation(self):
         with pytest.raises(PlanningError):
             DispatchPlanner(lookahead=-1)
-        with pytest.raises(PlanningError):
-            DispatchPlanner(speculation=-1)
 
     def test_unbound_access(self):
         planner = DispatchPlanner()

@@ -27,7 +27,6 @@ from repro.compose import FleetSpec, ProviderSpec, build_fleet
 from repro.errors import SnapshotError, WalkError
 from repro.interface import RestrictedSocialAPI, SamplingSession, collect_telemetry
 from repro.planning import AdaptiveChainPolicy, DispatchPlanner
-from repro.planning.planner import _stable_rank
 from repro.walks import EventDrivenWalkers, ParallelWalkers, SimpleRandomWalk
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -159,7 +158,7 @@ class TestPlanningEquivalence:
         )
         planned = EventDrivenWalkers(
             _chains(network, fleet_api),
-            planner=DispatchPlanner(lookahead=0, speculation=0),
+            planner=DispatchPlanner(lookahead=0),
         ).run(num_samples=48)
         assert planned.samples == lock_run.samples
         assert planned.queries == lock_run.queries
@@ -203,19 +202,6 @@ class TestPlanningEquivalence:
         assert a.samples == b.samples
         assert a.sim_elapsed == b.sim_elapsed
         assert a.planning == b.planning
-
-    def test_speculation_spends_extra_budget(self, network):
-        plain = EventDrivenWalkers(
-            _chains(network, _skewed_fleet_api(network), 6)
-        ).run(num_samples=120)
-        speculative = EventDrivenWalkers(
-            _chains(network, _skewed_fleet_api(network), 6),
-            planner=DispatchPlanner(lookahead=0, speculation=2),
-        ).run(num_samples=120)
-        # Speculative candidates are guesses: cost may exceed the plain
-        # bill (that is the documented trade), never undershoot it.
-        assert speculative.queries >= plain.queries
-        assert speculative.planning["prefetch_issued"] > 0
 
     def test_chain_steps_surfaced(self, network):
         run = EventDrivenWalkers(
@@ -404,7 +390,6 @@ from repro.datastore.snapshot import JsonLinesBackend
 from repro.compose import FleetSpec, ProviderSpec, build_fleet
 from repro.interface import RestrictedSocialAPI, SamplingSession
 from repro.planning import AdaptiveChainPolicy, DispatchPlanner
-from repro.planning.planner import _stable_rank
 from repro.walks import EventDrivenWalkers, SimpleRandomWalk
 
 network = load("epinions_like", seed=0, scale=0.15)
@@ -436,22 +421,3 @@ print(json.dumps({
     "planning": planning,
 }))
 """
-
-
-class TestStableRank:
-    """Speculative candidates sort by this rank, so it must not move."""
-
-    @pytest.mark.parametrize(
-        "seed, user, rank",
-        [
-            (0, 7, 2635121353),
-            (3, 12345, 2058378149),
-            (3, "alice", 2305675093),
-            (11, True, 1437446263),
-            (5, (1, "x"), 3005764331),
-            (2, -4, 2223410791),
-            (9, tuple(range(10)), 238058780),
-        ],
-    )
-    def test_ranks_are_pinned(self, seed, user, rank):
-        assert _stable_rank(seed, user) == rank

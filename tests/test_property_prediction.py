@@ -516,7 +516,7 @@ class TestLedgerBalance:
         ]
         walkers = EventDrivenWalkers(
             chains,
-            planner=DispatchPlanner(lookahead=lookahead, speculation=0, seed=seed),
+            planner=DispatchPlanner(lookahead=lookahead),
         )
         walkers.run(num_samples=8 * len(chains))
         planning = walkers.planning_summary()
@@ -564,7 +564,7 @@ class TestLedgerBalance:
                 StackConfig(
                     fleet=fleet_spec,
                     walk=WalkSpec(engine=engine, chains=2, seed=seed + i),
-                    planner=PlannerSpec(lookahead=2, speculation=0, seed=seed),
+                    planner=PlannerSpec(lookahead=2),
                 ),
             )
             service.request(engine, 12)

@@ -266,7 +266,7 @@ def _history_config(seed: int) -> StackConfig:
 def _warm_started_run(network, history: HistoryStore) -> str:
     """A fresh planner stack warm-started from ``history``, then run."""
     stack = build_stack(_history_config(8), network)
-    assert history.warm(stack.api, planner=stack.planner) > 0
+    assert history.warm(stack.api) > 0
     run = stack.run(40)
     return _digest(run.samples, stack.api, run.sim_elapsed)
 
@@ -296,7 +296,7 @@ def write_parent_fixtures(network, directory: Path) -> None:
     _service_before_save(network).save(JsonLinesBackend(directory / SERVICE_FIXTURE.name))
     stack = build_stack(_history_config(7), network)
     stack.run(40)
-    HistoryStore(JsonLinesBackend(directory / HISTORY_FIXTURE.name)).save(stack.api, planner=stack.planner)
+    HistoryStore(JsonLinesBackend(directory / HISTORY_FIXTURE.name)).save(stack.api)
     recorder, _stack = _traced_run(network)
     export_jsonl(recorder, directory / TRACE_FIXTURE.name)
 
@@ -325,7 +325,7 @@ class TestServiceHistoryTraceFixtures:
         stack = build_stack(_history_config(7), network)
         stack.run(40)
         history = HistoryStore(JsonLinesBackend(tmp_path / "run.history.jsonl"))
-        history.save(stack.api, planner=stack.planner)
+        history.save(stack.api)
         assert _warm_started_run(network, history) == HISTORY_DIGEST
         recorder, stack = _traced_run(network)
         attribution = attribute_run(recorder)
