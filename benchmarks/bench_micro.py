@@ -171,14 +171,34 @@ def _gc_quiesced():
             gc.enable()
 
 
-def _steps_per_second(sampler, steps=_TIMED_STEPS):
+def _steps_per_second(sampler, steps=_TIMED_STEPS, clock=time.perf_counter):
     for _ in range(_WARMUP_STEPS):
         sampler.step()
     with _gc_quiesced():
-        t0 = time.perf_counter()
+        t0 = clock()
         for _ in range(steps):
             sampler.step()
-        return steps / (time.perf_counter() - t0)
+        return steps / (clock() - t0)
+
+
+def _paired_overhead(time_off, time_on, repeats):
+    """The median over ``repeats`` of one on/off pair's cost ratio.
+
+    Each repeat times the off side, then the on side, back to back: a
+    slow stretch of a shared runner lands inside one pair and the median
+    drops it, where a ratio of two best-of-N times pairs runs from
+    different stretches.  ``time_off``/``time_on`` return one run's
+    process CPU seconds, which a neighbour's load does not add to.
+
+    Returns:
+        ``(median off seconds, median on seconds, median on/off ratio)``.
+    """
+    off, on, ratios = [], [], []
+    for _ in range(repeats):
+        off.append(time_off())
+        on.append(time_on())
+        ratios.append(on[-1] / off[-1])
+    return statistics.median(off), statistics.median(on), statistics.median(ratios)
 
 
 def _engine_profile(network, make_sampler):
@@ -222,7 +242,7 @@ def _parallel_profile(network, make_chains, repeats=3):
     """Best-of-N lock-step throughput with prefetch off and on.
 
     The two sides alternate within each repeat, as in
-    :func:`_obs_serial_sps`, so a slow stretch of a noisy runner hits
+    :func:`_paired_overhead`, so a slow stretch of a noisy runner hits
     both equally; the gate reads their ratio.  Cost is seeded-exact.
     """
     best = {False: 0.0, True: 0.0}
@@ -973,7 +993,7 @@ def test_service_profile(network, figure_report):
 # ----------------------------------------------------------------------
 
 _OBS_SAMPLES = 120
-_OBS_OVERHEAD_REPEATS = 5
+_OBS_OVERHEAD_REPEATS = 21
 _OBS_OVERHEAD_CEILING = 1.10
 
 
@@ -994,22 +1014,27 @@ def _obs_stack_config():
     )
 
 
-def _obs_serial_sps(network):
-    """Best-of-N serial SRW steps/s, recorder off vs on.
+def _obs_serial_overhead(network):
+    """Serial SRW steps/s with the recorder off and on, and their cost ratio.
 
-    The two configurations alternate within each repeat so frequency
-    scaling or a noisy neighbour hits both sides equally — the ratio is
-    what the gate reads, not the absolute numbers.
+    See :func:`_paired_overhead`: the gate reads the median per-repeat
+    ratio of process time, not the absolute numbers.  Each side walks
+    48,000 steps (about 0.1 s), long enough that timer and scheduler
+    granularity stay small against a 10% bound.
     """
-    best = {"off": 0.0, "on": 0.0}
-    for _ in range(_OBS_OVERHEAD_REPEATS):
-        for label in ("off", "on"):
-            api = network.interface()
-            if label == "on":
-                api.set_recorder(TraceRecorder())
-            walk = SimpleRandomWalk(api, start=network.seed_node(0), seed=1)
-            best[label] = max(best[label], _steps_per_second(walk, steps=2 * _TIMED_STEPS))
-    return best["off"], best["on"]
+    steps = 6 * _TIMED_STEPS
+
+    def walk_seconds(recorder):
+        api = network.interface()
+        if recorder:
+            api.set_recorder(TraceRecorder())
+        walk = SimpleRandomWalk(api, start=network.seed_node(0), seed=1)
+        return steps / _steps_per_second(walk, steps=steps, clock=time.process_time)
+
+    off, on, ratio = _paired_overhead(
+        lambda: walk_seconds(False), lambda: walk_seconds(True), _OBS_OVERHEAD_REPEATS
+    )
+    return steps / off, steps / on, ratio
 
 
 def test_obs_profile(network, figure_report):
@@ -1040,8 +1065,7 @@ def test_obs_profile(network, figure_report):
     trace_path = os.environ.get("TRACE_FLEET_OUT", "TRACE_fleet.json")
     export_chrome_trace(recorder, trace_path)
 
-    off_sps, on_sps = _obs_serial_sps(network)
-    overhead_ratio = off_sps / on_sps
+    off_sps, on_sps, overhead_ratio = _obs_serial_overhead(network)
     assert overhead_ratio <= _OBS_OVERHEAD_CEILING, (
         f"recorder-on serial SRW costs {overhead_ratio:.2f}x recorder-off "
         f"(ceiling {_OBS_OVERHEAD_CEILING}x)"
@@ -1085,7 +1109,7 @@ def test_obs_profile(network, figure_report):
 # causal profiler profile (machine-readable trajectory artifact)
 # ----------------------------------------------------------------------
 
-_CAUSALITY_WATCH_REPEATS = 5
+_CAUSALITY_WATCH_REPEATS = 21
 _CAUSALITY_WATCH_CEILING = 1.10
 
 
@@ -1123,20 +1147,19 @@ def _causality_run(network, planner=True, watch=False):
     return recorder, stack, result, watcher
 
 
-def _causality_watch_seconds(network):
-    """Best-of-N wall seconds for the traced run, watcher off vs on.
+def _causality_watch_overhead(network):
+    """The traced run's watcher-on / watcher-off cost ratio (see :func:`_paired_overhead`)."""
 
-    Alternating within each repeat so machine noise hits both sides
-    equally; the gate reads the ratio of the two minima.
-    """
-    best = {"off": float("inf"), "on": float("inf")}
-    for _ in range(_CAUSALITY_WATCH_REPEATS):
-        for label in ("off", "on"):
-            with _gc_quiesced():
-                t0 = time.perf_counter()
-                _causality_run(network, watch=(label == "on"))
-                best[label] = min(best[label], time.perf_counter() - t0)
-    return best["off"], best["on"]
+    def run_seconds(watch):
+        with _gc_quiesced():
+            t0 = time.process_time()
+            _causality_run(network, watch=watch)
+            return time.process_time() - t0
+
+    _, _, ratio = _paired_overhead(
+        lambda: run_seconds(False), lambda: run_seconds(True), _CAUSALITY_WATCH_REPEATS
+    )
+    return ratio
 
 
 def test_obs_causality_profile(network, figure_report):
@@ -1177,8 +1200,7 @@ def test_obs_causality_profile(network, figure_report):
     )
     assert watcher_bit_for_bit, "attaching an SLO watcher changed the run"
 
-    off_seconds, on_seconds = _causality_watch_seconds(network)
-    watcher_overhead_ratio = on_seconds / off_seconds
+    watcher_overhead_ratio = _causality_watch_overhead(network)
     assert watcher_overhead_ratio <= _CAUSALITY_WATCH_CEILING, (
         f"watcher-on run costs {watcher_overhead_ratio:.2f}x watcher-off "
         f"(ceiling {_CAUSALITY_WATCH_CEILING}x)"

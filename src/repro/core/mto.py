@@ -228,7 +228,7 @@ class MTOSampler(RandomWalkSampler):
             return None
         return self._replay_fetch(max_steps)
 
-    def _replay_token(self):
+    def _replay_token(self, cache):
         # The replay reads only G*, never the cache.
         return self._overlay.version
 

@@ -616,6 +616,11 @@ class RestrictedSocialAPI:
         """Degree of ``user`` if previously queried, else ``None``. Free."""
         return self._cache.degree(user)
 
+    @property
+    def query_budget(self) -> Optional[int]:
+        """The configured cap on billed queries, or ``None`` if unbounded."""
+        return self._budget
+
     def remaining_budget(self) -> Optional[int]:
         """Billed queries left under the budget, or ``None`` if unbounded."""
         if self._budget is None:

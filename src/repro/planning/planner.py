@@ -15,7 +15,7 @@ talks to.  It composes the three planning parts:
 * an optional :class:`~repro.planning.lifecycle.AdaptiveChainPolicy`
   that retires latency-tail chains and spawns warm reserves.
 
-The planner is bound to one interface/fleet pair by the scheduler that
+The planner is bound to one fleet by the scheduler that
 owns it and must not be shared; all of its mutable state (step
 statistics, ledger, counters) serializes through ``state_dict`` inside the
 scheduler's snapshot, so an in-flight checkpoint with outstanding
@@ -54,7 +54,6 @@ class DispatchPlanner:
             raise PlanningError("lookahead must be non-negative")
         self.lookahead = int(lookahead)
         self._policy = policy
-        self._api = None
         self._history: Optional[HistoryIndex] = None
         self._ledger = PrefetchLedger()
         # Per-engine prediction books: {engine: {"hits": n, "misses": n}}.
@@ -67,34 +66,33 @@ class DispatchPlanner:
     # ------------------------------------------------------------------
     # binding (done once, by the owning scheduler)
     # ------------------------------------------------------------------
-    def bind(self, api, fleet) -> None:
-        """Attach to the interface/fleet pair the owning scheduler drives.
+    def bind(self, fleet) -> None:
+        """Attach to the fleet the owning scheduler coalesces bursts against.
 
         Args:
-            api: The shared :class:`~repro.interface.api.RestrictedSocialAPI`.
             fleet: The :class:`~repro.fleet.provider.ShardedProvider` the
-                batched dispatch loop coalesces bursts against.
+                batched dispatch loop coalesces bursts against; the
+                history index books steps by its shards.
 
         Raises:
             PlanningError: If this planner is already bound — planners
                 hold per-run state and must not be shared between
                 scheduler instances.
         """
-        if self._api is not None:
+        if self._history is not None:
             raise PlanningError(
                 "this DispatchPlanner is already bound to a scheduler; "
                 "construct a fresh planner per EventDrivenWalkers group"
             )
-        self._api = api
         self._history = HistoryIndex(shard_of=fleet.shard_of)
 
     @property
     def bound(self) -> bool:
         """Whether :meth:`bind` has been called."""
-        return self._api is not None
+        return self._history is not None
 
     def _require_bound(self) -> None:
-        if self._api is None:
+        if self._history is None:
             raise PlanningError("DispatchPlanner is not bound to a scheduler yet")
 
     # ------------------------------------------------------------------
@@ -158,22 +156,22 @@ class DispatchPlanner:
         ``max_steps`` future steps.
 
         Args:
-            sampler: The chain to predict for.
+            sampler: The chain to predict for (a
+                :class:`~repro.walks.base.RandomWalkSampler`).
             max_steps: Step horizon; the scheduler passes the chain's
                 *remaining* step budget during collection so a prefetch
                 is never issued for a neighborhood the chain cannot
                 reach before its quota fills.  Defaults to
                 :data:`PREDICT_HORIZON`.
         """
-        self._require_bound()
-        peek = getattr(sampler, "predict_next_fetch", None)
-        if peek is None:
-            return None
         horizon = self.PREDICT_HORIZON if max_steps is None else min(max_steps, self.PREDICT_HORIZON)
         if horizon <= 0:
             return None
-        target = peek(max_steps=horizon)
-        books = self._prediction.setdefault(type(sampler).__name__, {"hits": 0, "misses": 0})
+        target = sampler.predict_next_fetch(max_steps=horizon)
+        name = type(sampler).__name__
+        books = self._prediction.get(name)
+        if books is None:
+            books = self._prediction[name] = {"hits": 0, "misses": 0}
         books["misses" if target is None else "hits"] += 1
         return target
 
@@ -199,7 +197,6 @@ class DispatchPlanner:
             the chain to it if the chain got there first).  ``None``
             otherwise.
         """
-        self._require_bound()
         self._history.record_step(node, known=free)
         landed = self._ledger.mark_used(node)
         if self._recorder is not None and landed is not None:

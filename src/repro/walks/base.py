@@ -389,13 +389,28 @@ class RandomWalkSampler(abc.ABC):
             The predicted fetch, or ``None`` when a replay step cannot
             be resolved or no fetch lies within ``max_steps`` steps.
         """
-        if self._stream is None:
+        stream = self._stream
+        if stream is None:
             return None
         cache = self._api.cache
-        token = self._replay_token()
+        token = self._replay_token(cache)
         cursor = self._cursor
-        if cursor is None or token is None or cursor.token != token or not self._cursor_on_path(cursor):
+        if cursor is None or token is None or cursor.token != token:
             cursor = self._cursor_restart(token)
+        else:
+            # Trim the cursor to start at the live step; off its path (or
+            # past its end), it restarts.
+            offset = self._steps - cursor.base
+            if (
+                not 0 <= offset < len(cursor.path)
+                or cursor.marks[offset] != stream.index
+                or cursor.path[offset] != self._replay_position()
+            ):
+                cursor = self._cursor_restart(token)
+            elif offset:
+                del cursor.path[:offset]
+                del cursor.marks[:offset]
+                cursor.base = self._steps
         path = cursor.path
         step = self._replay_step
         while len(path) <= max_steps:
@@ -422,31 +437,19 @@ class RandomWalkSampler(abc.ABC):
         cursor.seq = None
         return cursor
 
-    def _cursor_on_path(self, cursor: "_ReplayCursor") -> bool:
-        """Trim ``cursor`` to start at the live step; ``False`` when off its path."""
-        offset = self._steps - cursor.base
-        if (
-            not 0 <= offset < len(cursor.path)
-            or cursor.marks[offset] != self._stream.index
-            or cursor.path[offset] != self._replay_position()
-        ):
-            return False
-        if offset:
-            del cursor.path[:offset]
-            del cursor.marks[:offset]
-            cursor.base = self._steps
-        return True
-
-    def _replay_token(self):
+    def _replay_token(self, cache):
         """What must not change while a cursor is kept, or ``None``.
 
-        The replay reads cached neighborhoods, so the default token is the
-        cache's :attr:`~repro.interface.cache.NeighborhoodCache.
+        The replay reads cached neighborhoods, so the default token is
+        ``cache``'s :attr:`~repro.interface.cache.NeighborhoodCache.
         retention_version`: newly cached users are picked up by
         re-checking the paused target, but a dropped or replaced one
         could change a step already replayed.
+
+        Args:
+            cache: The interface's cache, as the replay already read it.
         """
-        return self._api.cache.retention_version
+        return cache.retention_version
 
     def _replay_position(self):
         """The live chain state a replayed path records per step."""

@@ -73,6 +73,12 @@ History-aware planning (``planner=DispatchPlanner(...)``) adds the
 
 With no planner none of the above runs.
 
+A tick pays for what its events do: per-tick values are read once per
+tick, a tick whose chains all took samples skips settling and planning
+(untraced; a recorder still gets every gauge), and a prefetch attempt
+that finds no open burst on its target's shard costs its prediction and
+one routing call.
+
 The full in-flight state — event queue, per-chain ready times, per-shard
 admission horizons, phase, chain roster, planner ledger, and the
 partially filled merged sample list — serializes through
@@ -214,7 +220,7 @@ class EventDrivenWalkers:
                     "a dispatch planner needs a ShardedProvider in the "
                     "interface's provider stack (see repro.planning)"
                 )
-            planner.bind(self._api, self._fleet)
+            planner.bind(self._fleet)
         # Chain roster and per-chain observation books.  Without a policy
         # every chain is active for the whole run and the books are pure
         # bookkeeping; with one, the roster drives collection scheduling.
@@ -694,49 +700,63 @@ class EventDrivenWalkers:
         takes its sample when due and steps otherwise; in burn-in it steps
         and is parked once it leads the slowest chain by ``max_lead``
         rounds.  Over a fleet the tick's fetches then settle into bursts
-        and the planner fills their spare slots.  Last, the barrier's round
-        maximum applies and the chains that stay queued are pushed.
+        and the planner fills their spare slots (untraced, a tick that
+        stepped no chain skips both).  Last, the barrier's round maximum
+        applies and the chains that stay queued are pushed.
         """
         group = self._pop_tick(num_samples)
         when = self._depart(group)
-        fleet, recorder, ready = self._fleet, self._recorder, self._ready
+        fleet, recorder, ready, samplers = self._fleet, self._recorder, self._ready, self._samplers
         burnin = num_samples is None
-        floor = min(self._burn_rounds) if burnin else 0
-        # Over a fleet: (chain, dispatches) per stepped chain, in FIFO
-        # order, and (chain, land time) per consumed prefetch.
-        fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]] = []
-        waits: List[Tuple[int, float]] = []
-        step_events: Dict[int, TraceEvent] = {}
+        if burnin:
+            burn_rounds, parked, max_lead = self._burn_rounds, self._parked, self._max_lead
+            floor = min(burn_rounds)
+        else:
+            since = self._since
+        if fleet is not None:
+            # (chain, dispatches) per stepped chain, in FIFO order, and
+            # (chain, land time) per consumed prefetch.
+            fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]] = []
+            waits: List[Tuple[int, float]] = []
+            planner, timed_steps, chain_latency = self._planner, self._timed_steps, self._chain_latency
+            collect_steps = self._collect_steps
+        if recorder is not None:
+            step_events: Dict[int, TraceEvent] = {}
         pushes: List[int] = []
         events = 0
         for _when, _seq, chain in group:
-            if not burnin and len(self._merged) >= num_samples:
-                # The quota filled mid-tick: requeue the unprocessed
-                # dispatches so the heap stays a faithful state cut.
-                self._push(chain, ready[chain])
-                continue
+            if not burnin:
+                if len(self._merged) >= num_samples:
+                    # The quota filled mid-tick: requeue the unprocessed
+                    # dispatches so the heap stays a faithful state cut.
+                    self._push(chain, ready[chain])
+                    continue
+                if since[chain] >= self._thinning:
+                    events += 1
+                    if self._sample(chain, when):
+                        pushes.append(chain)
+                    continue
             events += 1
-            if not burnin and self._since[chain] >= self._thinning:
-                if self._sample(chain, when):
-                    pushes.append(chain)
-                continue
-            sampler = self._samplers[chain]
+            sampler = samplers[chain]
             if fleet is None:
-                before = self._api.latency_spent
+                api = self._api
+                before = api.latency_spent
                 sampler.step()
-                latency = self._api.latency_spent - before
+                latency = api.latency_spent - before
                 ready[chain] = when + latency
             else:
                 sampler.step()
                 dispatches = fleet.drain_dispatches()
                 fetches.append((chain, dispatches))
-                latency = sum(d.latency for d in dispatches)
-                self._timed_steps[chain] += 1
+                latency = (
+                    dispatches[0].latency if len(dispatches) == 1 else sum(d.latency for d in dispatches)
+                )
+                timed_steps[chain] += 1
                 if not burnin:
-                    self._collect_steps[chain] += 1
-                self._chain_latency[chain] += latency
-                if self._planner is not None:
-                    lands_at = self._planner.note_step(chain, sampler.current, free=not dispatches)
+                    collect_steps[chain] += 1
+                chain_latency[chain] += latency
+                if planner is not None:
+                    lands_at = planner.note_step(chain, sampler.current, free=not dispatches)
                     if lands_at is not None:
                         waits.append((chain, lands_at))
             if recorder is not None:
@@ -749,10 +769,9 @@ class EventDrivenWalkers:
                     node=sampler.current,
                 )
             if not burnin:
-                self._since[chain] += 1
+                since[chain] += 1
                 pushes.append(chain)
                 continue
-            burn_rounds, parked, max_lead = self._burn_rounds, self._parked, self._max_lead
             burn_rounds[chain] += 1
             floor_before, floor = floor, min(burn_rounds)
             if burn_rounds[chain] - floor >= max_lead:
@@ -767,7 +786,7 @@ class EventDrivenWalkers:
                     if burn_rounds[idx] - floor < max_lead:
                         parked.discard(idx)
                         pushes.append(idx)
-        if fleet is not None:
+        if fleet is not None and (fetches or recorder is not None):
             joined = self._settle_tick(when, fetches)
             # Settling reset the ready times: a chain that reached a
             # prefetched node before its round trip landed waits for it
@@ -775,19 +794,21 @@ class EventDrivenWalkers:
             for chain, lands_at in waits:
                 if lands_at > ready[chain]:
                     ready[chain] = lands_at
-            # Stamp the settle outcome on each step event before prefetch
-            # planning mutates the open bursts in place: the captured
-            # (shard, start, latency, opened) tuples and the ready time are
-            # exactly the operands of the ready-time computation, so the
-            # causal profiler can replay the attribution from the trace.
-            for chain, event in step_events.items():
-                entries = joined.get(chain)
-                if entries:
-                    event.attrs["bursts"] = tuple(
-                        (shard, burst[0], burst[1], opened) for shard, burst, opened in entries
-                    )
-                event.attrs["ready"] = ready[chain]
-            if self._planner is not None:
+            if recorder is not None:
+                # Stamp the settle outcome on each step event before
+                # prefetch planning mutates the open bursts in place: the
+                # captured (shard, start, latency, opened) tuples and the
+                # ready time are exactly the operands of the ready-time
+                # computation, so the causal profiler can replay the
+                # attribution from the trace.
+                for chain, event in step_events.items():
+                    entries = joined.get(chain)
+                    if entries:
+                        event.attrs["bursts"] = tuple(
+                            (shard, burst[0], burst[1], opened) for shard, burst, opened in entries
+                        )
+                    event.attrs["ready"] = ready[chain]
+            if planner is not None and fetches:
                 self._plan_prefetches(when, fetches)
         if self._barrier:
             # The round ends when its slowest response lands, and every
@@ -796,11 +817,13 @@ class EventDrivenWalkers:
             for chain in pushes:
                 ready[chain] = end
             self._sim_time = end
+        seq = self._seq
         for chain in pushes:
-            heappush(self._heap, (ready[chain], self._seq, chain))
-            self._seq += 1
+            heappush(self._heap, (ready[chain], seq, chain))
+            seq += 1
+        self._seq = seq
         self._tick_committed(events)
-        if not burnin and self._policy is not None:
+        if self._policy is not None and not burnin:
             self._maybe_review_roster(num_samples, when)
 
     def _sample(self, chain: int, when: float) -> bool:
@@ -814,21 +837,15 @@ class EventDrivenWalkers:
         """
         sampler = self._samplers[chain]
         node = sampler.current
-        self._merged.append(
-            WalkSample(
-                node=node,
-                weight=sampler.weight(node),
-                query_cost=self._api.query_cost,
-                step=sampler.steps,
-            )
-        )
+        self._merged.append(WalkSample(node, sampler.weight(node), self._api.query_cost, sampler.steps))
         self._merged_chain.append(chain)
-        self._collected[chain] += 1
+        collected = self._collected
+        collected[chain] += 1
         self._since[chain] = 0
         self._ready[chain] = when
         if self._recorder is not None:
             self._emit(EVENT_SAMPLE, when, chain=chain, node=node)
-        return self._collected[chain] < self._quota
+        return collected[chain] < self._quota
 
     def _depart(self, group: List[Tuple[float, int, int]]) -> float:
         """The tick's dispatch time: its latest member's ready time (a barrier round's slowest)."""
@@ -867,7 +884,7 @@ class EventDrivenWalkers:
                     if self._fleet is not None:
                         while heap and heap[0][0] == group[0][0]:
                             group.append(heappop(heap))
-                if num_samples is None or self._policy is None:
+                if self._policy is None or num_samples is None:
                     return group
                 group = [entry for entry in group if self._roster[entry[2]] == ROSTER_ACTIVE]
                 if group:
@@ -908,21 +925,21 @@ class EventDrivenWalkers:
             planning, so the captured latencies are exactly the ones the
             ready times were computed from.
         """
-        fleet = self._fleet
-        recorder = self._recorder
+        fleet, recorder = self._fleet, self._recorder
+        ready, next_free, open_bursts = self._ready, self._next_free, self._open_bursts
         # chain -> (shard, burst ref, opened-by-this-chain) joins
         joined: Dict[int, List[Tuple[int, List[float], bool]]] = {}
         for chain, dispatches in fetches:
-            self._ready[chain] = when
+            ready[chain] = when
             for dispatch in dispatches:
                 shard = dispatch.shard
                 burst = self._burst_open(shard, when)
                 opened = burst is None
                 if opened:
-                    start = max(when, self._next_free[shard])
-                    self._next_free[shard] = start + fleet.admission_interval(shard)
+                    start = max(when, next_free[shard])
+                    next_free[shard] = start + fleet.admission_interval(shard)
                     burst = [start, dispatch.latency, 1.0]
-                    self._open_bursts[shard] = burst
+                    open_bursts[shard] = burst
                     fleet.record_burst(shard, 1)
                     if recorder is not None:
                         if start > when:
@@ -937,8 +954,8 @@ class EventDrivenWalkers:
             recorder.metrics.gauge("walk.queue_depth").set(float(len(self._heap)))
         for chain, entries in joined.items():  # insertion order: deterministic
             done = max(burst[0] + burst[1] for _shard, burst, _opened in entries)
-            if done > self._ready[chain]:
-                self._ready[chain] = done
+            if done > ready[chain]:
+                ready[chain] = done
         return joined
 
     def _burst_open(self, shard: int, when: float) -> Optional[List[float]]:
@@ -948,7 +965,7 @@ class EventDrivenWalkers:
         passes) or fills the shard's batch cap.
         """
         burst = self._open_bursts[shard]
-        if burst is None or burst[0] < when or int(burst[2]) >= self._fleet.batch_cap(shard):
+        if burst is None or burst[0] < when or burst[2] >= self._fleet.batch_cap(shard):
             return None
         return burst
 
@@ -961,18 +978,6 @@ class EventDrivenWalkers:
     # ------------------------------------------------------------------
     # the planning hooks (all of them no-ops without a planner)
     # ------------------------------------------------------------------
-    def _remaining_steps(self, chain: int) -> int:
-        """Stepped actions this chain will still take before its quota fills.
-
-        The prefetch horizon: a prediction past this bound would fetch a
-        neighborhood the chain can never walk to (it leaves the queue at
-        its quota), turning budget-spent-early into budget wasted.
-        """
-        need = self._quota - self._collected[chain]
-        if need <= 0:
-            return 0
-        return (self._thinning - self._since[chain]) + (need - 1) * self._thinning
-
     def _plan_prefetches(self, when: float, fetches: List[Tuple[int, Tuple[FetchDispatch, ...]]]) -> None:
         """Fill open bursts' spare slots with the chains' predicted fetches.
 
@@ -980,70 +985,68 @@ class EventDrivenWalkers:
         determinism), the planner replays the chain's RNG through cached
         territory to the neighborhood it will fetch next; if that user's
         shard has an open (not yet departed) round trip with headroom
-        under its batch cap, the fetch is issued *now* and rides the
-        existing admission slot.  Each success extends the simulated
-        walk-ahead (the fetched response joins history, so the next
-        replay walks through it), up to the planner's lookahead and —
-        during collection — the chain's remaining step budget.  The
+        under its batch cap (:meth:`_burst_open`'s rule, tested in place),
+        the fetch is issued *now* and rides the existing admission slot —
+        prefetch never claims a slot of its own.  Each success extends
+        the simulated walk-ahead (the fetched response joins history, so
+        the next replay walks through it), up to the planner's lookahead
+        and — during collection — the chain's remaining step budget.  The
         issuing chain does not wait here; it pays only if it reaches a
         prefetched node before that node's round trip landed (the
-        consumption hook applies the land time), so the plan stays
-        honest about when responses become available.
+        consumption hook applies the land time), so the plan stays honest
+        about when responses become available.
         """
-        planner = self._planner
+        planner, fleet, api, recorder = self._planner, self._fleet, self._api, self._recorder
+        predict, lookahead, ledger = planner.predict_next_fetch, planner.lookahead, planner.ledger
+        roster, predict_ok, samplers = self._roster, self._predict_ok, self._samplers
+        open_bursts, shard_of, batch_cap = self._open_bursts, fleet.router.shard_of, fleet.batch_cap
+        collecting = self._phase == PHASE_COLLECT
+        if collecting:
+            quota, collected, since, thinning = self._quota, self._collected, self._since, self._thinning
+        budgeted = api.query_budget is not None
+        horizon = None
         for chain, _dispatches in fetches:
             # Reserves may stop stepping before consuming; shared-overlay
             # chains fall back to fetch-on-visit (a sharer's rewire can
             # invalidate their replays before the step).
-            if self._roster[chain] != ROSTER_ACTIVE or not self._predict_ok[chain]:
+            if roster[chain] != ROSTER_ACTIVE or not predict_ok[chain]:
                 continue
-            horizon = None
-            if self._phase == PHASE_COLLECT:
-                # Never predict past the steps the chain will actually
-                # take: a prefetch beyond its quota would be pure waste.
-                horizon = self._remaining_steps(chain)
-            sampler = self._samplers[chain]
-            for _ in range(planner.lookahead):
-                remaining = self._api.remaining_budget()
-                if remaining is not None and remaining <= 0:
+            if collecting:
+                # The steps the chain will still take before its quota
+                # fills: a prediction past them would fetch a neighborhood
+                # the chain never walks to, budget wasted, not spent early.
+                need = quota - collected[chain]
+                horizon = thinning - since[chain] + (need - 1) * thinning if need > 0 else 0
+            sampler = samplers[chain]
+            for _ in range(lookahead):
+                if budgeted and api.remaining_budget() <= 0:
                     return  # never let planning exhaust the §II-B budget
-                target = planner.predict_next_fetch(sampler, max_steps=horizon)
-                if target is None or not self._prefetch_into_burst(chain, target, when):
+                target = predict(sampler, horizon)
+                if target is None:
                     break
-
-    def _prefetch_into_burst(self, chain: int, target, when: float) -> bool:
-        """Issue one prefetch if ``target``'s shard has an open slot.
-
-        Returns ``False`` when the shard has no open round trip with
-        headroom — prefetch never claims admission slots of its own, it
-        only rides capacity the real dispatches already paid for.
-        """
-        fleet = self._fleet
-        shard = fleet.shard_of(target)
-        burst = self._burst_open(shard, when)
-        if burst is None:
-            return False
-        # Billed now; cached for the walk.  Never a refusal: every engine's
-        # prediction is off on networks that may refuse.
-        response = self._api.query(target)
-        dispatched = fleet.drain_dispatches()
-        if not dispatched:  # pragma: no cover - target raced into the cache
-            return True
-        for dispatch in dispatched:
-            self._join_burst(shard, burst, dispatch.latency)
-            fleet.record_prefetch(shard)
-        # The chain does not wait here: it only pays if it *reaches* the
-        # prefetched node before this round trip lands (the consumption
-        # hook applies the land time then).  Walk, not wait.
-        lands_at = burst[0] + burst[1]
-        self._planner.ledger.record_issue(target, chain, lands_at)
-        if self._recorder is not None:
-            attrs = dict(chain=chain, user=target, shard=shard)
-            self._emit(EVENT_PREFETCH_ISSUE, when, **attrs, lands_at=lands_at, fetches=len(dispatched))
-            self._emit(EVENT_PREFETCH_LAND, lands_at, **attrs)
-            self._recorder.metrics.gauge("prefetch.outstanding").set(float(self._planner.ledger.outstanding))
-        assert response.user == target
-        return True
+                shard = shard_of(target)
+                burst = open_bursts[shard]
+                if burst is None or burst[0] < when or burst[2] >= batch_cap(shard):
+                    break
+                # Billed now; cached for the walk.  Never a refusal: every
+                # engine's prediction is off on networks that may refuse.
+                response = api.query(target)
+                assert response.user == target
+                dispatched = fleet.drain_dispatches()
+                if not dispatched:  # pragma: no cover - target raced into the cache
+                    continue
+                for dispatch in dispatched:
+                    self._join_burst(shard, burst, dispatch.latency)
+                    fleet.record_prefetch(shard)
+                lands_at = burst[0] + burst[1]
+                ledger.record_issue(target, chain, lands_at)
+                if recorder is not None:
+                    attrs = dict(chain=chain, user=target, shard=shard)
+                    self._emit(
+                        EVENT_PREFETCH_ISSUE, when, **attrs, lands_at=lands_at, fetches=len(dispatched)
+                    )
+                    self._emit(EVENT_PREFETCH_LAND, lands_at, **attrs)
+                    recorder.metrics.gauge("prefetch.outstanding").set(float(ledger.outstanding))
 
     def _recompute_quota(self, num_samples: int) -> None:
         """Smallest per-chain quota the active roster can fill the run with."""

@@ -161,7 +161,7 @@ class TestPlannerBooks:
                         profiles=network.profiles)
         )
         twin = DispatchPlanner(lookahead=2)
-        twin.bind(twin_api, twin_api.provider)
+        twin.bind(twin_api.provider)
         return twin
 
     def test_prediction_books_round_trip(self, network):

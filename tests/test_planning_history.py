@@ -261,11 +261,8 @@ class TestDispatchPlannerValidation:
             def shard_of(user):
                 return 0
 
-        class _Api:
-            cache = NeighborhoodCache()
-
         planner = DispatchPlanner()
-        planner.bind(_Api(), _Fleet())
+        planner.bind(_Fleet())
         assert planner.bound
         with pytest.raises(PlanningError):
-            planner.bind(_Api(), _Fleet())
+            planner.bind(_Fleet())

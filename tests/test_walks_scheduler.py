@@ -13,7 +13,15 @@ import hashlib
 
 import pytest
 
-from repro.compose import FleetSpec, ProviderSpec, build_fleet
+from repro.compose import (
+    FleetSpec,
+    PlannerSpec,
+    ProviderSpec,
+    StackConfig,
+    WalkSpec,
+    build_fleet,
+    build_stack,
+)
 from repro.convergence.gelman_rubin import GelmanRubinDiagnostic
 from repro.core import MTOSampler
 from repro.core.overlay import OverlayGraph, shared_overlay_of
@@ -372,6 +380,7 @@ class TestEventDrivenPins:
 
     NO_FLEET_DIGEST = "cdf6bf780fdbb0d3d7bf3411331a1c3a74f6072d2c489044df234e6ae694b23b"
     ADAPTIVE_FLEET_DIGEST = "3e65ff4a1f4195d8fcb9eb1bebd9aa17bffdab37f1206d099dfede5c1eb1b62a"
+    PLANNED_FLEET_DIGEST = "b00a079e2f8b21d7adf2362611490bd1e5cf0bf74f3c200173fcbef800e8f11d"
 
     def test_no_fleet_parked_burn_in_thinned_collection_and_checkpoints(self, network):
         # max_lead=3 under heavy-tailed latency parks fast chains during
@@ -430,3 +439,83 @@ class TestEventDrivenPins:
             [(e.name, e.ts, e.dur, e.attrs) for e in recorder.events],
         )
         assert digest == self.ADAPTIVE_FLEET_DIGEST
+
+    @staticmethod
+    def _planned_fleet_stack(network, recorder=None):
+        """The benchmark's planned-fleet shape at a small scale.
+
+        A lookahead-4 planner over a heavy-tailed 4-shard SRW fleet with
+        skewed shard weights: most prefetch attempts find no open burst
+        on their target's shard, and about half the ticks only sample.
+        """
+        config = StackConfig(
+            fleet=FleetSpec(
+                num_shards=4,
+                seed=2,
+                weights=(8.0, 1.0, 1.0, 1.0),
+                provider=ProviderSpec(
+                    latency_distribution="heavy_tailed", latency_scale=0.5, latency_alpha=2.5
+                ),
+                batch_cap=16,
+                admission_interval=2.0,
+            ),
+            walk=WalkSpec(engine="srw", chains=8, seed=5),
+            planner=PlannerSpec(lookahead=4),
+        )
+        return build_stack(config, network, recorder=recorder)
+
+    @staticmethod
+    def _planned_books(stack):
+        """The prediction books, prefetch ledger, shard books and burst state."""
+        walkers = stack.walkers
+        state = walkers.state_dict()
+        return (
+            stack.planner.summary()["prediction"],
+            stack.planner.ledger.summary(),
+            [stats.state_dict() for stats in stack.fleet.stats],
+            state["next_free"],
+            state["open_bursts"],
+            walkers.events_processed,
+        )
+
+    def test_planned_fleet_books(self, network):
+        stack = self._planned_fleet_stack(network)
+        run = stack.run(400)
+        assert len(run.samples) == 400
+        prediction, ledger, shards, next_free, open_bursts, events = self._planned_books(stack)
+        assert prediction == {"SimpleRandomWalk": {"hits": 356, "misses": 134}}
+        assert ledger == {"issued": 127, "used": 127, "wasted": 0, "outstanding": 0}
+        assert [s["bursts"] for s in shards] == [11, 8, 7, 6]
+        assert [s["prefetched"] for s in shards] == [106, 11, 5, 5]
+        assert [s["queries"] for s in shards] == [134, 21, 13, 14]
+        assert [s["max_in_flight"] for s in shards] == [16, 6, 4, 5]
+        assert next_free == (22.0, 18.94574221901609, 22.744536437465523, 17.648268217196897)
+        assert open_bursts == (
+            (20.0, 0.7618547305199074, 2.0),
+            (16.94574221901609, 0.5558086609574642, 1.0),
+            (20.744536437465523, 0.7547996349096128, 1.0),
+            (15.648268217196897, 0.9437557401528383, 3.0),
+        )
+        assert events == 792
+        digest = _pin_digest(
+            [(s.node, s.weight, s.query_cost, s.step) for s in run.samples],
+            list(stack.api.log.state_dict()["records"]),
+            stack.api.clock.now(),
+            run.sim_elapsed,
+            shards,
+        )
+        assert digest == self.PLANNED_FLEET_DIGEST
+
+    def test_planned_fleet_books_recorder_neutral(self, network):
+        # The same run with and without a recorder, tick by tick: every
+        # book the untraced tick may skip must match after each tick.
+        plain = self._planned_fleet_stack(network)
+        traced = self._planned_fleet_stack(network, recorder=TraceRecorder())
+        for stack in (plain, traced):
+            stack.walkers.begin_collect(240)
+        done = False
+        while not done:
+            done = plain.walkers.collect_tick(240)
+            assert traced.walkers.collect_tick(240) == done
+            assert self._planned_books(plain) == self._planned_books(traced)
+        assert plain.walkers.result().samples == traced.walkers.result().samples
